@@ -48,7 +48,7 @@ from .errors import (
     ZeroAngularEnergyError,
 )
 from .lobachevsky import canonicity_report
-from .phase import PhaseState, Trajectory, integrate_verlet
+from .phase import PhaseState, Trajectory, integrate_verlet, verlet_steps
 from .radial import RadialData, fall_time, radial_squared, reparam_time
 from .reduction import from_hyperspherical, to_hyperspherical
 
@@ -175,6 +175,12 @@ def _validate(cfg: RunConfig):
         raise UsageError("--dt must be positive")
     if cfg.t_end <= 0:
         raise UsageError("--t-end must be positive")
+    if cfg.command == "simulate":
+        try:
+            verlet_steps(cfg.dt, cfg.t_end)
+        except ValueError:
+            raise UsageError(
+                "--t-end must be a whole multiple of --dt") from None
     if not (1e-13 <= cfg.rtol <= 1e-3):
         raise UsageError("--rtol must lie in [1e-13, 1e-3]")
     if cfg.samples < 1:
@@ -293,20 +299,13 @@ def run(cfg: RunConfig) -> int:
     ms = _model_spec(cfg)
     sys_ = models.build(ms)
 
-    if cfg.command == "simulate":
+    if cfg.command in ("simulate", "reconstruct"):
         s0 = _initial_state(cfg, ms)
-        traj = integrate_verlet(sys_, s0, cfg.dt, cfg.t_end)
-        if cfg.format == "csv":
-            emit(trajectory_csv(traj), "csv", cfg.output)
+        if cfg.command == "simulate":
+            traj = integrate_verlet(sys_, s0, cfg.dt, cfg.t_end)
         else:
-            emit(_json_doc(cfg, _trajectory_payload(traj)), "json",
-                 cfg.output)
-        return 0
-
-    if cfg.command == "reconstruct":
-        s0 = _initial_state(cfg, ms)
-        grid = np.linspace(0.0, cfg.t_end, cfg.num)
-        traj = radial.reconstruct(sys_, s0, grid, rtol=cfg.rtol)
+            grid = np.linspace(0.0, cfg.t_end, cfg.num)
+            traj = radial.reconstruct(sys_, s0, grid, rtol=cfg.rtol)
         if cfg.format == "csv":
             emit(trajectory_csv(traj), "csv", cfg.output)
         else:

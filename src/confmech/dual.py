@@ -226,15 +226,6 @@ def seed(values, n_dirs, offset):
     return out
 
 
-def constants(values, n_dirs):
-    """Object array of duals with zero derivative (parameters, not inputs)."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty(values.shape[0], dtype=object)
-    for i, v in enumerate(values):
-        out[i] = Dual(v, np.zeros(n_dirs))
-    return out
-
-
 def gradient(fn, *arrays):
     """Gradient of ``fn(*arrays) -> scalar`` with respect to every entry.
 

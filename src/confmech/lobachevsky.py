@@ -41,7 +41,7 @@ from typing import Union
 import numpy as np
 
 from . import dual
-from .conformal import ConformalSystem, sample_states
+from .conformal import ConformalSystem, casimir_I, sample_states
 from .errors import (
     NonPositiveEnergyError,
     ZeroAngularEnergyError,
@@ -55,6 +55,7 @@ from .reduction import (
     angles_from_unit,
     chart_observables,
     from_hyperspherical,
+    spherical_system_from,
     to_hyperspherical,
 )
 
@@ -204,18 +205,10 @@ def tilde_map(rs: Union[ReducedState, PhaseState, tuple], I: float) -> tuple:
 
 
 def tilde_point(rs, I: float) -> KleinPoint:
-    """w~ assembled from the tilde variables (equals invert(to_klein))."""
+    """w~ assembled from the tilde variables (equals invert(to_klein)):
+    the half-plane point of the radial pair (r, p_r) = (p~, -r~)."""
     p_t, r_t = tilde_map(rs, I)
-    if I == 0.0:
-        raise ZeroAngularEnergyError("w~ is undefined at I = 0")
-    if I > 0:
-        s = math.sqrt(2.0 * I)
-        return KleinPoint(POSITIVE_I,
-                          complex(-r_t / p_t, s / p_t ** 2),
-                          complex(-r_t / p_t, -s / p_t ** 2), s)
-    s = math.sqrt(-2.0 * I)
-    return KleinPoint(NEGATIVE_I, -r_t / p_t + s / p_t ** 2,
-                      -r_t / p_t - s / p_t ** 2, s)
+    return to_klein((p_t, -r_t), I)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +412,7 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     def admissible(s):
         try:
             h = sys.H(s)
-            i_val = 0.5 * (4.0 * h * sys.K(s) - sys.D(s) ** 2)
+            i_val = casimir_I(sys, s)
         except Exception:
             return False
         if not (h > 1e-2 and i_val > 1e-2):
@@ -446,7 +439,7 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     names.append("{w,wbar}-formula")
 
     table = {n: {"max_residual": 0.0, "exceed_count": 0} for n in names}
-    sphere = _sphere_for(sys)
+    sphere = spherical_system_from(sys.V, d)
     mixed_majority = 0
     for s in states:
         res = abs(poisson_bracket(tobs["p_tilde"], tobs["r_tilde"], s) - 1.0)
@@ -466,9 +459,7 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
                     sample_worst = max(sample_worst, val)
             if sample_worst > 10.0 * tol:
                 mixed_majority += 1
-        rs = to_hyperspherical(s) if d > 1 else None
-        i_val = 0.5 * (4.0 * sys.H(s) * sys.K(s) - sys.D(s) ** 2)
-        kp = to_klein(rs if d > 1 else s, i_val)
+        kp = to_klein(to_hyperspherical(s) if d > 1 else s, casimir_I(sys, s))
         res = abs(bracket_ww(sphere, s, kp.branch) - formula_ww(kp))
         _tally(table["{w,wbar}-formula"], res, tol)
 
@@ -487,11 +478,6 @@ def _tally(entry: dict, value: float, tol: float):
     entry["max_residual"] = max(entry["max_residual"], value)
     if value > tol:
         entry["exceed_count"] += 1
-
-
-def _sphere_for(sys: ConformalSystem) -> SphericalSystem:
-    from .reduction import spherical_system_from
-    return spherical_system_from(sys.V, sys.d)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,16 @@ Catalog entries:
 
 All potentials are exactly homogeneous of degree -2 and ship analytic
 gradients, so they are cheap inside integrator loops.
+
+Each model is one constructor in ``_CATALOG`` (bottom of this module);
+the public functions here are lookups into it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,24 +34,6 @@ from . import dual
 from .conformal import ConformalSystem, build_system
 from .errors import DomainError, UnsupportedModelError
 from .phase import Observable, PhaseState
-
-MODEL_NAMES = ("free", "inverse_square", "conformal_higgs",
-               "conformal_coulomb", "calogero_relative")
-
-_ALIASES = {
-    "free": "free",
-    "inverse_square": "inverse_square",
-    "inverse-square": "inverse_square",
-    "higgs": "conformal_higgs",
-    "conformal_higgs": "conformal_higgs",
-    "conformal-higgs": "conformal_higgs",
-    "coulomb": "conformal_coulomb",
-    "conformal_coulomb": "conformal_coulomb",
-    "conformal-coulomb": "conformal_coulomb",
-    "calogero": "calogero_relative",
-    "calogero_relative": "calogero_relative",
-    "calogero-relative": "calogero_relative",
-}
 
 
 @dataclass(frozen=True)
@@ -60,27 +45,9 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in MODEL_NAMES:
+        if self.name not in _CATALOG:
             raise ValueError(f"unknown model {self.name!r}")
-        p = self.params
-        if self.name == "inverse_square" and "kappa" not in p:
-            raise ValueError("inverse_square needs kappa")
-        if self.name == "conformal_higgs":
-            if p.get("omega", 0.0) <= 0:
-                raise ValueError("conformal_higgs needs omega > 0")
-        if self.name == "conformal_coulomb":
-            if "gamma" not in p:
-                raise ValueError("conformal_coulomb needs gamma")
-            if self.d < 2:
-                raise ValueError("conformal_coulomb needs d >= 2")
-        if self.name == "calogero_relative":
-            n = p.get("n", 0)
-            if n < 2:
-                raise ValueError("calogero_relative needs n >= 2 particles")
-            if p.get("g", 0.0) == 0.0:
-                raise ValueError("calogero_relative needs g != 0")
-            if self.d != n - 1:
-                raise ValueError("calogero dimension is n - 1")
+        _CATALOG[self.name](self.d, self.params)  # checks the parameters
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -130,13 +97,8 @@ def pair_axes(n: int) -> np.ndarray:
     """Images of the coincidence planes x^i = x^j in relative coordinates:
     rows are R (e_i - e_j) for i < j, each of norm sqrt(2)."""
     R = jacobi_matrix(n)
-    rows = []
-    for i, j in itertools.combinations(range(n), 2):
-        e = np.zeros(n)
-        e[i] = 1.0
-        e[j] = -1.0
-        rows.append(R @ e)
-    return np.asarray(rows)
+    return np.array([R[:, i] - R[:, j]
+                     for i, j in itertools.combinations(range(n), 2)])
 
 
 def singular_directions(n: int) -> np.ndarray:
@@ -158,120 +120,14 @@ def singular_directions(n: int) -> np.ndarray:
 
 def potential(model: ModelSpec) -> Observable:
     """The catalog potential as an observable with an exact gradient."""
-    d = model.d
-    name = model.name
-
-    if name == "free":
-        def fn(q, p):
-            return 0.0
-
-        def gfn(q, p):
-            return np.zeros(d), np.zeros(d)
-
-        return Observable(d, fn, grad_fn=gfn, name="V[free]")
-
-    if name == "inverse_square":
-        kappa = float(model.params["kappa"])
-
-        def fn(q, p):
-            r2 = np.dot(q, q)
-            if dual.value(r2) == 0.0:
-                raise DomainError("inverse_square potential at r = 0")
-            return kappa / r2
-
-        def gfn(q, p):
-            r2 = q @ q
-            return -2.0 * kappa * q / r2 ** 2, np.zeros(d)
-
-        return Observable(d, fn, grad_fn=gfn, name="V[inverse_square]")
-
-    if name == "conformal_higgs":
-        w2 = float(model.params["omega"]) ** 2
-
-        def fn(q, p):
-            r2 = np.dot(q, q)
-            xd = q[d - 1]
-            if dual.value(r2) == 0.0 or dual.value(xd) == 0.0:
-                raise DomainError("higgs potential on its singular set")
-            return 0.5 * w2 / (xd * xd) + 0.5 * w2 / r2
-
-        def gfn(q, p):
-            r2 = q @ q
-            xd = q[d - 1]
-            dq = -w2 * q / r2 ** 2
-            dq[d - 1] += -w2 / xd ** 3
-            return dq, np.zeros(d)
-
-        return Observable(d, fn, grad_fn=gfn, name="V[conformal_higgs]")
-
-    if name == "conformal_coulomb":
-        gamma = float(model.params["gamma"])
-
-        def fn(q, p):
-            r2 = np.dot(q, q)
-            xd = q[d - 1]
-            rho2 = r2 - xd * xd
-            if dual.value(r2) == 0.0 or dual.value(rho2) <= 0.0:
-                raise DomainError("coulomb potential on its singular axis")
-            return gamma * xd / (r2 * dual.sqrt(rho2))
-
-        def gfn(q, p):
-            r2 = q @ q
-            xd = q[d - 1]
-            rho = np.sqrt(r2 - xd * xd)  # |x_perp|: no x_d dependence
-            dq = -gamma * xd * (2.0 / (r2 ** 2 * rho)
-                                + 1.0 / (r2 * rho ** 3)) * q
-            dq[d - 1] = gamma * (1.0 / (r2 * rho)
-                                 - 2.0 * xd ** 2 / (r2 ** 2 * rho))
-            return dq, np.zeros(d)
-
-        return Observable(d, fn, grad_fn=gfn, name="V[conformal_coulomb]")
-
-    if name == "calogero_relative":
-        g2 = float(model.params["g"]) ** 2
-        axes = pair_axes(model.params["n"])
-
-        def fn(q, p):
-            total = 0.0
-            for a in axes:
-                s = np.dot(a, q)
-                if dual.value(s) == 0.0:
-                    raise DomainError("coincident particles")
-                total = total + g2 / (s * s)
-            return total
-
-        def gfn(q, p):
-            dq = np.zeros(d)
-            for a in axes:
-                s = a @ q
-                dq += -2.0 * g2 * a / s ** 3
-            return dq, np.zeros(d)
-
-        return Observable(d, fn, grad_fn=gfn, name="V[calogero]")
-
-    raise ValueError(name)
+    entry = _entry(model)
+    return Observable(model.d, entry.V, grad_fn=entry.dV,
+                      name=f"V[{entry.tag}]")
 
 
 def singular_distance_fn(model: ModelSpec) -> Callable:
     """Distance from a configuration to the potential's singular set."""
-    d = model.d
-    name = model.name
-    if name == "free":
-        return lambda q: np.inf
-    if name == "inverse_square":
-        return lambda q: float(np.linalg.norm(q))
-    if name == "conformal_higgs":
-        return lambda q: float(min(np.linalg.norm(q), abs(q[d - 1])))
-    if name == "conformal_coulomb":
-        def sdist(q):
-            r2 = float(q @ q)
-            return float(np.sqrt(max(r2 - float(q[d - 1]) ** 2, 0.0)))
-        return sdist
-    axes = pair_axes(model.params["n"])
-
-    def sdist(q):
-        return float(np.min(np.abs(axes @ q)) / np.sqrt(2.0))
-    return sdist
+    return _entry(model).singular_distance
 
 
 def build(model: ModelSpec) -> ConformalSystem:
@@ -319,25 +175,17 @@ def reduce_calogero_state(x: np.ndarray, p: np.ndarray) -> PhaseState:
 
 @dataclass(frozen=True)
 class SphericalPotentialForm:
-    """Closed-form angular potential U(angles) of a catalog model."""
+    """Closed-form angular potential U(angles) of a catalog model; ``U``
+    takes the first polar angle theta."""
 
     model: str
     formula: str
     params: dict
+    U: Callable = field(default=None, repr=False, compare=False)
 
     def evaluate(self, phi) -> float:
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        theta = phi[0] if phi.size else 0.0
-        if self.model == "free":
-            return 0.0
-        if self.model == "inverse_square":
-            return float(self.params["kappa"])
-        if self.model == "conformal_higgs":
-            w2 = float(self.params["omega"]) ** 2
-            return 0.5 * w2 * np.tan(theta) ** 2 + w2
-        if self.model == "conformal_coulomb":
-            return float(self.params["gamma"]) / np.tan(theta)
-        raise UnsupportedModelError(self.model)
+        return self.U(phi[0] if phi.size else 0.0)
 
 
 def spherical_counterpart(model: ModelSpec) -> SphericalPotentialForm:
@@ -348,22 +196,12 @@ def spherical_counterpart(model: ModelSpec) -> SphericalPotentialForm:
     has no closed form in this package (numeric U only), so it raises
     :class:`UnsupportedModelError`.
     """
-    if model.name == "free":
-        return SphericalPotentialForm("free", "0", {})
-    if model.name == "inverse_square":
-        return SphericalPotentialForm("inverse_square", "kappa",
-                                      {"kappa": model.params["kappa"]})
-    if model.name == "conformal_higgs":
-        return SphericalPotentialForm(
-            "conformal_higgs", "omega^2 tan(theta)^2 / 2 + omega^2",
-            {"omega": model.params["omega"]})
-    if model.name == "conformal_coulomb":
-        return SphericalPotentialForm(
-            "conformal_coulomb", "gamma cot(theta)",
-            {"gamma": model.params["gamma"]})
-    raise UnsupportedModelError(
-        "the reduced Calogero angular potential has no closed form here; "
-        "evaluate it numerically via the reduction module")
+    form = _entry(model).sphere
+    if form is None:
+        raise UnsupportedModelError(
+            "the reduced Calogero angular potential has no closed form "
+            "here; evaluate it numerically via the reduction module")
+    return form
 
 
 def catalog() -> list:
@@ -383,12 +221,55 @@ def catalog() -> list:
 def reference_state(model: ModelSpec) -> PhaseState:
     """A documented off-singularity initial state for each catalog model,
     gentle enough for long conservation runs."""
-    name, d = model.name, model.d
-    if name == "free":
-        q = np.linspace(1.0, 0.4, d)
-        p = np.linspace(0.3, 1.0, d)
-        return PhaseState(q, p)
-    if name == "inverse_square":
+    return _entry(model).reference()
+
+
+# ---------------------------------------------------------------------------
+# The catalog: one constructor per model
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Entry:
+    """One model at fixed parameters. ``V(q, p)`` is dual-safe and raises
+    DomainError on the singular set; ``dV(q, p) -> (dV/dq, 0)`` takes float
+    arrays; the potential observable is named ``V[tag]``."""
+
+    tag: str
+    V: Callable
+    dV: Callable
+    singular_distance: Callable
+    reference: Callable
+    sphere: Optional[SphericalPotentialForm]
+
+
+def _entry(model: ModelSpec) -> _Entry:
+    return _CATALOG[model.name](model.d, model.params)
+
+
+def _free(d: int, params: dict) -> _Entry:
+    return _Entry(
+        "free", lambda q, p: 0.0, lambda q, p: (np.zeros(d), np.zeros(d)),
+        lambda q: np.inf,
+        lambda: PhaseState(np.linspace(1.0, 0.4, d), np.linspace(0.3, 1.0, d)),
+        SphericalPotentialForm("free", "0", {}, lambda t: 0.0))
+
+
+def _inverse_square(d: int, params: dict) -> _Entry:
+    if "kappa" not in params:
+        raise ValueError("inverse_square needs kappa")
+    kappa = float(params["kappa"])
+
+    def V(q, p):
+        r2 = np.dot(q, q)
+        if dual.value(r2) == 0.0:
+            raise DomainError("inverse_square potential at r = 0")
+        return kappa / r2
+
+    def dV(q, p):
+        r2 = q @ q
+        return -2.0 * kappa * q / r2 ** 2, np.zeros(d)
+
+    def reference():
         if d == 2:
             return PhaseState([1.0, 0.0], [0.0, 1.0])
         q = np.full(d, 0.3)
@@ -396,13 +277,79 @@ def reference_state(model: ModelSpec) -> PhaseState:
         p = np.full(d, 0.2)
         p[1] = 1.0
         return PhaseState(q, p)
-    if name == "conformal_higgs":
+
+    return _Entry("inverse_square", V, dV,
+                  lambda q: float(np.linalg.norm(q)), reference,
+                  SphericalPotentialForm("inverse_square", "kappa",
+                                         {"kappa": params["kappa"]},
+                                         lambda t: kappa))
+
+
+def _conformal_higgs(d: int, params: dict) -> _Entry:
+    if params.get("omega", 0.0) <= 0:
+        raise ValueError("conformal_higgs needs omega > 0")
+    w2 = float(params["omega"]) ** 2
+
+    def V(q, p):
+        r2 = np.dot(q, q)
+        xd = q[d - 1]
+        if dual.value(r2) == 0.0 or dual.value(xd) == 0.0:
+            raise DomainError("higgs potential on its singular set")
+        return 0.5 * w2 / (xd * xd) + 0.5 * w2 / r2
+
+    def dV(q, p):
+        r2 = q @ q
+        xd = q[d - 1]
+        dq = -w2 * q / r2 ** 2
+        dq[d - 1] += -w2 / xd ** 3
+        return dq, np.zeros(d)
+
+    def reference():
         q = np.full(d, 0.4)
         q[d - 1] = 1.0
         p = np.full(d, 0.3)
         p[0] = -0.2
         return PhaseState(q, p)
-    if name == "conformal_coulomb":
+
+    return _Entry("conformal_higgs", V, dV,
+                  lambda q: float(min(np.linalg.norm(q), abs(q[d - 1]))),
+                  reference,
+                  SphericalPotentialForm(
+                      "conformal_higgs", "omega^2 tan(theta)^2 / 2 + omega^2",
+                      {"omega": params["omega"]},
+                      lambda t: 0.5 * w2 * np.tan(t) ** 2 + w2))
+
+
+def _conformal_coulomb(d: int, params: dict) -> _Entry:
+    if "gamma" not in params:
+        raise ValueError("conformal_coulomb needs gamma")
+    if d < 2:
+        raise ValueError("conformal_coulomb needs d >= 2")
+    gamma = float(params["gamma"])
+
+    def V(q, p):
+        r2 = np.dot(q, q)
+        xd = q[d - 1]
+        rho2 = r2 - xd * xd
+        if dual.value(r2) == 0.0 or dual.value(rho2) <= 0.0:
+            raise DomainError("coulomb potential on its singular axis")
+        return gamma * xd / (r2 * dual.sqrt(rho2))
+
+    def dV(q, p):
+        r2 = q @ q
+        xd = q[d - 1]
+        rho = np.sqrt(r2 - xd * xd)  # |x_perp|: no x_d dependence
+        dq = -gamma * xd * (2.0 / (r2 ** 2 * rho)
+                            + 1.0 / (r2 * rho ** 3)) * q
+        dq[d - 1] = gamma * (1.0 / (r2 * rho)
+                             - 2.0 * xd ** 2 / (r2 ** 2 * rho))
+        return dq, np.zeros(d)
+
+    def sdist(q):
+        r2 = float(q @ q)
+        return float(np.sqrt(max(r2 - float(q[d - 1]) ** 2, 0.0)))
+
+    def reference():
         q = np.zeros(d)
         q[0] = 1.0
         q[d - 1] = 0.3
@@ -410,10 +357,67 @@ def reference_state(model: ModelSpec) -> PhaseState:
         p[1] = 1.0
         p[d - 1] = 0.2
         return PhaseState(q, p)
-    # calogero: spread particles in decreasing order (keeps the n=2 relative
-    # coordinate on the positive half-line), translation-free momenta
-    n = model.params["n"]
-    x = np.linspace(1.0, -1.0, n) * (n - 1) * 0.6
-    px = np.linspace(0.25, -0.25, n)
-    px -= px.mean()
-    return reduce_calogero_state(x, px)
+
+    return _Entry("conformal_coulomb", V, dV, sdist, reference,
+                  SphericalPotentialForm("conformal_coulomb",
+                                         "gamma cot(theta)",
+                                         {"gamma": params["gamma"]},
+                                         lambda t: gamma / np.tan(t)))
+
+
+def _calogero_relative(d: int, params: dict) -> _Entry:
+    n = params.get("n", 0)
+    if n < 2:
+        raise ValueError("calogero_relative needs n >= 2 particles")
+    if params.get("g", 0.0) == 0.0:
+        raise ValueError("calogero_relative needs g != 0")
+    if d != n - 1:
+        raise ValueError("calogero dimension is n - 1")
+    g2 = float(params["g"]) ** 2
+    axes = pair_axes(n)
+
+    def V(q, p):
+        total = 0.0
+        for a in axes:
+            s = np.dot(a, q)
+            if dual.value(s) == 0.0:
+                raise DomainError("coincident particles")
+            total = total + g2 / (s * s)
+        return total
+
+    def dV(q, p):
+        dq = np.zeros(d)
+        for a in axes:
+            s = a @ q
+            dq += -2.0 * g2 * a / s ** 3
+        return dq, np.zeros(d)
+
+    def sdist(q):
+        return float(np.min(np.abs(axes @ q)) / np.sqrt(2.0))
+
+    def reference():
+        # particles spread in decreasing order (keeps the n=2 relative
+        # coordinate on the positive half-line), translation-free momenta
+        x = np.linspace(1.0, -1.0, n) * (n - 1) * 0.6
+        px = np.linspace(0.25, -0.25, n)
+        px -= px.mean()
+        return reduce_calogero_state(x, px)
+
+    return _Entry("calogero", V, dV, sdist, reference, None)
+
+
+_CATALOG = {
+    "free": _free,
+    "inverse_square": _inverse_square,
+    "conformal_higgs": _conformal_higgs,
+    "conformal_coulomb": _conformal_coulomb,
+    "calogero_relative": _calogero_relative,
+}
+
+MODEL_NAMES = tuple(_CATALOG)
+
+# every canonical name, its hyphenated spelling, and three short forms
+_ALIASES = {alias: name for name in _CATALOG
+            for alias in (name, name.replace("_", "-"))}
+_ALIASES.update(higgs="conformal_higgs", coulomb="conformal_coulomb",
+                calogero="calogero_relative")

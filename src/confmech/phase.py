@@ -57,10 +57,6 @@ class PhaseState:
     def d(self) -> int:
         return self.q.shape[0]
 
-    def __iter__(self):
-        yield self.q
-        yield self.p
-
 
 class Observable:
     """A scalar function of a phase point with a gradient.
@@ -92,50 +88,15 @@ class Observable:
         """Evaluate on raw arrays (no finiteness check, duals allowed)."""
         return self.fn(q, p)
 
-    def gradient(self, state: PhaseState):
-        return grad(self, state)
-
-    # -- algebra of observables (products feed the Leibniz checks) -------
-
-    def _combine(self, other, op, name):
-        if isinstance(other, Observable):
-            if other.dim != self.dim:
-                raise ValueError("observable dimensions differ")
-            ofn = other.fn
-        else:
-            c = float(other)
-            ofn = lambda q, p: c  # noqa: E731
-        sfn = self.fn
-        return Observable(self.dim, lambda q, p: op(sfn(q, p), ofn(q, p)),
-                          name=name)
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b, f"({self.name}+)")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b, f"({self.name}-)")
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a, f"(-{self.name})")
-
     def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b, f"({self.name}*)")
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b, f"({self.name}/)")
-
-    def __pow__(self, n):
-        n = float(n)
-        sfn = self.fn
-        return Observable(self.dim, lambda q, p: sfn(q, p) ** n,
-                          name=f"({self.name}^{n})")
-
-    def __neg__(self):
-        return self._combine(0.0, lambda a, b: -a, f"(-{self.name})")
+        """Pointwise product (feeds the Leibniz checks)."""
+        if not isinstance(other, Observable):
+            return NotImplemented
+        if other.dim != self.dim:
+            raise ValueError("observable dimensions differ")
+        sfn, ofn = self.fn, other.fn
+        return Observable(self.dim, lambda q, p: sfn(q, p) * ofn(q, p),
+                          name=f"({self.name}*)")
 
 
 def position_observable(i: int, d: int) -> Observable:
@@ -198,8 +159,7 @@ def _grad_arrays(obs: Observable, q: np.ndarray, p: np.ndarray):
 def grad(obs: Observable, state: PhaseState):
     """Exact-mode derivatives when the observable supports them, otherwise
     central differences. Returns ``(dq, dp)``."""
-    v = obs(state)  # finiteness check at the point itself
-    del v
+    obs(state)  # finiteness check at the point itself
     dq, dp = _grad_arrays(obs, state.q, state.p)
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))):
         raise NonFiniteError(
@@ -244,10 +204,6 @@ class Trajectory:
     def state(self, i: int) -> PhaseState:
         return PhaseState(self.qs[i], self.ps[i])
 
-    @property
-    def states(self):
-        return [self.state(i) for i in range(len(self))]
-
 
 def _monitor_rows(monitors, ts, qs, ps):
     if not monitors:
@@ -261,6 +217,19 @@ def _monitor_rows(monitors, ts, qs, ps):
     return out
 
 
+def verlet_steps(dt: float, t_end: float) -> int:
+    """Number of fixed steps of size ``dt`` that end at ``t_end``; raises
+    ValueError unless dt > 0 and t_end is a nonnegative whole multiple of
+    dt (to 1e-9 relative), so a fixed-step run never stops short of t_end."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n_steps = int(round(t_end / dt))
+    if t_end < 0 or abs(n_steps * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"t_end = {t_end:g} is not a nonnegative whole "
+                         f"multiple of dt = {dt:g}")
+    return n_steps
+
+
 def integrate_verlet(system, s0: PhaseState, dt: float, t_end: float,
                      record_every: int = 1,
                      singular_guard: float = 1e-6) -> Trajectory:
@@ -271,9 +240,9 @@ def integrate_verlet(system, s0: PhaseState, dt: float, t_end: float,
     stops with :class:`SingularityApproachError` (reporting the last good
     time) when the configuration comes within ``singular_guard`` of the
     potential's singular set; this is the finite-time-collapse diagnostic.
+    ``t_end`` must be a whole multiple of ``dt`` (see :func:`verlet_steps`).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    n_steps = verlet_steps(dt, t_end)
     V = system.V
     sdist = getattr(system, "singular_distance", None)
     if sdist is not None and sdist(s0.q) <= 1e-8:
@@ -285,7 +254,6 @@ def integrate_verlet(system, s0: PhaseState, dt: float, t_end: float,
         dVq, _ = _grad_arrays(V, q, p)
         return -dVq
 
-    n_steps = int(round(t_end / dt))
     q = s0.q.copy()
     p = s0.p.copy()
     a = force(q, p)

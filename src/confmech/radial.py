@@ -93,7 +93,9 @@ def fall_time(rd: RadialData):
     """Smallest positive root of r^2(t) = 0, or None.
 
     Real roots exist iff I0 <= 0; with I0 > 0 the motion never reaches the
-    center and the time range is unbounded.
+    center and the time range is unbounded. The roots come from the stable
+    pair r0^2/q, q/(2E) with q = -(D0 + sign(D0) sqrt(disc)), which does
+    not cancel as E -> 0 (the textbook formula loses the small root).
     """
     if rd.E == 0.0:
         if rd.D0 < 0.0 and rd.r0sq > 0.0:
@@ -102,8 +104,10 @@ def fall_time(rd: RadialData):
     disc = rd.D0 ** 2 - 2.0 * rd.E * rd.r0sq  # = -2 I0
     if disc < 0.0:
         return None
-    s = math.sqrt(disc)
-    roots = [(-rd.D0 - s) / (2.0 * rd.E), (-rd.D0 + s) / (2.0 * rd.E)]
+    q = -(rd.D0 + math.copysign(math.sqrt(disc), rd.D0))
+    if q == 0.0:
+        return None  # D0 = r0^2 = 0: the double root t = 0
+    roots = [rd.r0sq / q, q / (2.0 * rd.E)]
     positive = [x for x in roots if x > 0.0]
     return min(positive) if positive else None
 

@@ -150,20 +150,6 @@ def angles_from_unit(n, d: int, delta: float = 1e-9):
     return phi
 
 
-def position_jacobian(r, phi, d: int):
-    """Full d x d Jacobian of x(r, angles): columns [du, r * du/dt_a]."""
-    u = unit_from_angles(phi, d)
-    J = np.empty((d, d), dtype=object)
-    J[:, 0] = u
-    if d > 1:
-        T = unit_tangents(phi, d)
-        for a in range(d - 1):
-            J[:, a + 1] = r * T[:, a]
-    if all(not isinstance(v, dual.Dual) for v in J.ravel()):
-        return J.astype(float)
-    return J
-
-
 def to_hyperspherical(s: PhaseState, delta: float = 1e-9) -> ReducedState:
     """Cartesian -> (r, p_r, angles, momenta), the canonical chart map."""
     q, p = s.q, s.p
@@ -188,9 +174,9 @@ def from_hyperspherical(rs: ReducedState) -> PhaseState:
     q = rs.r * u
     if d == 1:
         return PhaseState(q, np.array([rs.p_r]))
-    J = position_jacobian(rs.r, rs.phi, d)
-    rhs = np.concatenate([[rs.p_r], rs.pi])
-    p = np.linalg.solve(J.T, rhs)
+    # invert the pullback (p_r, pi) = J^T p, J = dx/d(r, t) = [u, r du/dt]
+    J = np.column_stack([u, rs.r * unit_tangents(rs.phi, d)])
+    p = np.linalg.solve(J.T, np.concatenate([[rs.p_r], rs.pi]))
     return PhaseState(q, p)
 
 
@@ -227,9 +213,6 @@ class SphericalSystem:
     d: int
     U: Callable
     metric_diag: Callable
-
-    def metric_inverse(self, phi) -> np.ndarray:
-        return np.diag(self.metric_diag(phi))
 
     def energy(self, phi, pi):
         g = self.metric_diag(phi)

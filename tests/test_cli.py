@@ -78,6 +78,16 @@ class TestExitCodes:
                      "--output", str(out)])
         assert code == 0
 
+    def test_t_end_not_a_multiple_of_dt_is_2(self, capsys):
+        argv = ["simulate", "--model", "inverse-square", "--dim", "2",
+                "--kappa", "1", "--dt", "0.4", "--t-end", "1"]
+        with pytest.raises(UsageError, match="multiple of --dt"):
+            parse_config(argv)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--t-end must be a whole multiple of --dt" in captured.err
+
     def test_singular_start_is_3(self, tmp_path):
         out = tmp_path / "diag.json"
         code = main(["simulate", "--model", "calogero", "--particles", "3",

@@ -31,6 +31,46 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             models.spec("inverse-square", d=2)  # kappa missing
 
+    def test_name_surface(self):
+        assert models.MODEL_NAMES == (
+            "free", "inverse_square", "conformal_higgs", "conformal_coulomb",
+            "calogero_relative")
+        assert models._ALIASES == {
+            "free": "free",
+            "inverse_square": "inverse_square",
+            "inverse-square": "inverse_square",
+            "higgs": "conformal_higgs",
+            "conformal_higgs": "conformal_higgs",
+            "conformal-higgs": "conformal_higgs",
+            "coulomb": "conformal_coulomb",
+            "conformal_coulomb": "conformal_coulomb",
+            "conformal-coulomb": "conformal_coulomb",
+            "calogero": "calogero_relative",
+            "calogero_relative": "calogero_relative",
+            "calogero-relative": "calogero_relative",
+        }
+
+    @pytest.mark.parametrize("name,kwargs,message", [
+        ("higgs", dict(d=3, omega=-1.0), "conformal_higgs needs omega > 0"),
+        ("calogero", dict(n=1, g=1.0),
+         "calogero_relative needs n >= 2 particles"),
+        ("calogero", dict(n=3, g=0.0), "calogero_relative needs g != 0"),
+        ("coulomb", dict(d=1, gamma=1.0), "conformal_coulomb needs d >= 2"),
+        ("no-such-model", dict(d=2),
+         "unknown model 'no-such-model'; choose from ['calogero', "
+         "'calogero-relative', 'calogero_relative', 'conformal-coulomb', "
+         "'conformal-higgs', 'conformal_coulomb', 'conformal_higgs', "
+         "'coulomb', 'free', 'higgs', 'inverse-square', 'inverse_square']"),
+        ("inverse-square", dict(d=2), "inverse_square needs kappa"),
+        ("free", dict(d=0), "dimension must be >= 1"),
+        ("calogero", dict(particles=1), "calogero_relative needs n >= 2 "
+         "particles"),
+    ])
+    def test_validation_messages(self, name, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            models.spec(name, **kwargs)
+        assert str(err.value) == message
+
     def test_calogero_dimension(self):
         ms = models.spec("calogero", particles=4, g=1.0)
         assert ms.d == 3 and ms.params["n"] == 4

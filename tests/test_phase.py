@@ -217,6 +217,14 @@ class TestVerlet:
         with pytest.raises(ValueError):
             integrate_verlet(eq1, PhaseState([1.0], [0.0]), -0.1, 1.0)
 
+    def test_t_end_must_be_a_multiple_of_dt(self, eq1):
+        # 0.4 does not divide 1: the run would stop at t = 0.8
+        with pytest.raises(ValueError, match="multiple of dt"):
+            integrate_verlet(eq1, PhaseState([1.0], [0.0]), 0.4, 1.0)
+        # 3 * 0.1 = 0.30000000000000004 is a multiple up to rounding
+        traj = integrate_verlet(eq1, PhaseState([1.0], [0.0]), 0.1, 0.3)
+        assert len(traj) == 4 and traj.times[-1] == pytest.approx(0.3)
+
 
 class TestAdaptive:
     def test_harmonic_period(self):

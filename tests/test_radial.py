@@ -163,6 +163,17 @@ class TestFallTime:
         assert fall_time(rd) == pytest.approx(1.0, abs=1e-14)
         assert radial_squared(rd, 0.5) == pytest.approx(0.75)
 
+    def test_small_energy_no_cancellation(self):
+        # r^2 = 2e-13 t^2 - 2t + 1: the textbook root formula cancels and
+        # lands at 0.500155, where r^2 = -3.1e-4
+        rd = RadialData(E=1e-13, D0=-1.0, r0sq=1.0)
+        t_fall = fall_time(rd)
+        assert abs(t_fall - 0.5) < 1e-12
+        assert abs(radial_squared(rd, t_fall)) < 1e-12
+
+    def test_double_root_at_start(self):
+        assert fall_time(RadialData(E=1.0, D0=0.0, r0sq=0.0)) is None
+
     def test_matches_integrator_blow_up(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
