@@ -8,6 +8,8 @@ catalog of integrable models; and the half-plane decoupling coordinate
 with its canonicity analysis.
 """
 
+from types import ModuleType as _ModuleType
+
 from .conformal import (
     AlgebraReport,
     ConformalSystem,
@@ -85,4 +87,7 @@ from .reduction import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above; the submodules those imports bind
+# (confmech.phase, ...) stay reachable as attributes but are not exported
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

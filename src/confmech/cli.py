@@ -29,24 +29,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__, models, radial
 from .conformal import verify_algebra
-from .errors import (
-    ChartSingularError,
-    CollapseOnPathError,
-    ConfmechError,
-    DomainError,
-    NonFiniteError,
-    NotHomogeneousError,
-    SingularityApproachError,
-    StepUnderflowError,
-    UsageError,
-    ZeroAngularEnergyError,
-)
+from .errors import ConfmechError, UsageError
 from .lobachevsky import canonicity_report
 from .phase import PhaseState, Trajectory, integrate_verlet, verlet_steps
 from .radial import RadialData, fall_time, radial_squared, reparam_time
@@ -55,32 +44,37 @@ from .reduction import from_hyperspherical, to_hyperspherical
 COMMANDS = ("simulate", "reconstruct", "verify-algebra", "verify-decoupling",
             "reduce", "exact", "models")
 
-_NUMERIC_ERRORS = (SingularityApproachError, StepUnderflowError,
-                   CollapseOnPathError, ChartSingularError, DomainError,
-                   NonFiniteError, NotHomogeneousError,
-                   ZeroAngularEnergyError)
+
+def _flag(default=None, **argparse_kwargs):
+    """A RunConfig field that is also a ``--flag``; the keywords go to
+    ``add_argument`` (``help``, ``choices``)."""
+    return field(default=default, metadata=argparse_kwargs)
 
 
 @dataclass
 class RunConfig:
+    """Every field but ``command`` and ``echo`` is a ``--flag`` (``t_end``
+    is ``--t-end``) and a config-file key, parsed as the annotated type."""
+
     command: str
-    model: str = None
+    model: str = _flag(help="free | inverse-square | higgs | coulomb "
+                            "| calogero")
     dim: int = None
     kappa: float = None
     omega: float = None
     gamma: float = None
     g: float = None
     particles: int = None
-    state: str = None
+    state: str = _flag(help="comma-separated q1..qd,p1..pd")
     dt: float = 1e-3
     t_end: float = 10.0
     rtol: float = 1e-10
     samples: int = 200
     tol: float = 1e-8
-    num: int = 101
+    num: int = _flag(101, help="grid points for reconstruct/exact")
     seed: int = 0
-    output: str = None
-    format: str = None
+    output: str = _flag(help="output path (default stdout)")
+    format: str = _flag(choices=("csv", "json"))
     echo: dict = field(default_factory=dict)
 
 
@@ -89,36 +83,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_FLAG_TYPES = {
-    "model": str, "dim": int, "kappa": float, "omega": float, "gamma": float,
-    "g": float, "particles": int, "state": str, "dt": float, "t_end": float,
-    "rtol": float, "samples": int, "tol": float, "num": int, "seed": int,
-    "output": str, "format": str,
-}
+_FLAGS = [f for f in fields(RunConfig) if f.name not in ("command", "echo")]
+# the annotations are strings (postponed evaluation)
+_FLAG_TYPES = {f.name: {"str": str, "int": int, "float": float}[f.type]
+               for f in _FLAGS}
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="confmech", description="conformal mechanics toolkit")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="flat key = value file; flags win")
-    p.add_argument("--model", help="free | inverse-square | higgs | coulomb "
-                                   "| calogero")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--particles", type=int)
-    p.add_argument("--state", help="comma-separated q1..qd,p1..pd")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--num", type=int, help="grid points for reconstruct/exact")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"))
+    for f in _FLAGS:
+        p.add_argument("--" + f.name.replace("_", "-"),
+                       type=_FLAG_TYPES[f.name], **f.metadata)
     return p
 
 
@@ -214,7 +191,10 @@ def _model_spec(cfg: RunConfig) -> models.ModelSpec:
 
 def _initial_state(cfg: RunConfig, ms: models.ModelSpec) -> PhaseState:
     if cfg.state is None:
-        return models.reference_state(ms)
+        try:
+            return models.reference_state(ms)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
     try:
         vals = [float(x) for x in cfg.state.replace(",", " ").split()]
     except ValueError:
@@ -369,27 +349,25 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = parse_config(argv)
+        try:
+            return run(cfg)
+        except UsageError:
+            raise
+        except ConfmechError as err:
+            # numeric failure: a diagnostic document goes where the report
+            # would have gone (an OSError writing it is caught below)
+            diag = {"tool": "confmech", "version": __version__,
+                    "error": type(err).__name__, "message": str(err)}
+            for attr in ("last_good_time", "t_reached", "collapse_time"):
+                if getattr(err, attr, None) is not None:
+                    diag[attr] = getattr(err, attr)
+            emit(diag, "json", cfg.output)
+            return 3
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    try:
-        return run(cfg)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as err:
-        diag = {"tool": "confmech", "version": __version__,
-                "error": type(err).__name__, "message": str(err)}
-        for attr in ("last_good_time", "t_reached", "collapse_time"):
-            if getattr(err, attr, None) is not None:
-                diag[attr] = getattr(err, attr)
-        emit(diag, "json", cfg.output)
-        return 3
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
-        return 3
-    except ConfmechError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 3
 
 

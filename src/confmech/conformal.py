@@ -109,19 +109,18 @@ def casimir_I(sys: ConformalSystem, s: PhaseState) -> float:
 
 def sample_states(d: int, n: int, rng: np.random.Generator, box: float = 2.0,
                   singular_distance: Callable = None, exclusion: float = 1e-3,
-                  predicate: Callable = None, max_attempts_factor: int = 100):
+                  predicate: Callable = None):
     """Reproducible random phase points, resampled away from singular sets.
 
     Components are uniform in [-box, box]; draws within ``exclusion`` of the
     singular set (or rejected by ``predicate(state)``) are discarded, up to
-    ``max_attempts_factor * n`` attempts.
+    ``100 * n`` attempts.
     """
     out = []
     attempts = 0
-    limit = max_attempts_factor * n
     while len(out) < n:
         attempts += 1
-        if attempts > limit:
+        if attempts > 100 * n:
             raise RuntimeError("state sampler exhausted its attempt budget; "
                                "the admissible region is too small")
         q = rng.uniform(-box, box, size=d)

@@ -43,6 +43,7 @@ import numpy as np
 from . import dual
 from .conformal import ConformalSystem, casimir_I, sample_states
 from .errors import (
+    ConfmechError,
     NonPositiveEnergyError,
     ZeroAngularEnergyError,
     ZeroWError,
@@ -257,10 +258,6 @@ def w_observables(sphere: SphericalSystem, branch: str = POSITIVE_I) -> dict:
     }
 
 
-def casimir_observable(sphere: SphericalSystem) -> Observable:
-    return Observable(sphere.d, _casimir_fn(sphere, sphere.d), name="I")
-
-
 def bracket_ww(sphere: SphericalSystem, s: PhaseState,
                branch: str = POSITIVE_I) -> complex:
     """Numeric {w, wbar} at a Cartesian state (chain rule through the
@@ -323,7 +320,7 @@ def expected_brackets(kp: KleinPoint, sphere: SphericalSystem,
     ww_form = formula_ww(kp)
     mixed = []
     if d > 1:
-        iobs = casimir_observable(sphere)
+        iobs = Observable(d, _casimir_fn(sphere, d), name="I")
         wobs = w_observables(sphere, kp.branch)
         charts = chart_observables(d)
         diff = kp.w - kp.wbar
@@ -413,7 +410,7 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
         try:
             h = sys.H(s)
             i_val = casimir_I(sys, s)
-        except Exception:
+        except ConfmechError:
             return False
         if not (h > 1e-2 and i_val > 1e-2):
             return False
@@ -421,7 +418,7 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
             return s.q[0] > 1e-2
         try:
             to_hyperspherical(s, delta=1e-3)
-        except Exception:
+        except ConfmechError:
             return False
         return True
 
@@ -430,13 +427,14 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
                            predicate=admissible)
 
     tobs = tilde_observables(sys)
-    names = ["{p~,r~}-1"]
+    # (table name, tilde coordinate, chart coordinate) of each mixed bracket
+    mixed = []
     if d > 1:
         charts = chart_observables(d)
-        for a in range(d - 1):
-            names += [f"{{r~,phi_{a}}}", f"{{r~,pi_{a}}}",
-                      f"{{p~,phi_{a}}}", f"{{p~,pi_{a}}}"]
-    names.append("{w,wbar}-formula")
+        mixed = [(f"{{{t}~,{u}_{a}}}", tobs[f"{t}_tilde"], charts[f"{u}_{a}"])
+                 for a in range(d - 1) for t in "rp" for u in ("phi", "pi")]
+    names = (["{p~,r~}-1"] + [name for name, _, _ in mixed]
+             + ["{w,wbar}-formula"])
 
     table = {n: {"max_residual": 0.0, "exceed_count": 0} for n in names}
     sphere = spherical_system_from(sys.V, d)
@@ -445,28 +443,18 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
         res = abs(poisson_bracket(tobs["p_tilde"], tobs["r_tilde"], s) - 1.0)
         _tally(table["{p~,r~}-1"], res, tol)
         sample_worst = 0.0
-        if d > 1:
-            for a in range(d - 1):
-                for tn, un in ((f"{{r~,phi_{a}}}", f"phi_{a}"),
-                               (f"{{r~,pi_{a}}}", f"pi_{a}")):
-                    val = abs(poisson_bracket(tobs["r_tilde"], charts[un], s))
-                    _tally(table[tn], val, tol)
-                    sample_worst = max(sample_worst, val)
-                for tn, un in ((f"{{p~,phi_{a}}}", f"phi_{a}"),
-                               (f"{{p~,pi_{a}}}", f"pi_{a}")):
-                    val = abs(poisson_bracket(tobs["p_tilde"], charts[un], s))
-                    _tally(table[tn], val, tol)
-                    sample_worst = max(sample_worst, val)
-            if sample_worst > 10.0 * tol:
-                mixed_majority += 1
+        for name, tilde, chart in mixed:
+            val = abs(poisson_bracket(tilde, chart, s))
+            _tally(table[name], val, tol)
+            sample_worst = max(sample_worst, val)
+        if d > 1 and sample_worst > 10.0 * tol:
+            mixed_majority += 1
         kp = to_klein(to_hyperspherical(s) if d > 1 else s, casimir_I(sys, s))
         res = abs(bracket_ww(sphere, s, kp.branch) - formula_ww(kp))
         _tally(table["{w,wbar}-formula"], res, tol)
 
-    off_block = [n for n in names if n not in ("{p~,r~}-1",
-                                               "{w,wbar}-formula")]
     canonical = (table["{p~,r~}-1"]["max_residual"] < tol and
-                 all(table[n]["max_residual"] < tol for n in off_block))
+                 all(table[n]["max_residual"] < tol for n, _, _ in mixed))
     if d > 1 and mixed_majority > len(states) // 2:
         canonical = False
     return CanonicityReport(
@@ -484,26 +472,21 @@ def _tally(entry: dict, value: float, tol: float):
 # Symplectic form in half-plane coordinates
 # ---------------------------------------------------------------------------
 
-def coordinate_observables(sphere: SphericalSystem) -> list:
-    """Ordered (name, Observable) pairs for (Re w, Im w, phi..., pi...)."""
+def bracket_matrix(sphere: SphericalSystem, s: PhaseState) -> np.ndarray:
+    """Antisymmetric matrix {xi_j, xi_k} of the half-plane coordinates
+    xi = (Re w, Im w, phi^a..., pi_a...)."""
     d = sphere.d
     wobs = w_observables(sphere, POSITIVE_I)
-    coords = [("re_w", wobs["re_w"]), ("im_w", wobs["im_w"])]
+    coords = [wobs["re_w"], wobs["im_w"]]
     if d > 1:
         charts = chart_observables(d)
-        coords += [(f"phi_{a}", charts[f"phi_{a}"]) for a in range(d - 1)]
-        coords += [(f"pi_{a}", charts[f"pi_{a}"]) for a in range(d - 1)]
-    return coords
-
-
-def bracket_matrix(sphere: SphericalSystem, s: PhaseState) -> np.ndarray:
-    """Antisymmetric matrix {xi_j, xi_k} of the half-plane coordinates."""
-    coords = coordinate_observables(sphere)
+        coords += [charts[f"phi_{a}"] for a in range(d - 1)]
+        coords += [charts[f"pi_{a}"] for a in range(d - 1)]
     m = len(coords)
     B = np.zeros((m, m))
     for j in range(m):
         for k in range(j + 1, m):
-            B[j, k] = poisson_bracket(coords[j][1], coords[k][1], s)
+            B[j, k] = poisson_bracket(coords[j], coords[k], s)
             B[k, j] = -B[j, k]
     return B
 
@@ -558,12 +541,12 @@ def kahler_potential(w: complex, g: float) -> float:
     return g * math.log(2.0 * w.imag)
 
 
-def kahler_hessian_fd(w: complex, g: float, rel_step: float = 1e-4) -> float:
+def kahler_hessian_fd(w: complex, g: float) -> float:
     """d^2/dw dwbar of the Kahler potential via a finite-difference
     Laplacian (the independent check of :func:`metric_coefficient`).
 
-    Fourth-order stencils on extended-precision floats keep the oracle
-    below 1e-10 relative error on the tested grid.
+    Fourth-order stencils with step 1e-4 Im w on extended-precision floats
+    keep the oracle below 1e-10 relative error on the tested grid.
     """
     ld = np.longdouble
 
@@ -571,7 +554,7 @@ def kahler_hessian_fd(w: complex, g: float, rel_step: float = 1e-4) -> float:
         return ld(g) * np.log(ld(2.0) * y)
 
     x0, y0 = ld(w.real), ld(w.imag)
-    h = ld(rel_step) * y0
+    h = ld(1e-4) * y0
 
     def second(fn):
         return (-fn(2 * h) + 16 * fn(h) - ld(30.0) * fn(ld(0.0))

@@ -18,8 +18,9 @@ Catalog entries:
 All potentials are exactly homogeneous of degree -2 and ship analytic
 gradients, so they are cheap inside integrator loops.
 
-Each model is one constructor in ``_CATALOG`` (bottom of this module);
-the public functions here are lookups into it.
+Each model is one constructor in ``_CATALOG`` (bottom of this module),
+listed with the parameter names it takes; the public functions here are
+lookups into it.
 """
 
 from __future__ import annotations
@@ -47,9 +48,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.name not in _CATALOG:
             raise ValueError(f"unknown model {self.name!r}")
-        _CATALOG[self.name](self.d, self.params)  # checks the parameters
+        constructor, takes = _CATALOG[self.name]
+        constructor(self.d, self.params)  # checks the parameters
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
+        unused = sorted(set(self.params) - set(takes))
+        if unused:
+            raise ValueError(f"{self.name} takes no parameter {unused[0]!r}")
 
     @property
     def label(self) -> str:
@@ -220,7 +225,8 @@ def catalog() -> list:
 
 def reference_state(model: ModelSpec) -> PhaseState:
     """A documented off-singularity initial state for each catalog model,
-    gentle enough for long conservation runs."""
+    gentle enough for long conservation runs; ValueError where there is
+    none (inverse-square at d = 1)."""
     return _entry(model).reference()
 
 
@@ -243,7 +249,7 @@ class _Entry:
 
 
 def _entry(model: ModelSpec) -> _Entry:
-    return _CATALOG[model.name](model.d, model.params)
+    return _CATALOG[model.name][0](model.d, model.params)
 
 
 def _free(d: int, params: dict) -> _Entry:
@@ -270,6 +276,9 @@ def _inverse_square(d: int, params: dict) -> _Entry:
         return -2.0 * kappa * q / r2 ** 2, np.zeros(d)
 
     def reference():
+        if d == 1:
+            raise ValueError("inverse_square has no reference state at "
+                             "d = 1; pass an initial state")
         if d == 2:
             return PhaseState([1.0, 0.0], [0.0, 1.0])
         q = np.full(d, 0.3)
@@ -406,12 +415,13 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
     return _Entry("calogero", V, dV, sdist, reference, None)
 
 
+# name -> (constructor, the parameter names it takes)
 _CATALOG = {
-    "free": _free,
-    "inverse_square": _inverse_square,
-    "conformal_higgs": _conformal_higgs,
-    "conformal_coulomb": _conformal_coulomb,
-    "calogero_relative": _calogero_relative,
+    "free": (_free, ()),
+    "inverse_square": (_inverse_square, ("kappa",)),
+    "conformal_higgs": (_conformal_higgs, ("omega",)),
+    "conformal_coulomb": (_conformal_coulomb, ("gamma",)),
+    "calogero_relative": (_calogero_relative, ("n", "g")),
 }
 
 MODEL_NAMES = tuple(_CATALOG)

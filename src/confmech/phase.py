@@ -12,10 +12,10 @@ conformal algebra relations ``{H,D} = 2H``, ``{H,K} = D``, ``{K,D} = -2K``
 hold exactly as written. This is the opposite ordering from the more common
 ``{x, p} = +1``; every module in this package uses the convention above.
 
-Gradients are exact by default: observables are evaluated on forward-mode
-dual numbers (see :mod:`confmech.dual`). Observables that cannot digest
-duals fall back to central finite differences with step
-``h_i = cbrt(machine eps) * max(1, |coordinate_i|)``.
+Gradients are exact: an observable's analytic ``grad_fn`` when it has one,
+otherwise forward-mode dual numbers (see :mod:`confmech.dual`). Central
+finite differences (:func:`grad_finite_difference`) are the independent
+cross-check the tests compare both against, not a third production path.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from .errors import (
 )
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+# integrators stop this close to the potential's singular set
+_SINGULAR_GUARD = 1e-6
+# accepted-or-rejected step budget of integrate_adaptive
+_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -61,11 +65,12 @@ class PhaseState:
 class Observable:
     """A scalar function of a phase point with a gradient.
 
-    ``fn(q, p)`` must accept plain float arrays; it should also accept
-    object arrays of dual numbers (write scalar math through
-    :mod:`confmech.dual` helpers) to get exact gradients. An analytic
-    ``grad_fn(q, p) -> (dq, dp)`` short-circuits both automatic paths and
-    is worth providing on anything evaluated inside an integrator loop.
+    ``fn(q, p)`` must accept plain float arrays and, unless an analytic
+    ``grad_fn(q, p) -> (dq, dp)`` is given, object arrays of dual numbers
+    (write scalar math through :mod:`confmech.dual` helpers): gradients
+    come from ``grad_fn`` if set, else from the dual engine, and an
+    observable that digests neither raises. ``grad_fn`` is worth providing
+    on anything evaluated inside an integrator loop.
     """
 
     __slots__ = ("dim", "fn", "grad_fn", "name")
@@ -145,20 +150,17 @@ def grad_finite_difference(obs: Observable, state: PhaseState):
 
 
 def _grad_arrays(obs: Observable, q: np.ndarray, p: np.ndarray):
-    """Gradient on raw arrays: analytic, else dual, else finite differences."""
+    """Gradient on raw arrays: analytic if ``grad_fn`` is set, else dual."""
     if obs.grad_fn is not None:
         dq, dp = obs.grad_fn(q, p)
         return np.asarray(dq, dtype=float), np.asarray(dp, dtype=float)
-    try:
-        _, (dq, dp) = dual.gradient(obs.fn, q, p)
-        return dq, dp
-    except (TypeError, AttributeError):
-        return grad_finite_difference(obs, PhaseState(q, p))
+    _, (dq, dp) = dual.gradient(obs.fn, q, p)
+    return dq, dp
 
 
 def grad(obs: Observable, state: PhaseState):
-    """Exact-mode derivatives when the observable supports them, otherwise
-    central differences. Returns ``(dq, dp)``."""
+    """Exact derivatives ``(dq, dp)``: the analytic ``grad_fn`` if set,
+    else the dual engine (an ``fn`` that cannot take duals raises)."""
     obs(state)  # finiteness check at the point itself
     dq, dp = _grad_arrays(obs, state.q, state.p)
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))):
@@ -230,21 +232,21 @@ def verlet_steps(dt: float, t_end: float) -> int:
     return n_steps
 
 
-def integrate_verlet(system, s0: PhaseState, dt: float, t_end: float,
-                     record_every: int = 1,
-                     singular_guard: float = 1e-6) -> Trajectory:
+def integrate_verlet(system, s0: PhaseState, dt: float,
+                     t_end: float) -> Trajectory:
     """Velocity-Verlet flow of a separable system ``H = p^2/2 + V(q)``.
 
-    ``system`` needs a potential observable ``V`` (with gradient), and may
-    provide ``singular_distance(q)`` and ``monitors()``. The integrator
-    stops with :class:`SingularityApproachError` (reporting the last good
-    time) when the configuration comes within ``singular_guard`` of the
-    potential's singular set; this is the finite-time-collapse diagnostic.
-    ``t_end`` must be a whole multiple of ``dt`` (see :func:`verlet_steps`).
+    ``system`` is a :class:`~confmech.conformal.ConformalSystem`; every
+    step is recorded, with its ``monitors()`` evaluated on each. The
+    integrator stops with :class:`SingularityApproachError` (reporting the
+    last good time) when the configuration comes within 1e-6 of the
+    system's ``singular_distance`` (if set); this is the finite-time-collapse
+    diagnostic. ``t_end`` must be a whole multiple of ``dt`` (see
+    :func:`verlet_steps`).
     """
     n_steps = verlet_steps(dt, t_end)
     V = system.V
-    sdist = getattr(system, "singular_distance", None)
+    sdist = system.singular_distance
     if sdist is not None and sdist(s0.q) <= 1e-8:
         raise SingularityApproachError(
             "initial state is inside the singular exclusion zone",
@@ -269,7 +271,7 @@ def integrate_verlet(system, s0: PhaseState, dt: float, t_end: float,
             # a step comparable to the singular distance cannot resolve
             # the approach: the fixed-step scheme would hop the singularity
             step = float(np.linalg.norm(q_new - q))
-            if dist < singular_guard or step > 0.9 * dist:
+            if dist < _SINGULAR_GUARD or step > 0.9 * dist:
                 raise SingularityApproachError(
                     "trajectory entered the singular exclusion zone near "
                     f"t={t:.6g}", last_good_time=t,
@@ -281,16 +283,13 @@ def integrate_verlet(system, s0: PhaseState, dt: float, t_end: float,
         a = force(q, p_half)
         p = p_half + 0.5 * dt * a
         t = k * dt
-        if k % record_every == 0 or k == n_steps:
-            ts.append(t)
-            qs.append(q.copy())
-            ps.append(p.copy())
+        ts.append(t)
+        qs.append(q.copy())
+        ps.append(p.copy())
     ts = np.asarray(ts)
     qs = np.asarray(qs)
     ps = np.asarray(ps)
-    mons = getattr(system, "monitors", None)
-    monitors = _monitor_rows(mons() if callable(mons) else {}, ts, qs, ps)
-    return Trajectory(ts, qs, ps, monitors)
+    return Trajectory(ts, qs, ps, _monitor_rows(system.monitors(), ts, qs, ps))
 
 
 # Dormand-Prince 5(4) embedded pair.
@@ -320,23 +319,19 @@ def _hamilton_rhs(H: Observable):
 
 
 def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
-                       t_end: float, t_eval=None, atol: float = None,
-                       monitors: dict = None, singular_distance=None,
-                       singular_guard: float = 1e-6,
-                       max_steps: int = 1_000_000) -> Trajectory:
+                       t_end: float, t_eval=None, monitors: dict = None,
+                       singular_distance=None) -> Trajectory:
     """Adaptive embedded Runge-Kutta flow of Hamilton's equations
     ``dx/dt = dH/dp``, ``dp/dt = -dH/dx`` for an arbitrary observable H.
 
-    Local error per step is held below ``atol + rtol*|y|`` componentwise
-    (``atol`` defaults to ``rtol``). Near a singularity the step size
-    collapses and :class:`StepUnderflowError` reports how far the
-    integration got; an optional ``singular_distance(q)`` guard reports the
-    same diagnostic earlier and more cheaply.
+    Local error per step is held below ``rtol * (1 + |y|)`` componentwise.
+    Near a singularity the step size collapses and
+    :class:`StepUnderflowError` reports how far the integration got (as it
+    does after 1,000,000 steps); an optional ``singular_distance(q)`` guard
+    reports the same diagnostic earlier and more cheaply, at 1e-6.
     """
     if not (1e-13 <= rtol <= 1e-3):
         raise ValueError("rtol must lie in [1e-13, 1e-3]")
-    if atol is None:
-        atol = rtol
     d = s0.d
     rhs = _hamilton_rhs(H)
     y = np.concatenate([s0.q, s0.p])
@@ -359,7 +354,7 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
         raise NonFiniteError("Hamiltonian vector field not finite at the "
                              "initial state", state=s0)
     # initial step heuristic
-    scale = atol + rtol * np.abs(y)
+    scale = rtol + rtol * np.abs(y)
     d0 = np.sqrt(np.mean((y / scale) ** 2))
     d1 = np.sqrt(np.mean((f / scale) ** 2))
     h = min(t_end, 0.01 * d0 / d1 if d1 > 0 else 1e-3)
@@ -375,7 +370,7 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
     steps = 0
     while t < t_end - 1e-14 * max(1.0, t_end):
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise StepUnderflowError(
                 f"step budget exhausted at t={t:.12g}", t_reached=t,
                 state=PhaseState(y[:d], y[d:]))
@@ -406,14 +401,14 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
             continue
         y_new = y + h * (_DP_B5 @ k)
         err_vec = h * (_DP_ERR @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = rtol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.mean((err_vec / scale) ** 2))
         if err <= 1.0 and np.all(np.isfinite(y_new)):
             t = t + h
             y = y_new
             k[0] = k[6]  # first-same-as-last
             if singular_distance is not None and \
-                    singular_distance(y[:d]) < singular_guard:
+                    singular_distance(y[:d]) < _SINGULAR_GUARD:
                 raise StepUnderflowError(
                     "trajectory entered the singular exclusion zone at "
                     f"t={t:.12g}", t_reached=t, state=PhaseState(y[:d], y[d:]))

@@ -182,17 +182,15 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
                                  rtol=rtol, t_end=float(T_grid[-1]),
                                  t_eval=targets,
                                  singular_distance=sys.singular_distance)
+        # the flow records (n0, ell0) at T = 0, then one row per target
+        skip = 0 if T_grid[0] == 0.0 else 1
+        if len(ang) - skip != len(t_grid):
+            raise RuntimeError("angular flow did not record every "
+                               "requested reparametrized time")
         ns = np.empty((len(t_grid), d))
         ells = np.empty((len(t_grid), d))
-        for k, T in enumerate(T_grid):
-            if T == 0.0:
-                nk, lk = n0, ell0
-            else:
-                i = int(np.argmin(np.abs(ang.times - T)))
-                if abs(ang.times[i] - T) > 1e-9 * max(1.0, T):
-                    raise RuntimeError("angular flow did not record the "
-                                       "requested reparametrized time")
-                nk, lk = ang.qs[i], ang.ps[i]
+        for k in range(len(t_grid)):
+            nk, lk = ang.qs[k + skip], ang.ps[k + skip]
             nk = nk / np.linalg.norm(nk)  # project back to the sphere
             lk = lk - (lk @ nk) * nk
             ns[k] = nk

@@ -30,6 +30,9 @@ from . import dual
 from .errors import ChartSingularError, NotHomogeneousError
 from .phase import Observable, PhaseState
 
+# polar angles closer than this to a pole are outside the chart
+_POLE_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class ReducedState:
@@ -114,7 +117,7 @@ def unit_tangents(phi, d: int):
     return out
 
 
-def angles_from_unit(n, d: int, delta: float = 1e-9):
+def angles_from_unit(n, d: int, delta: float = _POLE_MARGIN):
     """Invert the chart on a unit vector; floats or duals.
 
     Raises :class:`ChartSingularError` when any polar angle is within
@@ -150,7 +153,8 @@ def angles_from_unit(n, d: int, delta: float = 1e-9):
     return phi
 
 
-def to_hyperspherical(s: PhaseState, delta: float = 1e-9) -> ReducedState:
+def to_hyperspherical(s: PhaseState,
+                      delta: float = _POLE_MARGIN) -> ReducedState:
     """Cartesian -> (r, p_r, angles, momenta), the canonical chart map."""
     q, p = s.q, s.p
     d = s.d
@@ -194,13 +198,13 @@ def sphere_metric_diag(phi, d: int):
     return diag
 
 
-def sphere_metric_inverse(phi, d: int, delta: float = 1e-9) -> np.ndarray:
+def sphere_metric_inverse(phi, d: int) -> np.ndarray:
     """Inverse round metric of the unit (d-1)-sphere in the nested chart."""
     if d < 2:
         raise ValueError("the sphere metric needs d >= 2")
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     for a in range(d - 2):
-        if not (delta < phi[a] < np.pi - delta):
+        if not (_POLE_MARGIN < phi[a] < np.pi - _POLE_MARGIN):
             raise ChartSingularError(f"polar angle {a} is outside the chart")
     return np.diag(sphere_metric_diag(phi, d))
 
@@ -242,11 +246,10 @@ def spherical_system_from(V: Observable, d: int) -> SphericalSystem:
                            metric_diag=lambda phi: sphere_metric_diag(phi, d))
 
 
-def angular_potential(V: Observable, rs: ReducedState,
-                      rtol: float = 1e-9) -> float:
+def angular_potential(V: Observable, rs: ReducedState) -> float:
     """U = r^2 V at the reduced state's angles; must be r-independent.
 
-    Evaluated at r and 2r; disagreement beyond ``rtol`` (relative) raises
+    Evaluated at r and 2r; disagreement beyond 1e-9 (relative) raises
     :class:`NotHomogeneousError`.
     """
     d = rs.d
@@ -254,7 +257,7 @@ def angular_potential(V: Observable, rs: ReducedState,
     zeros = np.zeros(d)
     v1 = rs.r ** 2 * dual.value(V.fn(rs.r * u, zeros))
     v2 = (2 * rs.r) ** 2 * dual.value(V.fn(2 * rs.r * u, zeros))
-    if abs(v1 - v2) > rtol * max(1.0, abs(v1)):
+    if abs(v1 - v2) > 1e-9 * max(1.0, abs(v1)):
         raise NotHomogeneousError(
             f"r^2 V is not r-independent here: {v1!r} at r vs {v2!r} at 2r")
     return v1
@@ -271,7 +274,7 @@ def spherical_energy(sys: SphericalSystem, phi, pi) -> float:
     return float(dual.value(sys.energy(phi, pi)))
 
 
-def chart_observables(d: int, delta: float = 1e-9) -> dict:
+def chart_observables(d: int) -> dict:
     """The chart functions (r, p_r, angles, momenta) as observables on the
     Cartesian phase space, dual-differentiable for bracket checks."""
 
@@ -288,11 +291,11 @@ def chart_observables(d: int, delta: float = 1e-9) -> dict:
 
     def phi_fn(q, p, a):
         r = dual.sqrt(np.dot(q, q))
-        return angles_from_unit(q / r, d, delta=delta)[a]
+        return angles_from_unit(q / r, d)[a]
 
     def pi_fn(q, p, a):
         r = dual.sqrt(np.dot(q, q))
-        phi = angles_from_unit(q / r, d, delta=delta)
+        phi = angles_from_unit(q / r, d)
         T = unit_tangents(phi, d)
         acc = 0.0
         for i in range(d):

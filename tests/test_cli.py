@@ -104,6 +104,27 @@ class TestExitCodes:
                      "--output", "/no/such/dir/report.json"])
         assert code == 3
 
+    def test_unwritable_diagnostic_is_3(self, capsys):
+        # a numeric failure whose diagnostic document cannot be written
+        code = main(["simulate", "--model", "calogero", "--particles", "3",
+                     "--state", "0,1,0,0", "--t-end", "1",
+                     "--output", "/no/such/dir/diag.json"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("io error: ")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "inverse-square", "--dim", "1", "--kappa", "1"],
+         "usage error: inverse_square has no reference state at d = 1; "
+         "pass an initial state"),
+        (["--model", "higgs", "--dim", "3", "--omega", "1", "--kappa", "5"],
+         "usage error: conformal_higgs takes no parameter 'kappa'"),
+    ], ids=["no-reference-state", "unused-parameter"])
+    def test_model_input_errors_are_2(self, capsys, flags, message):
+        assert main(["simulate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_verification_failure_is_1_report_written(self, tmp_path):
         # an absurd tolerance fails verification but still writes a report
         out = tmp_path / "r.json"

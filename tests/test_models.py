@@ -65,6 +65,8 @@ class TestModelSpec:
         ("free", dict(d=0), "dimension must be >= 1"),
         ("calogero", dict(particles=1), "calogero_relative needs n >= 2 "
          "particles"),
+        ("higgs", dict(d=3, omega=1.0, kappa=5.0),
+         "conformal_higgs takes no parameter 'kappa'"),
     ])
     def test_validation_messages(self, name, kwargs, message):
         with pytest.raises(ValueError) as err:
@@ -291,6 +293,13 @@ class TestCalogeroAngularGeometry:
             s0 = models.reference_state(ms)
             sdist = models.singular_distance_fn(ms)
             assert sdist(s0.q) > 0.1, ms.label
+
+    def test_no_reference_state_inverse_square_d1(self):
+        ms = models.spec("inverse-square", d=1, kappa=1.0)
+        with pytest.raises(ValueError) as err:
+            models.reference_state(ms)
+        assert str(err.value) == ("inverse_square has no reference state at "
+                                  "d = 1; pass an initial state")
 
 
 class TestUnitSphereHelpers:

@@ -80,8 +80,10 @@ class TestGrad:
         with pytest.raises(NonFiniteError):
             grad(blows_up, PhaseState([1.0], [1.0]))
 
-    def test_fd_fallback_matches_dual(self, eq1):
-        # an observable the dual engine cannot digest falls back to FD
+    def test_non_dual_observable_raises(self):
+        # gradients are analytic or dual: an observable the dual engine
+        # cannot digest raises instead of quietly switching to finite
+        # differences, which stay available as the explicit cross-check
         import math
 
         def opaque(q, p):
@@ -89,10 +91,12 @@ class TestGrad:
 
         obs = Observable(1, opaque)
         s = PhaseState([1.3], [0.4])
-        dq, dp = grad(obs, s)
+        with pytest.raises(TypeError):
+            grad(obs, s)
+        f = math.sqrt(2.0 * 1.3 ** 2 + 0.4 ** 2)
         dq_fd, dp_fd = grad_finite_difference(obs, s)
-        npt.assert_allclose(dq, dq_fd)
-        npt.assert_allclose(dp, dp_fd)
+        npt.assert_allclose(dq_fd, [2.0 * 1.3 / f], rtol=1e-8)
+        npt.assert_allclose(dp_fd, [0.4 / f], rtol=1e-8)
 
     def test_dual_vs_fd_all_catalog(self, catalog_systems):
         # exact-mode derivatives agree with central differences to 1e-6
