@@ -24,6 +24,7 @@ from .errors import (
     CollapseOnPathError,
     ConfmechError,
     DomainError,
+    IncompleteResultError,
     NonFiniteError,
     NonPositiveEnergyError,
     NotHomogeneousError,

@@ -13,7 +13,8 @@ Commands::
 
 Exit codes: 0 success / verification passed; 1 verification failed (the
 report is still written); 2 usage error; 3 numeric error (singularity,
-collapse, chart pole) or I/O error, with a diagnostic JSON document.
+collapse, chart pole, no admissible sample state) or I/O error, with a
+diagnostic JSON document.
 
 A flat ``key = value`` config file can seed any flag (``--config run.cfg``);
 explicit flags take precedence, unknown keys are rejected. All randomness
@@ -204,21 +205,28 @@ def _initial_state(cfg: RunConfig, ms: models.ModelSpec) -> PhaseState:
     return PhaseState(vals[:ms.d], vals[ms.d:])
 
 
-def _float_repr(x: float) -> str:
-    return f"{x:.17g}"
+# rows converted to Python floats at a time (bounds the temporary lists)
+_CSV_CHUNK = 1024
+
+
+def _csv(header: list, columns: list) -> str:
+    """CSV text: the header line, then one line per row of the stacked
+    columns, every value with 17 significant digits."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)]
+    for start in range(0, len(table), _CSV_CHUNK):
+        lines += [row % tuple(values) for values
+                  in table[start:start + _CSV_CHUNK].tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     d = traj.qs.shape[1]
     cols = (["t"] + [f"q{i + 1}" for i in range(d)]
             + [f"p{i + 1}" for i in range(d)] + ["H", "D", "K", "I"])
-    lines = [",".join(cols)]
-    mon = [traj.monitors[k] for k in ("H", "D", "K", "I")]
-    for i in range(len(traj)):
-        row = ([traj.times[i]] + list(traj.qs[i]) + list(traj.ps[i])
-               + [m[i] for m in mon])
-        lines.append(",".join(_float_repr(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv(cols, [traj.times, traj.qs, traj.ps]
+                + [traj.monitors[k] for k in ("H", "D", "K", "I")])
 
 
 def read_trajectory_csv(path: str):
@@ -255,10 +263,10 @@ def emit(text_or_doc, fmt: str, path: str):
 
 def _trajectory_payload(traj: Trajectory) -> dict:
     return {
-        "times": list(traj.times),
-        "q": [list(row) for row in traj.qs],
-        "p": [list(row) for row in traj.ps],
-        "monitors": {k: list(v) for k, v in traj.monitors.items()},
+        "times": traj.times.tolist(),
+        "q": traj.qs.tolist(),
+        "p": traj.ps.tolist(),
+        "monitors": {k: v.tolist() for k, v in traj.monitors.items()},
     }
 
 
@@ -333,10 +341,9 @@ def run(cfg: RunConfig) -> int:
         payload = {"E": rd.E, "D0": rd.D0, "r0sq": rd.r0sq, "I0": rd.I0,
                    "fall_time": t_fall, "samples": rows}
         if cfg.format == "csv":
-            lines = ["t,r_squared,T"] + [
-                ",".join(_float_repr(r[k]) for k in ("t", "r_squared", "T"))
-                for r in rows]
-            emit("\n".join(lines) + "\n", "csv", cfg.output)
+            keys = ("t", "r_squared", "T")
+            emit(_csv(keys, [[r[k] for r in rows] for k in keys]), "csv",
+                 cfg.output)
         else:
             emit(_json_doc(cfg, payload), "json", cfg.output)
         return 0

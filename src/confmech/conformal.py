@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import IncompleteResultError, NonFiniteError
 from .phase import Observable, PhaseState, grad, poisson_bracket
 
 
@@ -45,12 +45,15 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
     """Assemble H, D, K (and the Casimir observable) over a potential.
 
     Homogeneity of V is *not* checked here; use :func:`check_homogeneity`.
-    Analytic gradients propagate from the potential to every generator.
+    Analytic gradients propagate from the potential to every generator, and
+    so does the array form ``V.rows``: D and K always have one, H and the
+    Casimir have one when V does.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     vfn = V.fn
     vg = V.grad_fn
+    vrows = V.rows
 
     def h_fn(q, p):
         return 0.5 * np.dot(p, p) + vfn(q, p)
@@ -61,14 +64,25 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
             dVq, _ = vg(q, p)
             return np.asarray(dVq, dtype=float), np.asarray(p, dtype=float)
 
+    h_rows = None
+    if vrows is not None:
+        def h_rows(Q, P):
+            return 0.5 * np.vecdot(P, P) + vrows(Q, P)
+
     def d_fn(q, p):
         return np.dot(p, q)
+
+    def d_rows(Q, P):
+        return np.vecdot(P, Q)
 
     def d_grad(q, p):
         return np.asarray(p, dtype=float), np.asarray(q, dtype=float)
 
     def k_fn(q, p):
         return 0.5 * np.dot(q, q)
+
+    def k_rows(Q, P):
+        return 0.5 * np.vecdot(Q, Q)
 
     def k_grad(q, p):
         return np.asarray(q, dtype=float), np.zeros(len(q))
@@ -78,6 +92,14 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
         pp = np.dot(p, p)
         qp = np.dot(q, p)
         return 0.5 * (qq * pp - qp * qp) + qq * vfn(q, p)
+
+    i_rows = None
+    if vrows is not None:
+        def i_rows(Q, P):
+            qq = np.vecdot(Q, Q)
+            pp = np.vecdot(P, P)
+            qp = np.vecdot(Q, P)
+            return 0.5 * (qq * pp - qp * qp) + qq * vrows(Q, P)
 
     i_grad = None
     if vg is not None:
@@ -93,10 +115,11 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
             dp = qq * p - qp * q
             return dq, dp
 
-    H = Observable(d, h_fn, grad_fn=h_grad, name=f"H[{name}]" if name else "H")
-    Dg = Observable(d, d_fn, grad_fn=d_grad, name="D")
-    K = Observable(d, k_fn, grad_fn=k_grad, name="K")
-    I = Observable(d, i_fn, grad_fn=i_grad, name="I")
+    H = Observable(d, h_fn, grad_fn=h_grad, name=f"H[{name}]" if name else "H",
+                   rows=h_rows)
+    Dg = Observable(d, d_fn, grad_fn=d_grad, name="D", rows=d_rows)
+    K = Observable(d, k_fn, grad_fn=k_grad, name="K", rows=k_rows)
+    I = Observable(d, i_fn, grad_fn=i_grad, name="I", rows=i_rows)
     return ConformalSystem(d=d, V=V, H=H, D=Dg, K=K, casimir=I, name=name,
                            params=dict(params or {}),
                            singular_distance=singular_distance)
@@ -114,15 +137,16 @@ def sample_states(d: int, n: int, rng: np.random.Generator, box: float = 2.0,
 
     Components are uniform in [-box, box]; draws within ``exclusion`` of the
     singular set (or rejected by ``predicate(state)``) are discarded, up to
-    ``100 * n`` attempts.
+    ``100 * n`` attempts; then :class:`IncompleteResultError`.
     """
     out = []
     attempts = 0
     while len(out) < n:
         attempts += 1
         if attempts > 100 * n:
-            raise RuntimeError("state sampler exhausted its attempt budget; "
-                               "the admissible region is too small")
+            raise IncompleteResultError(
+                "state sampler exhausted its attempt budget; the "
+                "admissible region is too small")
         q = rng.uniform(-box, box, size=d)
         p = rng.uniform(-box, box, size=d)
         if singular_distance is not None and singular_distance(q) < exclusion:
@@ -158,7 +182,7 @@ def check_homogeneity(V: Observable, d: int, samples: int = 100,
     """Degree minus-two test: max over random q of |q.grad V + 2V| / max(1,|V|).
 
     Singular draws (non-finite evaluations) are resampled, up to
-    ``100 * samples`` attempts.
+    ``100 * samples`` attempts; then :class:`IncompleteResultError`.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -169,7 +193,8 @@ def check_homogeneity(V: Observable, d: int, samples: int = 100,
     while accepted < samples:
         attempts += 1
         if attempts > 100 * samples:
-            raise RuntimeError("homogeneity sampler exhausted its attempts")
+            raise IncompleteResultError(
+                "homogeneity sampler exhausted its attempts")
         q = rng.uniform(-2.0, 2.0, size=d)
         if singular_distance is not None and singular_distance(q) < 1e-3:
             continue

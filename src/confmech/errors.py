@@ -88,5 +88,11 @@ class CollapseOnPathError(ConfmechError):
         self.collapse_time = collapse_time
 
 
+class IncompleteResultError(ConfmechError):
+    """A computation stopped short of its result: a rejection sampler used
+    up its attempt budget (the admissible region is empty or too small), or
+    a flow did not record every requested time."""
+
+
 class UsageError(ConfmechError):
     """Bad command-line or config-file input (exit code 2)."""

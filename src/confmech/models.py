@@ -26,6 +26,7 @@ lookups into it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -127,7 +128,7 @@ def potential(model: ModelSpec) -> Observable:
     """The catalog potential as an observable with an exact gradient."""
     entry = _entry(model)
     return Observable(model.d, entry.V, grad_fn=entry.dV,
-                      name=f"V[{entry.tag}]")
+                      name=f"V[{entry.tag}]", rows=entry.V_rows)
 
 
 def singular_distance_fn(model: ModelSpec) -> Callable:
@@ -237,11 +238,14 @@ def reference_state(model: ModelSpec) -> PhaseState:
 @dataclass(frozen=True)
 class _Entry:
     """One model at fixed parameters. ``V(q, p)`` is dual-safe and raises
-    DomainError on the singular set; ``dV(q, p) -> (dV/dq, 0)`` takes float
-    arrays; the potential observable is named ``V[tag]``."""
+    DomainError on the singular set; ``V_rows(Q, P)`` is V on the rows of
+    ``(N, d)`` float arrays, bit for bit, raising the same DomainError if
+    any row is singular; ``dV(q, p) -> (dV/dq, 0)`` takes float arrays;
+    the potential observable is named ``V[tag]``."""
 
     tag: str
     V: Callable
+    V_rows: Callable
     dV: Callable
     singular_distance: Callable
     reference: Callable
@@ -254,7 +258,8 @@ def _entry(model: ModelSpec) -> _Entry:
 
 def _free(d: int, params: dict) -> _Entry:
     return _Entry(
-        "free", lambda q, p: 0.0, lambda q, p: (np.zeros(d), np.zeros(d)),
+        "free", lambda q, p: 0.0, lambda Q, P: np.zeros(len(Q)),
+        lambda q, p: (np.zeros(d), np.zeros(d)),
         lambda q: np.inf,
         lambda: PhaseState(np.linspace(1.0, 0.4, d), np.linspace(0.3, 1.0, d)),
         SphericalPotentialForm("free", "0", {}, lambda t: 0.0))
@@ -268,6 +273,12 @@ def _inverse_square(d: int, params: dict) -> _Entry:
     def V(q, p):
         r2 = np.dot(q, q)
         if dual.value(r2) == 0.0:
+            raise DomainError("inverse_square potential at r = 0")
+        return kappa / r2
+
+    def V_rows(Q, P):
+        r2 = np.vecdot(Q, Q)
+        if np.any(r2 == 0.0):
             raise DomainError("inverse_square potential at r = 0")
         return kappa / r2
 
@@ -287,8 +298,8 @@ def _inverse_square(d: int, params: dict) -> _Entry:
         p[1] = 1.0
         return PhaseState(q, p)
 
-    return _Entry("inverse_square", V, dV,
-                  lambda q: float(np.linalg.norm(q)), reference,
+    return _Entry("inverse_square", V, V_rows, dV,
+                  lambda q: math.sqrt(np.dot(q, q)), reference,
                   SphericalPotentialForm("inverse_square", "kappa",
                                          {"kappa": params["kappa"]},
                                          lambda t: kappa))
@@ -306,6 +317,13 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
             raise DomainError("higgs potential on its singular set")
         return 0.5 * w2 / (xd * xd) + 0.5 * w2 / r2
 
+    def V_rows(Q, P):
+        r2 = np.vecdot(Q, Q)
+        xd = Q[:, d - 1]
+        if np.any((r2 == 0.0) | (xd == 0.0)):
+            raise DomainError("higgs potential on its singular set")
+        return 0.5 * w2 / (xd * xd) + 0.5 * w2 / r2
+
     def dV(q, p):
         r2 = q @ q
         xd = q[d - 1]
@@ -320,8 +338,8 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
         p[0] = -0.2
         return PhaseState(q, p)
 
-    return _Entry("conformal_higgs", V, dV,
-                  lambda q: float(min(np.linalg.norm(q), abs(q[d - 1]))),
+    return _Entry("conformal_higgs", V, V_rows, dV,
+                  lambda q: float(min(math.sqrt(np.dot(q, q)), abs(q[d - 1]))),
                   reference,
                   SphericalPotentialForm(
                       "conformal_higgs", "omega^2 tan(theta)^2 / 2 + omega^2",
@@ -343,6 +361,14 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
         if dual.value(r2) == 0.0 or dual.value(rho2) <= 0.0:
             raise DomainError("coulomb potential on its singular axis")
         return gamma * xd / (r2 * dual.sqrt(rho2))
+
+    def V_rows(Q, P):
+        r2 = np.vecdot(Q, Q)
+        xd = Q[:, d - 1]
+        rho2 = r2 - xd * xd
+        if np.any((r2 == 0.0) | (rho2 <= 0.0)):
+            raise DomainError("coulomb potential on its singular axis")
+        return gamma * xd / (r2 * np.sqrt(rho2))
 
     def dV(q, p):
         r2 = q @ q
@@ -367,7 +393,7 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
         p[d - 1] = 0.2
         return PhaseState(q, p)
 
-    return _Entry("conformal_coulomb", V, dV, sdist, reference,
+    return _Entry("conformal_coulomb", V, V_rows, dV, sdist, reference,
                   SphericalPotentialForm("conformal_coulomb",
                                          "gamma cot(theta)",
                                          {"gamma": params["gamma"]},
@@ -384,6 +410,8 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
         raise ValueError("calogero dimension is n - 1")
     g2 = float(params["g"]) ** 2
     axes = pair_axes(n)
+    force_axes = -2.0 * g2 * axes
+    root2 = np.sqrt(2.0)
 
     def V(q, p):
         total = 0.0
@@ -394,15 +422,23 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
             total = total + g2 / (s * s)
         return total
 
-    def dV(q, p):
-        dq = np.zeros(d)
+    def V_rows(Q, P):
+        total = 0.0
         for a in axes:
-            s = a @ q
-            dq += -2.0 * g2 * a / s ** 3
-        return dq, np.zeros(d)
+            s = np.vecdot(Q, a)
+            if np.any(s == 0.0):
+                raise DomainError("coincident particles")
+            total = total + g2 / (s * s)
+        return total
+
+    def dV(q, p):
+        # sum over pairs of -2 g^2 a / (a.q)^3; the cubes are Python-float
+        # powers, which numpy's array power does not reproduce bit for bit
+        cubes = [s ** 3 for s in np.vecdot(axes, q).tolist()]
+        return (force_axes / np.array(cubes)[:, None]).sum(axis=0), np.zeros(d)
 
     def sdist(q):
-        return float(np.min(np.abs(axes @ q)) / np.sqrt(2.0))
+        return float(np.min(np.abs(axes @ q)) / root2)
 
     def reference():
         # particles spread in decreasing order (keeps the n=2 relative
@@ -412,7 +448,7 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
         px -= px.mean()
         return reduce_calogero_state(x, px)
 
-    return _Entry("calogero", V, dV, sdist, reference, None)
+    return _Entry("calogero", V, V_rows, dV, sdist, reference, None)
 
 
 # name -> (constructor, the parameter names it takes)

@@ -20,6 +20,7 @@ cross-check the tests compare both against, not a third production path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -71,16 +72,22 @@ class Observable:
     come from ``grad_fn`` if set, else from the dual engine, and an
     observable that digests neither raises. ``grad_fn`` is worth providing
     on anything evaluated inside an integrator loop.
+
+    The optional array form ``rows(Q, P)`` takes ``(N, d)`` float arrays
+    and returns the N values of ``fn`` on their rows, bit for bit (it
+    raises what ``fn`` raises on any row); trajectory monitors use it in
+    place of N calls to ``fn``.
     """
 
-    __slots__ = ("dim", "fn", "grad_fn", "name")
+    __slots__ = ("dim", "fn", "grad_fn", "name", "rows")
 
     def __init__(self, dim: int, fn: Callable, grad_fn: Optional[Callable] = None,
-                 name: str = ""):
+                 name: str = "", rows: Optional[Callable] = None):
         self.dim = int(dim)
         self.fn = fn
         self.grad_fn = grad_fn
         self.name = name
+        self.rows = rows
 
     def __call__(self, state: PhaseState) -> float:
         v = dual.value(self.fn(state.q, state.p))
@@ -208,10 +215,13 @@ class Trajectory:
 
 
 def _monitor_rows(monitors, ts, qs, ps):
-    if not monitors:
-        return {}
+    """Each monitor on every recorded state: its array form ``rows`` if it
+    has one, else ``fn`` row by row."""
     out = {}
     for name, obs in monitors.items():
+        if obs.rows is not None:
+            out[name] = np.asarray(obs.rows(qs, ps), dtype=float)
+            continue
         vals = np.empty(len(ts))
         for i in range(len(ts)):
             vals[i] = dual.value(obs.fn(qs[i], ps[i]))
@@ -252,43 +262,40 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
             "initial state is inside the singular exclusion zone",
             last_good_time=0.0, state=s0)
 
-    def force(q, p):
-        dVq, _ = _grad_arrays(V, q, p)
-        return -dVq
-
     q = s0.q.copy()
     p = s0.p.copy()
-    a = force(q, p)
-    ts = [0.0]
-    qs = [q.copy()]
-    ps = [p.copy()]
+    # g = dV/dq; p - c * g is p + c * (-g) bit for bit (negation is exact)
+    g = _grad_arrays(V, q, p)[0]
+    ts = dt * np.arange(n_steps + 1)
+    qs = np.empty((n_steps + 1, s0.d))
+    ps = np.empty((n_steps + 1, s0.d))
+    qs[0] = q
+    ps[0] = p
+    half_dt = 0.5 * dt
     t = 0.0
     for k in range(1, n_steps + 1):
-        p_half = p + 0.5 * dt * a
+        p_half = p - half_dt * g
         q_new = q + dt * p_half
         if sdist is not None:
             dist = sdist(q_new)
             # a step comparable to the singular distance cannot resolve
             # the approach: the fixed-step scheme would hop the singularity
-            step = float(np.linalg.norm(q_new - q))
+            move = q_new - q
+            step = math.sqrt(move.dot(move))  # np.linalg.norm's formula
             if dist < _SINGULAR_GUARD or step > 0.9 * dist:
                 raise SingularityApproachError(
                     "trajectory entered the singular exclusion zone near "
                     f"t={t:.6g}", last_good_time=t,
-                    state=PhaseState(qs[-1], ps[-1]))
+                    state=PhaseState(q, p))
         q = q_new
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise NonFiniteError("position became non-finite during Verlet "
                                  f"integration near t={t:.6g}")
-        a = force(q, p_half)
-        p = p_half + 0.5 * dt * a
+        g = _grad_arrays(V, q, p_half)[0]
+        p = p_half - half_dt * g
         t = k * dt
-        ts.append(t)
-        qs.append(q.copy())
-        ps.append(p.copy())
-    ts = np.asarray(ts)
-    qs = np.asarray(qs)
-    ps = np.asarray(ps)
+        qs[k] = q
+        ps[k] = p
     return Trajectory(ts, qs, ps, _monitor_rows(system.monitors(), ts, qs, ps))
 
 

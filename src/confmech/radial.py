@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .conformal import ConformalSystem, casimir_I
-from .errors import CollapseOnPathError
+from .errors import CollapseOnPathError, IncompleteResultError
 from .phase import PhaseState, Trajectory, integrate_adaptive, _monitor_rows
 
 
@@ -185,16 +185,14 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
         # the flow records (n0, ell0) at T = 0, then one row per target
         skip = 0 if T_grid[0] == 0.0 else 1
         if len(ang) - skip != len(t_grid):
-            raise RuntimeError("angular flow did not record every "
-                               "requested reparametrized time")
-        ns = np.empty((len(t_grid), d))
-        ells = np.empty((len(t_grid), d))
-        for k in range(len(t_grid)):
-            nk, lk = ang.qs[k + skip], ang.ps[k + skip]
-            nk = nk / np.linalg.norm(nk)  # project back to the sphere
-            lk = lk - (lk @ nk) * nk
-            ns[k] = nk
-            ells[k] = lk
+            raise IncompleteResultError("angular flow did not record every "
+                                        "requested reparametrized time")
+        # project back to the sphere and its tangent space, row by row
+        # (np.vecdot gives each row's dot product, as np.dot does)
+        ns = ang.qs[skip:]
+        ns = ns / np.sqrt(np.vecdot(ns, ns))[:, None]
+        ells = ang.ps[skip:]
+        ells = ells - np.vecdot(ells, ns)[:, None] * ns
 
     rs = np.sqrt(radial_squared(rd, t_grid))
     prs = (2.0 * rd.E * t_grid + rd.D0) / rs

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confmech.cli import (
     main,
@@ -12,6 +15,7 @@ from confmech.cli import (
     trajectory_csv,
 )
 from confmech.errors import UsageError
+from confmech.phase import Trajectory
 
 
 class TestParseConfig:
@@ -124,6 +128,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message + "\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--model", "free", "--dim", "1"],  # I = 0 everywhere
+        ["--model", "inverse-square", "--dim", "1", "--kappa", "-1"],  # I < 0
+    ], ids=["free-d1", "attractive-d1"])
+    def test_no_admissible_state_is_3(self, tmp_path, flags):
+        out = tmp_path / "diag.json"
+        code = main(["verify-decoupling", *flags, "--samples", "5",
+                     "--output", str(out)])
+        assert code == 3
+        diag = json.loads(out.read_text())
+        assert diag["error"] == "IncompleteResultError"
+        assert "attempt budget" in diag["message"]
 
     def test_verification_failure_is_1_report_written(self, tmp_path):
         # an absurd tolerance fails verification but still writes a report
@@ -292,3 +309,64 @@ def test_trajectory_csv_17_digits():
     row = text.split("\n")[2].split(",")
     assert float(row[0]) == 1.0 / 3.0  # 17 significant digits round-trip
     assert float(row[3]) == np.e
+
+
+def _per_value_csv(traj):
+    """The per-value formatter the whole-table one replaced."""
+    d = traj.qs.shape[1]
+    cols = (["t"] + [f"q{i + 1}" for i in range(d)]
+            + [f"p{i + 1}" for i in range(d)] + ["H", "D", "K", "I"])
+    lines = [",".join(cols)]
+    mon = [traj.monitors[k] for k in ("H", "D", "K", "I")]
+    for i in range(len(traj)):
+        row = ([traj.times[i]] + list(traj.qs[i]) + list(traj.ps[i])
+               + [m[i] for m in mon])
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _first_difference(text, want):
+    """None, or (line number, line, wanted line) at the first difference;
+    keeps a failure report short on long tables."""
+    got, ref = text.split("\n"), want.split("\n")
+    for i in range(max(len(got), len(ref))):
+        a = got[i] if i < len(got) else None
+        b = ref[i] if i < len(ref) else None
+        if a != b:
+            return i, a, b
+    return None
+
+
+def _table_trajectory(values):
+    """A trajectory whose q, p and monitor columns hold ``values``
+    (shape (n, 2 d + 4)); the times are 0, 1, 2, ..."""
+    n, width = values.shape
+    d = (width - 4) // 2
+    mons = {k: values[:, 2 * d + j] for j, k in enumerate("HDKI")}
+    return Trajectory(np.arange(float(n)), values[:, :d],
+                      values[:, d:2 * d], mons)
+
+
+class TestRowFormatter:
+    EDGES = [-0.0, 5e-324, 1e308, 1.0 / 3.0, 1.0, -2.5e-310, np.nan,
+             np.inf, -np.inf, -1e-5]
+
+    def test_edge_values_over_several_chunks(self):
+        # 2,600 rows: two full 1,024-row chunks and a partial one
+        n, d = 2600, 3
+        values = np.resize(np.array(self.EDGES), (n, 2 * d + 4))
+        traj = _table_trajectory(values)
+        text = trajectory_csv(traj)
+        assert _first_difference(text, _per_value_csv(traj)) is None
+        assert text.count("\n") == n + 1
+        assert text.split("\n")[1].startswith("0,-0,4.9406564584124654e-324,")
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64,
+                      st.tuples(st.integers(1, 12),
+                                st.integers(1, 4).map(lambda d: 2 * d + 4)),
+                      elements=st.floats(width=64)))
+    def test_matches_per_value_formatter(self, values):
+        traj = _table_trajectory(values)
+        assert _first_difference(trajectory_csv(traj),
+                                 _per_value_csv(traj)) is None

@@ -9,8 +9,10 @@ from confmech.conformal import (
     build_system,
     casimir_I,
     check_homogeneity,
+    sample_states,
     verify_algebra,
 )
+from confmech.errors import ConfmechError, IncompleteResultError
 from confmech.phase import Observable, PhaseState, integrate_verlet
 from confmech.reduction import spherical_energy, spherical_system_from, \
     to_hyperspherical
@@ -74,6 +76,19 @@ class TestHomogeneity:
         d = rep.to_dict()
         assert set(d) == {"max_residual", "samples", "tol", "seed", "pass"}
         assert d["seed"] == 5
+
+
+class TestSamplerBudget:
+    def test_sample_states_exhausted(self):
+        with pytest.raises(IncompleteResultError, match="attempt budget"):
+            sample_states(2, 3, np.random.default_rng(0),
+                          predicate=lambda s: False)
+
+    def test_homogeneity_exhausted(self):
+        nowhere = Observable(2, lambda q, p: np.inf)  # never finite
+        with pytest.raises(IncompleteResultError):
+            check_homogeneity(nowhere, 2, samples=3)
+        assert issubclass(IncompleteResultError, ConfmechError)
 
 
 class TestVerifyAlgebra:

@@ -6,9 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from confmech import models
-from confmech.conformal import check_homogeneity
+from confmech import dual, models
+from confmech.conformal import build_system, check_homogeneity, sample_states
 from confmech.errors import DomainError, UnsupportedModelError
+from confmech.phase import Observable, integrate_verlet
 from confmech.reduction import (
     ReducedState,
     angular_potential,
@@ -312,3 +313,87 @@ class TestUnitSphereHelpers:
                     rng.uniform(-np.pi, np.pi, 1)])[:d - 1]
                 u = unit_from_angles(phi, d)
                 assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+
+
+def _same_bits(a, b):
+    """Equal as float64 bit patterns (tells -0.0 from 0.0)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _state_rows(sys_, n, seed):
+    states = sample_states(sys_.d, n, np.random.default_rng(seed),
+                           singular_distance=sys_.singular_distance)
+    return (np.array([s.q for s in states]), np.array([s.p for s in states]))
+
+
+_ARRAY_SPECS = models.catalog() + [models.spec("calogero", n=5, g=1.0)]
+
+
+class TestArrayForms:
+    """The array forms behind the trajectory monitors and the Calogero
+    force reproduce the scalar code bit for bit."""
+
+    @pytest.mark.parametrize("ms", _ARRAY_SPECS, ids=lambda ms: ms.label)
+    def test_rows_match_scalar_fn(self, ms):
+        sys_ = models.build(ms)
+        Q, P = _state_rows(sys_, 300, seed=41)
+        # integrate_adaptive hands over column slices of its (q, p) rows
+        Y = np.hstack([Q, P])
+        strided = Y[:, :ms.d], Y[:, ms.d:]
+        for obs in (sys_.V, *sys_.monitors().values()):
+            scalar = [dual.value(obs.fn(q, p)) for q, p in zip(Q, P)]
+            assert _same_bits(obs.rows(Q, P), scalar), obs.name
+            assert _same_bits(obs.rows(*strided), scalar), obs.name
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_calogero_gradient_matches_pair_loop(self, n):
+        g = 1.3
+        V = models.potential(models.spec("calogero", n=n, g=g))
+        axes = models.pair_axes(n)
+        g2 = float(g) ** 2
+        Q, P = _state_rows(models.build(models.spec("calogero", n=n, g=g)),
+                           300, seed=43)
+        for q, p in zip(Q, P):
+            ref = np.zeros(n - 1)
+            for a in axes:
+                s = a @ q
+                ref += -2.0 * g2 * a / s ** 3
+            dq, dp = V.grad_fn(q, p)
+            assert _same_bits(dq, ref)
+            assert _same_bits(dp, np.zeros(n - 1))
+
+    @pytest.mark.parametrize("ms,singular", [
+        (models.spec("inverse-square", d=2, kappa=1.0), [0.0, 0.0]),
+        (models.spec("higgs", d=3, omega=1.0), [1.0, 0.5, 0.0]),
+        (models.spec("coulomb", d=3, gamma=1.0), [0.0, 0.0, 1.0]),
+        (models.spec("calogero", n=3, g=1.0), None),
+    ], ids=["inverse-square", "higgs", "coulomb", "calogero"])
+    def test_singular_row_raises(self, ms, singular):
+        V = models.potential(ms)
+        if singular is None:  # perpendicular to the first pair axis
+            a = models.pair_axes(3)[0]
+            singular = [-a[1], a[0]]
+        Q = np.array([np.full(ms.d, 0.7), singular])
+        with pytest.raises(DomainError):
+            V.fn(Q[1], Q[1])
+        with pytest.raises(DomainError):
+            V.rows(Q, Q)
+
+    def test_monitors_without_array_form(self):
+        # a potential built without rows: H and I fall back to the loop
+        ms = models.spec("calogero", n=4, g=1.0)
+        sys_ = models.build(ms)
+        bare = Observable(ms.d, sys_.V.fn, grad_fn=sys_.V.grad_fn)
+        plain = build_system(bare, ms.d,
+                             singular_distance=sys_.singular_distance)
+        assert plain.H.rows is None and plain.casimir.rows is None
+        assert plain.D.rows is not None and plain.K.rows is not None
+        s0 = models.reference_state(ms)
+        rows = integrate_verlet(sys_, s0, 1e-3, 0.5)
+        loop = integrate_verlet(plain, s0, 1e-3, 0.5)
+        assert _same_bits(rows.qs, loop.qs)
+        for k in "HDKI":
+            assert _same_bits(rows.monitors[k], loop.monitors[k]), k

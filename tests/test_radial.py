@@ -225,6 +225,42 @@ class TestReconstruct:
             assert np.max(np.abs(vals - vals[0])) < 1e-7 * max(
                 1.0, abs(vals[0]))
 
+    @pytest.mark.parametrize("ms", [
+        models.spec("coulomb", d=3, gamma=1.0),
+        models.spec("calogero", n=4, g=1.0),
+    ], ids=lambda ms: ms.label)
+    def test_matches_per_row_reference(self, ms):
+        # the per-row projection and monitor loop the array code replaced
+        sys_ = models.build(ms)
+        ref = models.reference_state(ms)
+        # a momentum kick off the radial ray, so the angular flow runs
+        s0 = PhaseState(ref.q, ref.p + np.linspace(0.1, -0.2, ms.d))
+        grid = np.linspace(0.0, 1.0, 41)
+        traj = reconstruct(sys_, s0, grid)
+
+        rd = RadialData.from_state(sys_, s0)
+        r0 = math.sqrt(rd.r0sq)
+        n0 = s0.q / r0
+        ell0 = r0 * (s0.p - float(s0.p @ n0) * n0)
+        T = np.array([reparam_time(rd, t) for t in grid])
+        ang = integrate_adaptive(sys_.casimir, PhaseState(n0, ell0), 1e-10,
+                                 float(T[-1]), t_eval=T[1:],
+                                 singular_distance=sys_.singular_distance)
+        assert len(ang) == len(grid)
+        ns, ells = [], []
+        for nk, lk in zip(ang.qs, ang.ps):
+            nk = nk / np.linalg.norm(nk)
+            ns.append(nk)
+            ells.append(lk - (lk @ nk) * nk)
+        rs = np.sqrt(radial_squared(rd, grid))
+        prs = (2.0 * rd.E * grid + rd.D0) / rs
+        qs = rs[:, None] * np.array(ns)
+        ps = prs[:, None] * np.array(ns) + np.array(ells) / rs[:, None]
+        assert np.array_equal(traj.qs, qs) and np.array_equal(traj.ps, ps)
+        for name, obs in sys_.monitors().items():
+            ref = [obs.fn(q, p) for q, p in zip(qs, ps)]
+            assert np.array_equal(traj.monitors[name], ref), name
+
     def test_one_dimensional(self):
         eq1 = models.build(models.spec("inverse-square", d=1, kappa=0.5))
         s0 = PhaseState([1.0], [0.4])
