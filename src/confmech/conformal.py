@@ -45,18 +45,19 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
     """Assemble H, D, K (and the Casimir observable) over a potential.
 
     Homogeneity of V is *not* checked here; use :func:`check_homogeneity`.
-    Analytic gradients propagate from the potential to every generator, and
-    so does the array form ``V.rows``: D and K always have one, H and the
-    Casimir have one when V does.
+    Analytic gradients propagate from the potential to every generator.
+    Each generator is one body over ``(..., d)`` arrays, so its array form
+    ``rows`` is its ``fn``: always for D and K, and for H and the Casimir
+    when V's own ``fn`` is its array form (``V.rows is V.fn``).
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     vfn = V.fn
     vg = V.grad_fn
-    vrows = V.rows
+    v_broadcasts = V.rows is vfn
 
     def h_fn(q, p):
-        return 0.5 * np.dot(p, p) + vfn(q, p)
+        return 0.5 * np.vecdot(p, p) + vfn(q, p)
 
     h_grad = None
     if vg is not None:
@@ -64,42 +65,23 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
             dVq, _ = vg(q, p)
             return np.asarray(dVq, dtype=float), np.asarray(p, dtype=float)
 
-    h_rows = None
-    if vrows is not None:
-        def h_rows(Q, P):
-            return 0.5 * np.vecdot(P, P) + vrows(Q, P)
-
     def d_fn(q, p):
-        return np.dot(p, q)
-
-    def d_rows(Q, P):
-        return np.vecdot(P, Q)
+        return np.vecdot(p, q)
 
     def d_grad(q, p):
         return np.asarray(p, dtype=float), np.asarray(q, dtype=float)
 
     def k_fn(q, p):
-        return 0.5 * np.dot(q, q)
-
-    def k_rows(Q, P):
-        return 0.5 * np.vecdot(Q, Q)
+        return 0.5 * np.vecdot(q, q)
 
     def k_grad(q, p):
         return np.asarray(q, dtype=float), np.zeros(len(q))
 
     def i_fn(q, p):
-        qq = np.dot(q, q)
-        pp = np.dot(p, p)
-        qp = np.dot(q, p)
+        qq = np.vecdot(q, q)
+        pp = np.vecdot(p, p)
+        qp = np.vecdot(q, p)
         return 0.5 * (qq * pp - qp * qp) + qq * vfn(q, p)
-
-    i_rows = None
-    if vrows is not None:
-        def i_rows(Q, P):
-            qq = np.vecdot(Q, Q)
-            pp = np.vecdot(P, P)
-            qp = np.vecdot(Q, P)
-            return 0.5 * (qq * pp - qp * qp) + qq * vrows(Q, P)
 
     i_grad = None
     if vg is not None:
@@ -116,10 +98,11 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
             return dq, dp
 
     H = Observable(d, h_fn, grad_fn=h_grad, name=f"H[{name}]" if name else "H",
-                   rows=h_rows)
-    Dg = Observable(d, d_fn, grad_fn=d_grad, name="D", rows=d_rows)
-    K = Observable(d, k_fn, grad_fn=k_grad, name="K", rows=k_rows)
-    I = Observable(d, i_fn, grad_fn=i_grad, name="I", rows=i_rows)
+                   rows=h_fn if v_broadcasts else None)
+    Dg = Observable(d, d_fn, grad_fn=d_grad, name="D", rows=d_fn)
+    K = Observable(d, k_fn, grad_fn=k_grad, name="K", rows=k_fn)
+    I = Observable(d, i_fn, grad_fn=i_grad, name="I",
+                   rows=i_fn if v_broadcasts else None)
     return ConformalSystem(d=d, V=V, H=H, D=Dg, K=K, casimir=I, name=name,
                            params=dict(params or {}),
                            singular_distance=singular_distance)

@@ -74,6 +74,10 @@ class Dual:
     def __pos__(self):
         return self
 
+    def conjugate(self):
+        """Real-valued: itself (``np.vecdot`` conjugates its first operand)."""
+        return self
+
     def __abs__(self):
         s = math.copysign(1.0, self.val)
         return Dual(abs(self.val), s * self.eps)

@@ -65,17 +65,22 @@ class ModelSpec:
 
 
 def spec(name: str, d: int = None, **params) -> ModelSpec:
-    """Build a ModelSpec accepting CLI-style aliases and defaults."""
+    """Build a ModelSpec accepting CLI-style aliases and defaults; the
+    Calogero dimension defaults to n - 1 (any other d is a ValueError)."""
     try:
         canonical = _ALIASES[name.lower()]
     except KeyError:
         raise ValueError(f"unknown model {name!r}; choose from "
                          f"{sorted(set(_ALIASES))}") from None
     if canonical == "calogero_relative":
-        n = int(params.get("n", params.pop("particles", 0)))
-        params["n"] = n
+        n = params.get("n", params.pop("particles", 0))
+        if n != int(n):
+            raise ValueError("calogero_relative needs a whole number of "
+                             f"particles, got {n!r}")
+        params["n"] = int(n)
         params.setdefault("g", 1.0)
-        d = n - 1
+        if d is None:
+            d = params["n"] - 1
     if d is None:
         raise ValueError(f"model {name!r} needs a dimension")
     return ModelSpec(name=canonical, d=int(d), params=params)
@@ -128,7 +133,7 @@ def potential(model: ModelSpec) -> Observable:
     """The catalog potential as an observable with an exact gradient."""
     entry = _entry(model)
     return Observable(model.d, entry.V, grad_fn=entry.dV,
-                      name=f"V[{entry.tag}]", rows=entry.V_rows)
+                      name=f"V[{entry.tag}]", rows=entry.V)
 
 
 def singular_distance_fn(model: ModelSpec) -> Callable:
@@ -237,15 +242,15 @@ def reference_state(model: ModelSpec) -> PhaseState:
 
 @dataclass(frozen=True)
 class _Entry:
-    """One model at fixed parameters. ``V(q, p)`` is dual-safe and raises
-    DomainError on the singular set; ``V_rows(Q, P)`` is V on the rows of
-    ``(N, d)`` float arrays, bit for bit, raising the same DomainError if
-    any row is singular; ``dV(q, p) -> (dV/dq, 0)`` takes float arrays;
-    the potential observable is named ``V[tag]``."""
+    """One model at fixed parameters. ``V(q, p)`` is one body over
+    ``(..., d)`` arrays: a float vector, an object vector of duals, or the
+    ``(N, d)`` rows of a trajectory (one value per row, each bit for bit
+    the value of that row alone); it raises DomainError if the point, or
+    any row, is on the singular set. ``dV(q, p) -> (dV/dq, 0)`` takes float
+    vectors; the potential observable is named ``V[tag]``."""
 
     tag: str
     V: Callable
-    V_rows: Callable
     dV: Callable
     singular_distance: Callable
     reference: Callable
@@ -256,9 +261,18 @@ def _entry(model: ModelSpec) -> _Entry:
     return _CATALOG[model.name][0](model.d, model.params)
 
 
+def _singular(cond) -> bool:
+    """Whether a singular-set test holds at the point, or at any row.
+
+    ``cond`` is a bool (floats and duals compare to one) or a bool array
+    (one entry per row); ``np.any`` would cost microseconds on a bool.
+    """
+    return cond.any() if isinstance(cond, np.ndarray) else bool(cond)
+
+
 def _free(d: int, params: dict) -> _Entry:
     return _Entry(
-        "free", lambda q, p: 0.0, lambda Q, P: np.zeros(len(Q)),
+        "free", lambda q, p: np.zeros(q.shape[:-1])[()],
         lambda q, p: (np.zeros(d), np.zeros(d)),
         lambda q: np.inf,
         lambda: PhaseState(np.linspace(1.0, 0.4, d), np.linspace(0.3, 1.0, d)),
@@ -271,14 +285,8 @@ def _inverse_square(d: int, params: dict) -> _Entry:
     kappa = float(params["kappa"])
 
     def V(q, p):
-        r2 = np.dot(q, q)
-        if dual.value(r2) == 0.0:
-            raise DomainError("inverse_square potential at r = 0")
-        return kappa / r2
-
-    def V_rows(Q, P):
-        r2 = np.vecdot(Q, Q)
-        if np.any(r2 == 0.0):
+        r2 = np.vecdot(q, q)
+        if _singular(r2 == 0.0):
             raise DomainError("inverse_square potential at r = 0")
         return kappa / r2
 
@@ -298,7 +306,7 @@ def _inverse_square(d: int, params: dict) -> _Entry:
         p[1] = 1.0
         return PhaseState(q, p)
 
-    return _Entry("inverse_square", V, V_rows, dV,
+    return _Entry("inverse_square", V, dV,
                   lambda q: math.sqrt(np.dot(q, q)), reference,
                   SphericalPotentialForm("inverse_square", "kappa",
                                          {"kappa": params["kappa"]},
@@ -311,16 +319,9 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
     w2 = float(params["omega"]) ** 2
 
     def V(q, p):
-        r2 = np.dot(q, q)
-        xd = q[d - 1]
-        if dual.value(r2) == 0.0 or dual.value(xd) == 0.0:
-            raise DomainError("higgs potential on its singular set")
-        return 0.5 * w2 / (xd * xd) + 0.5 * w2 / r2
-
-    def V_rows(Q, P):
-        r2 = np.vecdot(Q, Q)
-        xd = Q[:, d - 1]
-        if np.any((r2 == 0.0) | (xd == 0.0)):
+        r2 = np.vecdot(q, q)
+        xd = q.T[d - 1]
+        if _singular((r2 == 0.0) | (xd == 0.0)):
             raise DomainError("higgs potential on its singular set")
         return 0.5 * w2 / (xd * xd) + 0.5 * w2 / r2
 
@@ -338,7 +339,7 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
         p[0] = -0.2
         return PhaseState(q, p)
 
-    return _Entry("conformal_higgs", V, V_rows, dV,
+    return _Entry("conformal_higgs", V, dV,
                   lambda q: float(min(math.sqrt(np.dot(q, q)), abs(q[d - 1]))),
                   reference,
                   SphericalPotentialForm(
@@ -355,20 +356,12 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
     gamma = float(params["gamma"])
 
     def V(q, p):
-        r2 = np.dot(q, q)
-        xd = q[d - 1]
+        r2 = np.vecdot(q, q)
+        xd = q.T[d - 1]
         rho2 = r2 - xd * xd
-        if dual.value(r2) == 0.0 or dual.value(rho2) <= 0.0:
+        if _singular((r2 == 0.0) | (rho2 <= 0.0)):
             raise DomainError("coulomb potential on its singular axis")
-        return gamma * xd / (r2 * dual.sqrt(rho2))
-
-    def V_rows(Q, P):
-        r2 = np.vecdot(Q, Q)
-        xd = Q[:, d - 1]
-        rho2 = r2 - xd * xd
-        if np.any((r2 == 0.0) | (rho2 <= 0.0)):
-            raise DomainError("coulomb potential on its singular axis")
-        return gamma * xd / (r2 * np.sqrt(rho2))
+        return gamma * xd / (r2 * np.sqrt(rho2))  # np.sqrt calls Dual.sqrt
 
     def dV(q, p):
         r2 = q @ q
@@ -393,7 +386,7 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
         p[d - 1] = 0.2
         return PhaseState(q, p)
 
-    return _Entry("conformal_coulomb", V, V_rows, dV, sdist, reference,
+    return _Entry("conformal_coulomb", V, dV, sdist, reference,
                   SphericalPotentialForm("conformal_coulomb",
                                          "gamma cot(theta)",
                                          {"gamma": params["gamma"]},
@@ -414,19 +407,11 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
     root2 = np.sqrt(2.0)
 
     def V(q, p):
+        # project on every pair axis at once, then sum pair by pair in
+        # order, so the sum rounds the same on every input
         total = 0.0
-        for a in axes:
-            s = np.dot(a, q)
-            if dual.value(s) == 0.0:
-                raise DomainError("coincident particles")
-            total = total + g2 / (s * s)
-        return total
-
-    def V_rows(Q, P):
-        total = 0.0
-        for a in axes:
-            s = np.vecdot(Q, a)
-            if np.any(s == 0.0):
+        for s in np.vecdot(axes, q[..., None, :]).T:
+            if _singular(s == 0.0):
                 raise DomainError("coincident particles")
             total = total + g2 / (s * s)
         return total
@@ -448,7 +433,7 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
         px -= px.mean()
         return reduce_calogero_state(x, px)
 
-    return _Entry("calogero", V, V_rows, dV, sdist, reference, None)
+    return _Entry("calogero", V, dV, sdist, reference, None)
 
 
 # name -> (constructor, the parameter names it takes)

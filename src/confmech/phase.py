@@ -76,7 +76,10 @@ class Observable:
     The optional array form ``rows(Q, P)`` takes ``(N, d)`` float arrays
     and returns the N values of ``fn`` on their rows, bit for bit (it
     raises what ``fn`` raises on any row); trajectory monitors use it in
-    place of N calls to ``fn``.
+    place of N calls to ``fn``. An ``fn`` written once over ``(..., d)``
+    arrays (``np.vecdot`` for dot products, ``q.T[k]`` for a coordinate)
+    serves floats, duals and rows alike and is its own ``rows``, as the
+    catalog potentials and the generators of ``build_system`` are.
     """
 
     __slots__ = ("dim", "fn", "grad_fn", "name", "rows")

@@ -70,23 +70,20 @@ class RadialData:
 
 def radial_squared(rd: RadialData, t):
     """r^2(t) = 2 E t^2 + 2 D0 t + r0^2 (negative values flag times past
-    the collapse; see :func:`fall_time`)."""
-    t = np.asarray(t, dtype=float)
-    out = 2.0 * rd.E * t * t + 2.0 * rd.D0 * t + rd.r0sq
-    return float(out) if out.ndim == 0 else out
+    the collapse; see :func:`fall_time`). ``t`` is a float or an array;
+    so is the result."""
+    return 2.0 * rd.E * t * t + 2.0 * rd.D0 * t + rd.r0sq
 
 
 def radial_squared_rate(rd: RadialData, t):
-    """d(r^2)/dt = 4 E t + 2 D0; equals 2 D(t)."""
-    t = np.asarray(t, dtype=float)
-    out = 4.0 * rd.E * t + 2.0 * rd.D0
-    return float(out) if out.ndim == 0 else out
+    """d(r^2)/dt = 4 E t + 2 D0; equals 2 D(t). Float or array ``t``."""
+    return 4.0 * rd.E * t + 2.0 * rd.D0
 
 
 def radial_momentum(rd: RadialData, t):
-    """p_r(t) = (2 E t + D0) / r(t) on a collapse-free interval."""
-    r2 = radial_squared(rd, t)
-    return (2.0 * rd.E * np.asarray(t, dtype=float) + rd.D0) / np.sqrt(r2)
+    """p_r(t) = (2 E t + D0) / r(t) on a collapse-free interval; float or
+    array ``t``."""
+    return (2.0 * rd.E * t + rd.D0) / np.sqrt(radial_squared(rd, t))
 
 
 def fall_time(rd: RadialData):
@@ -195,7 +192,7 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
         ells = ells - np.vecdot(ells, ns)[:, None] * ns
 
     rs = np.sqrt(radial_squared(rd, t_grid))
-    prs = (2.0 * rd.E * t_grid + rd.D0) / rs
+    prs = radial_momentum(rd, t_grid)
     qs = rs[:, None] * ns
     ps = prs[:, None] * ns + ells / rs[:, None]
     monitors = _monitor_rows(sys.monitors(), t_grid, qs, ps)

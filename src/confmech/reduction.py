@@ -84,24 +84,20 @@ def _factor(phi, idx, kind):
 
 def unit_from_angles(phi, d: int):
     """Unit vector on the (d-1)-sphere; works on floats and duals."""
-    comps = _factor_lists(d)
-    out = np.empty(d, dtype=object)
-    for i, factors in enumerate(comps):
+    out = []
+    for factors in _factor_lists(d):
         v = 1.0
         for idx, kind in factors:
             v = v * _factor(phi, idx, kind)
-        out[i] = v
-    if all(not isinstance(v, dual.Dual) for v in out):
-        return out.astype(float)
-    return out
+        out.append(v)
+    return np.array(out)  # float unless a dual entered
 
 
 def unit_tangents(phi, d: int):
     """d x (d-1) matrix of tangent vectors du/dt_a (floats or duals)."""
-    comps = _factor_lists(d)
-    out = np.empty((d, d - 1), dtype=object)
-    out[:] = 0.0
-    for i, factors in enumerate(comps):
+    out = []
+    for factors in _factor_lists(d):
+        row = [0.0] * (d - 1)
         for which, (didx, dkind) in enumerate(factors):
             v = 1.0
             for pos, (idx, kind) in enumerate(factors):
@@ -111,10 +107,9 @@ def unit_tangents(phi, d: int):
                 else:
                     f = _factor(phi, idx, kind)
                 v = v * f
-            out[i, didx] = out[i, didx] + v
-    if all(not isinstance(v, dual.Dual) for v in out.ravel()):
-        return out.astype(float)
-    return out
+            row[didx] = row[didx] + v
+        out.append(row)
+    return np.array(out)
 
 
 def angles_from_unit(n, d: int, delta: float = _POLE_MARGIN):
@@ -128,7 +123,7 @@ def angles_from_unit(n, d: int, delta: float = _POLE_MARGIN):
             raise ChartSingularError(
                 "the 1D chart covers the half-line x > 0 only")
         return np.zeros(0)
-    phi = np.empty(d - 1, dtype=object)
+    phi = []
     for k in range(d - 2):
         c = n[d - 1 - k]
         # remaining components live on a sphere of radius prod(sin);
@@ -146,11 +141,9 @@ def angles_from_unit(n, d: int, delta: float = _POLE_MARGIN):
             raise ChartSingularError(
                 f"polar angle {k} is within {delta:g} of a pole; "
                 "permute/rotate axes and reduce again")
-        phi[k] = theta
-    phi[d - 2] = dual.arctan2(n[1], n[0])
-    if all(not isinstance(v, dual.Dual) for v in phi):
-        return phi.astype(float)
-    return phi
+        phi.append(theta)
+    phi.append(dual.arctan2(n[1], n[0]))
+    return np.array(phi)
 
 
 def to_hyperspherical(s: PhaseState,
@@ -186,16 +179,14 @@ def from_hyperspherical(rs: ReducedState) -> PhaseState:
 
 def sphere_metric_diag(phi, d: int):
     """Diagonal of the inverse round metric: 1, 1/sin^2 t1, ... (dual-safe)."""
-    diag = np.empty(d - 1, dtype=object)
+    diag = []
     acc = 1.0
     for a in range(d - 1):
-        diag[a] = 1.0 / acc
+        diag.append(1.0 / acc)
         if a < d - 2:
             sa = dual.sin(phi[a])
             acc = acc * sa * sa
-    if all(not isinstance(v, dual.Dual) for v in diag):
-        return diag.astype(float)
-    return diag
+    return np.array(diag)
 
 
 def sphere_metric_inverse(phi, d: int) -> np.ndarray:

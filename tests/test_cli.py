@@ -122,7 +122,9 @@ class TestExitCodes:
          "pass an initial state"),
         (["--model", "higgs", "--dim", "3", "--omega", "1", "--kappa", "5"],
          "usage error: conformal_higgs takes no parameter 'kappa'"),
-    ], ids=["no-reference-state", "unused-parameter"])
+        (["--model", "calogero", "--particles", "4", "--dim", "9"],
+         "usage error: calogero dimension is n - 1"),
+    ], ids=["no-reference-state", "unused-parameter", "calogero-dimension"])
     def test_model_input_errors_are_2(self, capsys, flags, message):
         assert main(["simulate", *flags]) == 2
         captured = capsys.readouterr()

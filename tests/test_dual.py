@@ -112,3 +112,15 @@ class TestGradientDriver:
         out = np.sum(np.sqrt(q * q))
         assert out.val == pytest.approx(0.7)
         npt.assert_allclose(out.eps, [1.0, 1.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_vecdot_matches_dot(self, d):
+        # np.vecdot calls .conjugate() on its first operand's elements
+        rng = np.random.default_rng(d)
+        a = dual.seed(rng.uniform(-2, 2, d), 2 * d, 0)
+        b = dual.seed(rng.uniform(-2, 2, d), 2 * d, d)
+        w = rng.uniform(-2, 2, d)
+        for x, y in ((a, b), (a, a), (a, w), (w, a)):
+            got, want = np.vecdot(x, y), np.dot(x, y)
+            assert got.val == want.val
+            assert np.array_equal(got.eps, want.eps)

@@ -5,6 +5,9 @@ import collections
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confmech import dual, models
 from confmech.conformal import build_system, check_homogeneity, sample_states
@@ -68,6 +71,9 @@ class TestModelSpec:
          "particles"),
         ("higgs", dict(d=3, omega=1.0, kappa=5.0),
          "conformal_higgs takes no parameter 'kappa'"),
+        ("calogero", dict(n=4, d=9), "calogero dimension is n - 1"),
+        ("calogero", dict(n=2.7),
+         "calogero_relative needs a whole number of particles, got 2.7"),
     ])
     def test_validation_messages(self, name, kwargs, message):
         with pytest.raises(ValueError) as err:
@@ -397,3 +403,60 @@ class TestArrayForms:
         assert _same_bits(rows.qs, loop.qs)
         for k in "HDKI":
             assert _same_bits(rows.monitors[k], loop.monitors[k]), k
+
+
+_SYSTEMS = {ms.label: models.build(ms) for ms in _ARRAY_SPECS}
+
+
+def _admissible_rows(sys_, values, margin):
+    """The (q, p) rows of ``values`` at least ``margin`` from the singular
+    set, as strided column slices of one array (as integrate_adaptive
+    hands them over)."""
+    d = sys_.d
+    keep = [row for row in values
+            if sys_.singular_distance is None
+            or sys_.singular_distance(row[:d]) >= margin]
+    assume(keep)
+    Y = np.array(keep)
+    return Y[:, :d], Y[:, d:]
+
+
+def _row_values(d):
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, 6),
+                                            st.just(2 * d)),
+                      elements=st.floats(-2.0, 2.0))
+
+
+class TestOneBody:
+    """Each catalog potential and H, D, K, I is one body over (..., d)
+    arrays: its array form is its fn, and floats, duals and row stacks all
+    go through it."""
+
+    @pytest.mark.parametrize("ms", _ARRAY_SPECS, ids=lambda ms: ms.label)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_stack_equals_rows(self, ms, data):
+        sys_ = _SYSTEMS[ms.label]
+        Q, P = _admissible_rows(sys_, data.draw(_row_values(ms.d)), 1e-3)
+        for obs in (sys_.V, *sys_.monitors().values()):
+            assert obs.rows is obs.fn, obs.name
+            per_row = [obs.fn(q, p) for q, p in zip(Q, P)]
+            assert _same_bits(obs.fn(Q, P), per_row), obs.name
+
+    @pytest.mark.parametrize("ms", _ARRAY_SPECS, ids=lambda ms: ms.label)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_dual_value_matches_float(self, ms, data):
+        # to rounding, not bit for bit: float dot products go through BLAS,
+        # whose kernels may fuse multiply-adds, while dual dot products add
+        # plain products in order, and a Dual divides by multiplying with
+        # the reciprocal
+        sys_ = _SYSTEMS[ms.label]
+        Q, P = _admissible_rows(sys_, data.draw(_row_values(ms.d)), 5e-2)
+        for q, p in zip(Q, P):
+            qd = dual.seed(q, 2 * ms.d, 0)
+            pd = dual.seed(p, 2 * ms.d, ms.d)
+            for obs in (sys_.V, *sys_.monitors().values()):
+                value = dual.value(obs.fn(qd, pd))
+                assert value == pytest.approx(obs.fn(q, p), rel=1e-10,
+                                              abs=1e-10), obs.name

@@ -58,10 +58,19 @@ class TestRadialSquared:
     def test_radial_momentum_is_rate_over_radius(self):
         from confmech.radial import radial_momentum
         rd = RadialData(E=1.0, D0=0.5, r0sq=2.0)
-        for t in (0.0, 0.7, 2.0):
+        ts = (0.0, 0.7, 2.0)
+        for t in ts:
             r = math.sqrt(radial_squared(rd, t))
             assert radial_momentum(rd, t) == pytest.approx(
                 0.5 * radial_squared_rate(rd, t) / r, abs=1e-14)
+        # a float in gives a float out, an array gives the same bits per entry
+        for fn in (radial_squared, radial_squared_rate, radial_momentum):
+            values = [fn(rd, t) for t in ts]
+            assert all(isinstance(v, float) for v in values), fn.__name__
+            out = fn(rd, np.array(ts))
+            assert isinstance(out, np.ndarray), fn.__name__
+            assert np.array_equal(out.view(np.uint64),
+                                  np.array(values).view(np.uint64))
 
     def test_consistency_validation(self):
         with pytest.raises(ValueError):
