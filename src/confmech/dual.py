@@ -54,13 +54,13 @@ class Dual:
     def __truediv__(self, other):
         if isinstance(other, Dual):
             inv = 1.0 / other.val
-            return Dual(self.val * inv,
+            return Dual(self.val / other.val,
                         (self.eps - self.val * inv * other.eps) * inv)
         return Dual(self.val / other, self.eps / other)
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.val
-        return Dual(other * inv, -other * inv * inv * self.eps)
+        return Dual(other / self.val, -other * inv * inv * self.eps)
 
     def __pow__(self, n):
         if isinstance(n, Dual):

@@ -124,8 +124,10 @@ def _check_collapse_free(rd: RadialData, t: float):
 def reparam_time(rd: RadialData, t: float) -> float:
     """T(t) = integral_0^t ds / r^2(s), with T(0) = 0.
 
-    Closed form (an arctan difference) when I0 > 0; adaptive quadrature to
-    absolute tolerance 1e-12 otherwise. Raises
+    Closed form when I0 > 0: with s = sqrt(2 I0), the arctan addition
+    formula folds the antiderivative's difference into the single
+    atan2(s t, r0^2 + D0 t) / s, which does not cancel as I0 -> 0+.
+    Adaptive quadrature to absolute tolerance 1e-12 otherwise. Raises
     :class:`CollapseOnPathError` if r^2 vanishes on [0, t].
     """
     if t == 0.0:
@@ -135,8 +137,7 @@ def reparam_time(rd: RadialData, t: float) -> float:
     _check_collapse_free(rd, t)
     if rd.I0 > 0.0:
         s = math.sqrt(2.0 * rd.I0)
-        return (math.atan2(2.0 * rd.E * t + rd.D0, s)
-                - math.atan2(rd.D0, s)) / s
+        return math.atan2(s * t, rd.r0sq + rd.D0 * t) / s
     val, err = quad(lambda u: 1.0 / radial_squared(rd, u), 0.0, t,
                     epsabs=1e-12, epsrel=1e-12, limit=200)
     del err
@@ -169,8 +170,10 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
 
     T_grid = np.array([reparam_time(rd, t) for t in t_grid])
 
-    if d == 1 or t_max == 0.0 or np.allclose(ell0, 0.0):
-        # no angular motion: n is constant (straight radial rays)
+    if d == 1 or t_max == 0.0:
+        # no angular motion: n is constant (straight radial rays); for
+        # d > 1 even ell0 = 0 does not qualify, as an angular potential
+        # still turns n
         ns = np.tile(n0, (len(t_grid), 1))
         ells = np.tile(ell0, (len(t_grid), 1))
     else:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confmech import dual
 from confmech.dual import Dual
@@ -37,6 +39,15 @@ class TestArithmetic:
         assert z.val == 0.5
         npt.assert_allclose(z.eps, [0.25, -0.125])
         npt.assert_allclose((1.0 / y).eps, [0.0, -1.0 / 16.0])
+
+    @given(a=st.floats(-1e6, 1e6), b=st.floats(1e-6, 1e6),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_quotient_value_is_the_float_quotient(self, a, b, sign):
+        b *= sign
+        x, y = _d(a, [1, 0]), _d(b, [0, 1])
+        assert (x / y).val.hex() == (a / b).hex()
+        assert (a / y).val.hex() == (a / b).hex()
+        assert (x / b).val.hex() == (a / b).hex()
 
     def test_power(self):
         x = _d(2.0, [1.0])

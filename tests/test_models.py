@@ -449,8 +449,7 @@ class TestOneBody:
     def test_dual_value_matches_float(self, ms, data):
         # to rounding, not bit for bit: float dot products go through BLAS,
         # whose kernels may fuse multiply-adds, while dual dot products add
-        # plain products in order, and a Dual divides by multiplying with
-        # the reciprocal
+        # plain products in order
         sys_ = _SYSTEMS[ms.label]
         Q, P = _admissible_rows(sys_, data.draw(_row_values(ms.d)), 5e-2)
         for q, p in zip(Q, P):

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confmech import models
 from confmech.errors import CollapseOnPathError, StepUnderflowError
@@ -18,6 +21,8 @@ from confmech.radial import (
     reparam_time,
 )
 from scipy.integrate import quad
+
+_CATALOG = [(ms, models.build(ms)) for ms in models.catalog()]
 
 
 def _radial_oracle_final(rd, t_end, rtol=1e-11):
@@ -123,6 +128,17 @@ class TestReparamTime:
             num, _ = quad(lambda u: 1.0 / radial_squared(rd, u), 0.0, t,
                           epsabs=1e-13, epsrel=1e-13)
             assert abs(closed - num) < 1e-10
+
+    def test_small_positive_invariant_does_not_cancel(self):
+        # I0 ~ 1e-14: the arctan difference this replaced returned
+        # 1.600000000240172, 1.5e-10 off
+        rd = RadialData(E=1.0, D0=0.5, r0sq=0.125 + 1e-14)
+        assert 0.0 < rd.I0 < 2e-14
+        num, _ = quad(lambda u: 1.0 / radial_squared(rd, u), 0.0, 1.0,
+                      epsabs=1e-13, epsrel=1e-13)
+        assert reparam_time(rd, 1.0) == pytest.approx(num, rel=1e-14)
+        assert reparam_time(rd, 1.0) == pytest.approx(1.599999999999947,
+                                                      rel=1e-14)
 
     def test_strictly_increasing(self):
         rd = RadialData(E=0.7, D0=-0.5, r0sq=1.5)
@@ -269,6 +285,84 @@ class TestReconstruct:
         for name, obs in sys_.monitors().items():
             ref = [obs.fn(q, p) for q, p in zip(qs, ps)]
             assert np.array_equal(traj.monitors[name], ref), name
+
+    def test_small_angular_momentum_is_kept(self):
+        # |ell0| = 5e-9 lies under np.allclose's absolute tolerance; a
+        # shortcut on it ended 5e-8 away from the straight line
+        free3 = models.build(models.spec("free", d=3))
+        s0 = PhaseState([1.0, 0.0, 0.0], [0.5, 5e-9, 0.0])
+        grid = np.linspace(0.0, 10.0, 11)
+        traj = reconstruct(free3, s0, grid)
+        npt.assert_allclose(traj.qs, s0.q + np.outer(grid, s0.p), rtol=0,
+                            atol=1e-12)
+        npt.assert_allclose(traj.ps, np.tile(s0.p, (len(grid), 1)), rtol=0,
+                            atol=1e-12)
+
+    @pytest.mark.parametrize("ms", [
+        models.spec("coulomb", d=3, gamma=1.0),
+        models.spec("calogero", n=3, g=1.0),
+    ], ids=lambda ms: ms.label)
+    def test_radial_launch_turned_by_angular_potential(self, ms):
+        # ell0 = 0 up to rounding, yet the angular potential turns n
+        sys_ = models.build(ms)
+        q = np.array([1.0, 0.4, -0.3][:ms.d])
+        s0 = PhaseState(q, 0.5 * q)
+        tr = reconstruct(sys_, s0, [0.0, 1.0])
+        ta = integrate_adaptive(sys_.H, s0, 1e-12, 1.0, t_eval=[1.0])
+        assert np.max(np.abs(tr.qs[-1] - ta.qs[-1])) < 1e-9
+        assert np.max(np.abs(tr.ps[-1] - ta.ps[-1])) < 1e-9
+
+    def test_rows_meet_the_rtol_contract(self, catalog_systems):
+        # every row within 5 rtol (1 + |y|) of an rtol 1e-13 run over
+        # [0, 5], from each model's kicked reference state (about 1.4x at
+        # worst, for higgs)
+        rtol = 1e-10
+        grid = np.linspace(0.0, 5.0, 201)
+        for ms, sys_ in catalog_systems:
+            ref = models.reference_state(ms)
+            s0 = PhaseState(ref.q, ref.p + np.linspace(0.1, -0.2, ms.d))
+            y, want = (np.hstack([tr.qs, tr.ps]) for tr in (
+                reconstruct(sys_, s0, grid, rtol=rtol),
+                reconstruct(sys_, s0, grid, rtol=1e-13)))
+            assert np.all(np.abs(y - want) <= 5.0 * rtol
+                          * (1.0 + np.abs(want))), ms.label
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), t_end=st.floats(0.2, 2.0),
+           num=st.integers(2, 40))
+    def test_matches_direct_integration(self, data, t_end, num):
+        # acceptance c05's check at every grid time of random states
+        ms, sys_ = data.draw(st.sampled_from(_CATALOG), label="model")
+        y0 = data.draw(hnp.arrays(np.float64, 2 * ms.d,
+                                  elements=st.floats(-2.0, 2.0)),
+                       label="state")
+        q, p = y0[:ms.d], y0[ms.d:]
+        assume(sys_.singular_distance(q) >= 5e-2)
+        assume(np.linalg.norm(q) >= 5e-2 and (ms.d > 1 or q[0] > 1e-2))
+        s0 = PhaseState(q, p)
+        tf = fall_time(RadialData.from_state(sys_, s0))
+        assume(tf is None or tf >= 1.5 * t_end)
+        grid = np.linspace(0.0, t_end, num)
+        closest = [math.inf]
+
+        def guard(q):
+            closest.append(sys_.singular_distance(q))
+            return closest[-1]
+        try:
+            tr = reconstruct(sys_, s0, grid, rtol=1e-10)
+            ta = integrate_adaptive(sys_.H, s0, 1e-10, t_end,
+                                    t_eval=grid[1:], singular_distance=guard)
+        except StepUnderflowError:
+            assume(False)  # the angular flow grazed a singular direction
+        # a path that grazes the singular set leaves the direct run, not
+        # the closed form, off by more than 1e-5 (4e-5 at a distance 9e-4)
+        assume(min(closest) >= 5e-2)
+        assert np.array_equal(tr.times, ta.times)
+        scale = np.maximum(1.0, np.maximum(np.max(np.abs(ta.qs), axis=1),
+                                           np.max(np.abs(ta.ps), axis=1)))
+        err = np.maximum(np.max(np.abs(tr.qs - ta.qs), axis=1),
+                         np.max(np.abs(tr.ps - ta.ps), axis=1)) / scale
+        assert np.all(err < 1e-5), (ms.label, float(np.max(err)))
 
     def test_one_dimensional(self):
         eq1 = models.build(models.spec("inverse-square", d=1, kappa=0.5))
