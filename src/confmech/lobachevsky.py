@@ -49,7 +49,7 @@ from .errors import (
     ZeroWError,
 )
 from .models import ModelSpec, build
-from .phase import Observable, PhaseState, poisson_bracket
+from .phase import Observable, PhaseState, brackets
 from .reduction import (
     ReducedState,
     SphericalSystem,
@@ -224,17 +224,17 @@ def _casimir_fn(sphere: SphericalSystem, d: int):
         pp = np.dot(p, p)
         qp = np.dot(q, p)
         kin = 0.5 * (qq * pp - qp * qp)
-        r = dual.sqrt(qq)
         if d == 1:
             return kin + sphere.U(np.zeros(0))
-        phi = angles_from_unit(q / r, d)
-        return kin + sphere.U(phi)
+        return kin + sphere.U(angles_from_unit(q / dual.sqrt(qq), d))
     return fn
 
 
-def w_observables(sphere: SphericalSystem, branch: str = POSITIVE_I) -> dict:
-    """Re/Im (or w/wbar) of the half-plane coordinate as Cartesian
-    observables, dual-differentiable for the bracket engine."""
+def w_observables(sphere: SphericalSystem) -> tuple:
+    """The half-plane pair (Re w, s) as Cartesian observables,
+    dual-differentiable for the bracket engine: Re w = p.q / q.q and
+    s = sqrt(|2I|) / q.q, so that w = Re w + sigma^ s with sigma^ = i for
+    I > 0 and 1 for I < 0 (the sign of I at a state picks the branch)."""
     d = sphere.d
     ifn = _casimir_fn(sphere, d)
 
@@ -242,30 +242,33 @@ def w_observables(sphere: SphericalSystem, branch: str = POSITIVE_I) -> dict:
         return np.dot(p, q) / np.dot(q, q)
 
     def s_fn(q, p):
-        i_val = ifn(q, p)
-        two_i = 2.0 * i_val if branch == POSITIVE_I else -2.0 * i_val
-        return dual.sqrt(two_i) / np.dot(q, q)
+        return dual.sqrt(abs(2.0 * ifn(q, p))) / np.dot(q, q)
 
-    if branch == POSITIVE_I:
-        return {
-            "re_w": Observable(d, re_fn, name="Re w"),
-            "im_w": Observable(d, s_fn, name="Im w"),
-        }
-    return {
-        "w": Observable(d, lambda q, p: re_fn(q, p) + s_fn(q, p), name="w"),
-        "wbar": Observable(d, lambda q, p: re_fn(q, p) - s_fn(q, p),
-                           name="wbar"),
-    }
+    return (Observable(d, re_fn, name="Re w"),
+            Observable(d, s_fn, name="sqrt|2I|/r^2"))
 
 
-def bracket_ww(sphere: SphericalSystem, s: PhaseState,
-               branch: str = POSITIVE_I) -> complex:
+def _ww(b: float, branch: str) -> complex:
+    """{w, wbar} = -2 sigma^ {Re w, s} from b = {Re w, s}."""
+    return -2j * b if branch == POSITIVE_I else complex(-2.0 * b)
+
+
+def _state_branch(sphere: SphericalSystem, s: PhaseState) -> str:
+    """The branch the sign of I picks at a state, checked before any
+    differentiation; I = 0 raises, as in :func:`to_klein`."""
+    i_val = _casimir_fn(sphere, sphere.d)(s.q, s.p)
+    if i_val == 0.0:
+        raise ZeroAngularEnergyError(
+            "the half-plane coordinate is undefined at I = 0")
+    return POSITIVE_I if i_val > 0.0 else NEGATIVE_I
+
+
+def bracket_ww(sphere: SphericalSystem, s: PhaseState) -> complex:
     """Numeric {w, wbar} at a Cartesian state (chain rule through the
-    half-plane map via the dual engine)."""
-    obs = w_observables(sphere, branch)
-    if branch == POSITIVE_I:
-        return -2j * poisson_bracket(obs["re_w"], obs["im_w"], s)
-    return complex(poisson_bracket(obs["w"], obs["wbar"], s))
+    half-plane map via the dual engine), on the branch the sign of I
+    picks there; :class:`ZeroAngularEnergyError` at I = 0."""
+    branch = _state_branch(sphere, s)
+    return _ww(float(brackets(w_observables(sphere), s)[0, 1]), branch)
 
 
 def formula_ww(kp: KleinPoint) -> complex:
@@ -300,9 +303,8 @@ class BracketTable:
         return abs(self.ww_numeric - self.ww_formula)
 
     def max_mixed_residual(self) -> float:
-        if not self.mixed:
-            return 0.0
-        return max(abs(row.numeric - row.consistent) for row in self.mixed)
+        return max((abs(row.numeric - row.consistent) for row in self.mixed),
+                   default=0.0)
 
 
 def expected_brackets(kp: KleinPoint, sphere: SphericalSystem,
@@ -312,37 +314,27 @@ def expected_brackets(kp: KleinPoint, sphere: SphericalSystem,
 
     The table reports the self-consistent mixed prefactor 1/(4I) alongside
     the commonly displayed 1/(2I) (exactly twice it); the numeric column
-    settles which one the canonical structure actually produces.
+    settles which one the canonical structure actually produces. Every
+    engine value comes from one :func:`brackets` table over (Re w, s), I
+    and the chart coordinates, on ``kp``'s branch:
+    {w, wbar} = -2 sigma^ {Re w, s} and {u, w} = {u, Re w} + sigma^ {u, s}.
     """
     d = sphere.d
-    s = from_hyperspherical(rs)
-    ww_num = bracket_ww(sphere, s, kp.branch)
-    ww_form = formula_ww(kp)
+    charts = chart_observables(d)
+    names = [f"{kind}_{a}" for a in range(d - 1) for kind in ("phi", "pi")]
+    iobs = Observable(d, _casimir_fn(sphere, d), name="I")
+    B = brackets([*w_observables(sphere), iobs] + [charts[n] for n in names],
+                 from_hyperspherical(rs)).tolist()
+    diff = kp.w - kp.wbar
     mixed = []
-    if d > 1:
-        iobs = Observable(d, _casimir_fn(sphere, d), name="I")
-        wobs = w_observables(sphere, kp.branch)
-        charts = chart_observables(d)
-        diff = kp.w - kp.wbar
-        for a in range(d - 1):
-            for kind in ("phi", "pi"):
-                name = f"{kind}_{a}"
-                u = charts[name]
-                v_a = poisson_bracket(u, iobs, s)
-                if kp.branch == POSITIVE_I:
-                    num = complex(poisson_bracket(u, wobs["re_w"], s),
-                                  poisson_bracket(u, wobs["im_w"], s))
-                else:
-                    num = complex(poisson_bracket(u, wobs["w"], s))
-                mixed.append(MixedBracketRow(
-                    name=name,
-                    eom=v_a,
-                    numeric=num,
-                    consistent=diff * v_a / (4.0 * kp.I),
-                    displayed=diff * v_a / (2.0 * kp.I),
-                ))
-    return BracketTable(branch=kp.branch, ww_numeric=ww_num,
-                        ww_formula=ww_form, mixed=mixed)
+    for j, name in enumerate(names, start=3):
+        v_a = B[j][2]
+        num = (complex(B[j][0], B[j][1]) if kp.branch == POSITIVE_I
+               else complex(B[j][0] + B[j][1]))
+        mixed.append(MixedBracketRow(name, v_a, num, diff * v_a / (4.0 * kp.I),
+                                     diff * v_a / (2.0 * kp.I)))
+    return BracketTable(branch=kp.branch, ww_numeric=_ww(B[0][1], kp.branch),
+                        ww_formula=formula_ww(kp), mixed=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +352,8 @@ def tilde_observables(sys: ConformalSystem) -> dict:
     def rt_fn(q, p):
         return dfn(q, p) / dual.sqrt(2.0 * hfn(q, p))
 
-    return {
-        "p_tilde": Observable(sys.d, pt_fn, name="p~"),
-        "r_tilde": Observable(sys.d, rt_fn, name="r~"),
-    }
+    return {"p_tilde": Observable(sys.d, pt_fn, name="p~"),
+            "r_tilde": Observable(sys.d, rt_fn, name="r~")}
 
 
 @dataclass
@@ -402,6 +392,8 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     with the angular chart: residuals like {r~, phi} sit at O(1), far above
     any bracket tolerance, at the majority of sampled states.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     sys = build(model) if isinstance(model, ModelSpec) else model
     d = sys.d
     rng = np.random.default_rng(seed)
@@ -427,30 +419,33 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
                            predicate=admissible)
 
     tobs = tilde_observables(sys)
-    # (table name, tilde coordinate, chart coordinate) of each mixed bracket
-    mixed = []
-    if d > 1:
-        charts = chart_observables(d)
-        mixed = [(f"{{{t}~,{u}_{a}}}", tobs[f"{t}_tilde"], charts[f"{u}_{a}"])
-                 for a in range(d - 1) for t in "rp" for u in ("phi", "pi")]
+    charts = chart_observables(d)
+    # one bracket table per state over (p~, r~, phi_0, pi_0, ..., Re w, s)
+    coords = ([tobs["p_tilde"], tobs["r_tilde"]]
+              + [charts[f"{u}_{a}"] for a in range(d - 1)
+                 for u in ("phi", "pi")]
+              + list(w_observables(spherical_system_from(sys.V, d))))
+    # (table name, tilde row, chart column) of each mixed bracket
+    mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), 2 + 2 * a + k)
+             for a in range(d - 1) for t in "rp"
+             for k, u in enumerate(("phi", "pi"))]
     names = (["{p~,r~}-1"] + [name for name, _, _ in mixed]
              + ["{w,wbar}-formula"])
 
     table = {n: {"max_residual": 0.0, "exceed_count": 0} for n in names}
-    sphere = spherical_system_from(sys.V, d)
     mixed_majority = 0
     for s in states:
-        res = abs(poisson_bracket(tobs["p_tilde"], tobs["r_tilde"], s) - 1.0)
-        _tally(table["{p~,r~}-1"], res, tol)
+        B = brackets(coords, s).tolist()
+        _tally(table["{p~,r~}-1"], abs(B[0][1] - 1.0), tol)
         sample_worst = 0.0
-        for name, tilde, chart in mixed:
-            val = abs(poisson_bracket(tilde, chart, s))
+        for name, j, k in mixed:
+            val = abs(B[j][k])
             _tally(table[name], val, tol)
             sample_worst = max(sample_worst, val)
         if d > 1 and sample_worst > 10.0 * tol:
             mixed_majority += 1
         kp = to_klein(to_hyperspherical(s) if d > 1 else s, casimir_I(sys, s))
-        res = abs(bracket_ww(sphere, s, kp.branch) - formula_ww(kp))
+        res = abs(_ww(B[-2][-1], kp.branch) - formula_ww(kp))
         _tally(table["{w,wbar}-formula"], res, tol)
 
     canonical = (table["{p~,r~}-1"]["max_residual"] < tol and
@@ -474,21 +469,16 @@ def _tally(entry: dict, value: float, tol: float):
 
 def bracket_matrix(sphere: SphericalSystem, s: PhaseState) -> np.ndarray:
     """Antisymmetric matrix {xi_j, xi_k} of the half-plane coordinates
-    xi = (Re w, Im w, phi^a..., pi_a...)."""
+    xi = (Re w, Im w, phi^a..., pi_a...): one :func:`brackets` table. The
+    positive-I inverse of :func:`assemble_omega`, so I <= 0 raises
+    :class:`ZeroAngularEnergyError` before any differentiation."""
+    if _state_branch(sphere, s) != POSITIVE_I:
+        raise ZeroAngularEnergyError("the Kahler block needs I > 0")
     d = sphere.d
-    wobs = w_observables(sphere, POSITIVE_I)
-    coords = [wobs["re_w"], wobs["im_w"]]
-    if d > 1:
-        charts = chart_observables(d)
-        coords += [charts[f"phi_{a}"] for a in range(d - 1)]
-        coords += [charts[f"pi_{a}"] for a in range(d - 1)]
-    m = len(coords)
-    B = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j + 1, m):
-            B[j, k] = poisson_bracket(coords[j], coords[k], s)
-            B[k, j] = -B[j, k]
-    return B
+    charts = chart_observables(d)
+    return brackets(list(w_observables(sphere))
+                    + [charts[f"phi_{a}"] for a in range(d - 1)]
+                    + [charts[f"pi_{a}"] for a in range(d - 1)], s)
 
 
 def assemble_omega(rs: Union[ReducedState, PhaseState, tuple],

@@ -179,11 +179,24 @@ def grad(obs: Observable, state: PhaseState):
     return dq, dp
 
 
+def brackets(observables, state: PhaseState) -> np.ndarray:
+    """Table ``B[j, k] = {A_j, A_k}`` of every ordered pair at a state,
+    each observable differentiated once (by :func:`grad`). Each entry off
+    the zero diagonal is computed from its own ordered pair, not negated
+    from its transpose, so the sign of an exact zero is the pair's own."""
+    grads = [grad(A, state) for A in observables]
+    B = np.zeros((len(grads), len(grads)))
+    for j, (dAq, dAp) in enumerate(grads):
+        for k, (dBq, dBp) in enumerate(grads):
+            if j != k:
+                B[j, k] = np.dot(dAp, dBq) - np.dot(dAq, dBp)
+    return B
+
+
 def poisson_bracket(A: Observable, B: Observable, state: PhaseState) -> float:
-    """{A, B} at a state, with the {p, x} = +1 sign convention."""
-    dAq, dAp = grad(A, state)
-    dBq, dBp = grad(B, state)
-    return float(np.dot(dAp, dBq) - np.dot(dAq, dBp))
+    """{A, B} at a state, with the {p, x} = +1 sign convention: the one
+    entry of the two-observable :func:`brackets` table."""
+    return float(brackets((A, B), state)[0, 1])
 
 
 @dataclass

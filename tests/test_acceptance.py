@@ -360,7 +360,7 @@ def test_c10_bracket_formulas(catalog_systems):
     for _ in range(50):
         s = PhaseState([rng.uniform(0.3, 2.0)], [rng.uniform(-2.0, 2.0)])
         kp = to_klein(s, casimir_I(att, s))
-        res = abs(bracket_ww(sph_att, s, kp.branch) - formula_ww(kp))
+        res = abs(bracket_ww(sph_att, s) - formula_ww(kp))
         worst_ww = max(worst_ww, res)
         assert res < 1e-8
     coul = models.build(models.spec("coulomb", d=3, gamma=1.0))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confmech.dual as dual
 from confmech import models
@@ -13,9 +15,10 @@ from confmech.conformal import (
     verify_algebra,
 )
 from confmech.errors import ConfmechError, IncompleteResultError
-from confmech.phase import Observable, PhaseState, integrate_verlet
-from confmech.reduction import spherical_energy, spherical_system_from, \
-    to_hyperspherical
+from confmech.phase import Observable, PhaseState, brackets, grad, \
+    integrate_verlet
+from confmech.reduction import chart_observables, spherical_energy, \
+    spherical_system_from, to_hyperspherical
 
 from conftest import chart_interior, model_states
 
@@ -120,6 +123,47 @@ class TestVerifyAlgebra:
         d = rep.to_dict()
         assert list(d) == ["relations", "residuals", "samples", "tol",
                            "seed", "pass"]
+
+    def test_samples_must_be_positive(self):
+        # no state checked is no verdict, as in check_homogeneity
+        sys_ = models.build(models.spec("free", d=2))
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                verify_algebra(sys_, samples=n)
+
+
+_CATALOG = [(ms, models.build(ms)) for ms in models.catalog()]
+
+
+class TestBracketTable:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_closure_and_casimir(self, data, seed):
+        ms, sys_ = data.draw(st.sampled_from(_CATALOG), label="model")
+        (s,) = model_states(sys_, 1, seed, predicate=chart_interior)
+        charts = chart_observables(sys_.d)
+        obs = [sys_.H, sys_.D, sys_.K, sys_.casimir, *charts.values()]
+        B = brackets(obs, s)
+        assert np.all(np.diag(B) == 0.0)
+        assert np.array_equal(B, -B.T)
+        # every entry is the two-dot expression of its own ordered pair
+        grads = [grad(A, s) for A in obs]
+        for j, (dAq, dAp) in enumerate(grads):
+            for k, (dBq, dBp) in enumerate(grads):
+                if j != k:
+                    want = np.dot(dAp, dBq) - np.dot(dAq, dBp)
+                    assert B[j, k].tobytes() == want.tobytes(), (j, k)
+        # so(1,2) closure at c01's 1e-8, normalized by max(1, |rhs|)
+        h, dd, kk = sys_.H(s), sys_.D(s), sys_.K(s)
+        for lhs, rhs in ((B[0, 1], 2.0 * h), (B[0, 2], dd),
+                         (B[2, 1], -2.0 * kk)):
+            assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs)), ms.label
+        # the Casimir identity at c02's 1e-10
+        rs = to_hyperspherical(s)
+        i_c = casimir_I(sys_, s)
+        i_s = spherical_energy(spherical_system_from(sys_.V, sys_.d),
+                               rs.phi, rs.pi)
+        assert abs(i_c - i_s) < 1e-10 * max(1.0, abs(i_c)), ms.label
 
 
 class TestCasimir:

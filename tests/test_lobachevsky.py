@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from confmech import models
+from confmech import models, phase
 from confmech.conformal import casimir_I
 from confmech.errors import (
     NonPositiveEnergyError,
@@ -203,7 +203,7 @@ class TestBracketFormulas:
         sphere = spherical_system_from(sys_.V, 1)
         for x, p in ((1.0, 1.0), (0.7, -0.5), (1.8, 0.0)):
             s = PhaseState([x], [p])
-            num = bracket_ww(sphere, s, POSITIVE_I)
+            num = bracket_ww(sphere, s)
             assert num == pytest.approx(4j * 1.0 / x ** 4, abs=1e-9)
             kp = to_klein((x, p), casimir_I(sys_, s))
             assert formula_ww(kp) == pytest.approx(num, abs=1e-9)
@@ -217,7 +217,7 @@ class TestBracketFormulas:
             sphere = spherical_system_from(sys_.V, sys_.d)
             for s in _positive_I_states(sys_, 10, seed=53):
                 kp = to_klein(to_hyperspherical(s), casimir_I(sys_, s))
-                num = bracket_ww(sphere, s, kp.branch)
+                num = bracket_ww(sphere, s)
                 assert abs(num - formula_ww(kp)) < 1e-8 * max(
                     1.0, abs(num))
 
@@ -228,7 +228,7 @@ class TestBracketFormulas:
             s = PhaseState([x], [p])
             i_val = casimir_I(sys_, s)
             kp = to_klein((x, p), i_val)
-            num = bracket_ww(sphere, s, kp.branch)
+            num = bracket_ww(sphere, s)
             assert abs(num - formula_ww(kp)) < 1e-8 * max(1.0, abs(num))
 
     def test_mixed_brackets_free_d2(self):
@@ -292,6 +292,12 @@ class TestCanonicity:
             samples=40, tol=1e-8, seed=2)
         assert rep.verdict == "non-canonical"
 
+    def test_samples_must_be_positive(self):
+        # zero states would read "canonical", the opposite of d > 1's verdict
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                canonicity_report(models.spec("free", d=3), samples=n)
+
     def test_report_dict(self):
         rep = canonicity_report(models.spec("free", d=2), samples=10,
                                 tol=1e-8, seed=3)
@@ -299,6 +305,34 @@ class TestCanonicity:
         assert list(d) == ["dimension", "brackets", "samples", "tol",
                            "seed", "verdict", "sign_notes"]
         assert d["dimension"] == 2
+
+
+class TestHalfPlaneErrors:
+    """I <= 0 raises a typed error before anything is differentiated."""
+
+    @pytest.fixture(autouse=True)
+    def no_gradients(self, monkeypatch):
+        def differentiated(*args):
+            raise AssertionError("differentiated before the I check")
+        monkeypatch.setattr(phase, "_grad_arrays", differentiated)
+
+    def test_bracket_matrix_negative_I(self):
+        sys_ = models.build(models.spec("inverse-square", d=1, kappa=-0.5))
+        sphere = spherical_system_from(sys_.V, 1)
+        with pytest.raises(ZeroAngularEnergyError):
+            bracket_matrix(sphere, PhaseState([1.0], [0.5]))
+
+    def test_bracket_matrix_zero_I(self):
+        sphere = spherical_system_from(
+            models.potential(models.spec("free", d=2)), 2)
+        with pytest.raises(ZeroAngularEnergyError):
+            bracket_matrix(sphere, PhaseState([1.0, 0.0], [1.0, 0.0]))
+
+    def test_bracket_ww_zero_I(self):
+        sphere = spherical_system_from(
+            models.potential(models.spec("free", d=2)), 2)
+        with pytest.raises(ZeroAngularEnergyError):
+            bracket_ww(sphere, PhaseState([1.0, 0.0], [1.0, 0.0]))
 
 
 class TestOmega:

@@ -129,6 +129,39 @@ class TestReparamTime:
                           epsabs=1e-13, epsrel=1e-13)
             assert abs(closed - num) < 1e-10
 
+    @settings(max_examples=150, deadline=None)
+    @given(sign=st.sampled_from((1.0, -1.0, 0.0)), r0sq=st.floats(0.1, 4.0),
+           d0=st.floats(-2.0, 2.0), mag=st.floats(1e-6, 2.0),
+           frac=st.floats(0.01, 1.0))
+    def test_matches_quadrature_every_sign(self, sign, r0sq, d0, mag, frac):
+        # collapse-free (E, D0, r0^2, t) with t <= 0.9 fall_time, for
+        # I0 > 0, I0 < 0 and I0 = 0 (D0 >= 0 puts the double root at t < 0)
+        if sign == 0.0:
+            d0 = abs(d0)
+            rd = RadialData(E=d0 * d0 / (2.0 * r0sq), D0=d0, r0sq=r0sq,
+                            I0=0.0)
+        else:
+            rd = RadialData(E=(d0 * d0 + 2.0 * sign * mag) / (2.0 * r0sq),
+                            D0=d0, r0sq=r0sq)
+            assume(rd.I0 * sign > 0.0)
+        tf = fall_time(rd)
+        t = frac * (4.0 if tf is None else min(4.0, 0.9 * tf))
+        got = reparam_time(rd, t)
+        # the oracle integrates r^2 in vertex form ((2Eu + D0)^2 + 2I0)/(2E):
+        # at a near-collapse pass (0 < I0 << D0^2) the expanded quadratic
+        # cancels, and quad of it misses the 50-digit T by 5.5e-9 at
+        # E = 2.000001, D0 = -2, r0^2 = 1, t = 1 (the atan2 form: 1e-13);
+        # a tiny |E| has no pass and would underflow the vertex form
+        if abs(rd.E) < 1e-8:
+            def inv_r2(u):
+                return 1.0 / radial_squared(rd, u)
+        else:
+            def inv_r2(u):
+                return 2.0 * rd.E / ((2.0 * rd.E * u + rd.D0) ** 2
+                                     + 2.0 * rd.I0)
+        num, _ = quad(inv_r2, 0.0, t, epsabs=1e-13, epsrel=1e-13)
+        assert abs(got - num) <= 1e-12 * max(1.0, abs(got))
+
     def test_small_positive_invariant_does_not_cancel(self):
         # I0 ~ 1e-14: the arctan difference this replaced returned
         # 1.600000000240172, 1.5e-10 off
