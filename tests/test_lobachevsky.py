@@ -307,6 +307,143 @@ class TestCanonicity:
         assert d["dimension"] == 2
 
 
+# The decoupling verdicts at 200 samples, recorded from the per-state
+# engine: (model index in _GOLDEN_SPECS, seed) -> (verdict, name ->
+# (max_residual, exceed_count)).
+_GOLDEN_SPECS = [models.spec("inverse-square", d=d, kappa=0.5)
+                 for d in (1, 2, 3)] + [models.spec("calogero", n=4)]
+_GOLDEN = {
+    (0, 0): ('canonical', {
+        '{p~,r~}-1': (4.440892098500626e-16, 0),
+        '{w,wbar}-formula': (1.4901161193847656e-08, 1),
+    }),
+    (0, 1): ('canonical', {
+        '{p~,r~}-1': (4.440892098500626e-16, 0),
+        '{w,wbar}-formula': (5.960464477539063e-08, 1),
+    }),
+    (0, 7): ('canonical', {
+        '{p~,r~}-1': (4.440892098500626e-16, 0),
+        '{w,wbar}-formula': (7.450580596923828e-09, 0),
+    }),
+    (1, 0): ('non-canonical', {
+        '{p~,r~}-1': (4.440892098500626e-16, 0),
+        '{r~,phi_0}': (0.43044989598402467, 200),
+        '{r~,pi_0}': (1.3322676295501878e-15, 0),
+        '{p~,phi_0}': (1.5334125269774121, 200),
+        '{p~,pi_0}': (5.770969011414468e-16, 0),
+        '{w,wbar}-formula': (2.7284841053187847e-12, 0),
+    }),
+    (1, 1): ('non-canonical', {
+        '{p~,r~}-1': (4.440892098500626e-16, 0),
+        '{r~,phi_0}': (0.3779910604684587, 200),
+        '{r~,pi_0}': (8.881784197001252e-16, 0),
+        '{p~,phi_0}': (1.2030341830728413, 200),
+        '{p~,pi_0}': (9.16559424461635e-16, 0),
+        '{w,wbar}-formula': (2.1827872842550278e-11, 0),
+    }),
+    (1, 7): ('non-canonical', {
+        '{p~,r~}-1': (4.440892098500626e-16, 0),
+        '{r~,phi_0}': (0.39174549701430356, 200),
+        '{r~,pi_0}': (8.881784197001252e-16, 0),
+        '{p~,phi_0}': (1.9107860992408108, 200),
+        '{p~,pi_0}': (9.249818499327602e-16, 0),
+        '{w,wbar}-formula': (2.8421709430404007e-13, 0),
+    }),
+    (2, 0): ('non-canonical', {
+        '{p~,r~}-1': (4.440892098500626e-16, 0),
+        '{r~,phi_0}': (0.29463035917233266, 200),
+        '{r~,pi_0}': (1.7671068692513874, 200),
+        '{p~,phi_0}': (1.176245913664887, 200),
+        '{p~,pi_0}': (4.917600636091253, 200),
+        '{r~,phi_1}': (0.838102610948908, 200),
+        '{r~,pi_1}': (1.792186191118539e-15, 0),
+        '{p~,phi_1}': (2.0123626710295976, 200),
+        '{p~,pi_1}': (6.078399624948961e-15, 0),
+        '{w,wbar}-formula': (1.4210854715202004e-14, 0),
+    }),
+    (2, 1): ('non-canonical', {
+        '{p~,r~}-1': (4.440892098500626e-16, 0),
+        '{r~,phi_0}': (0.3735212196815238, 200),
+        '{r~,pi_0}': (3.07615111787378, 200),
+        '{p~,phi_0}': (1.0052699474472753, 200),
+        '{p~,pi_0}': (8.705846757966142, 200),
+        '{r~,phi_1}': (1.1671337607569154, 200),
+        '{r~,pi_1}': (8.881784197001252e-16, 0),
+        '{p~,phi_1}': (3.3031171999838476, 200),
+        '{p~,pi_1}': (9.767476693942506e-16, 0),
+        '{w,wbar}-formula': (3.552713678800501e-14, 0),
+    }),
+    (2, 7): ('non-canonical', {
+        '{p~,r~}-1': (4.440892098500626e-16, 0),
+        '{r~,phi_0}': (0.391004227112871, 200),
+        '{r~,pi_0}': (1.2566433152216308, 200),
+        '{p~,phi_0}': (0.7760122956112175, 200),
+        '{p~,pi_0}': (3.2490465842260776, 200),
+        '{r~,phi_1}': (0.6746810816941636, 200),
+        '{r~,pi_1}': (6.661338147750939e-16, 0),
+        '{p~,phi_1}': (1.6202962405445558, 200),
+        '{p~,pi_1}': (3.849766457262861e-15, 0),
+        '{w,wbar}-formula': (1.4210854715202004e-14, 0),
+    }),
+    (3, 0): ('non-canonical', {
+        '{p~,r~}-1': (8.182343691487404e-14, 0),
+        '{r~,phi_0}': (0.07400222751163062, 199),
+        '{r~,pi_0}': (12.026556480423894, 200),
+        '{p~,phi_0}': (0.30258123021614064, 200),
+        '{p~,pi_0}': (481757.1682462403, 200),
+        '{r~,phi_1}': (0.08256678574578927, 199),
+        '{r~,pi_1}': (9.6635139135059, 200),
+        '{p~,phi_1}': (0.464959419108324, 200),
+        '{p~,pi_1}': (76381.28040266714, 200),
+        '{w,wbar}-formula': (7.23048287909478e-11, 0),
+    }),
+    (3, 1): ('non-canonical', {
+        '{p~,r~}-1': (3.3084646133829665e-14, 0),
+        '{r~,phi_0}': (0.04932408182346941, 200),
+        '{r~,pi_0}': (10.51408491729399, 200),
+        '{p~,phi_0}': (0.2837964761229716, 200),
+        '{p~,pi_0}': (131894.72851832458, 200),
+        '{r~,phi_1}': (0.07547952836101218, 199),
+        '{r~,pi_1}': (9.428255677513524, 200),
+        '{p~,phi_1}': (0.5862579275647801, 200),
+        '{p~,pi_1}': (75484.50180596006, 200),
+        '{w,wbar}-formula': (3.660716174636036e-11, 0),
+    }),
+    (3, 7): ('non-canonical', {
+        '{p~,r~}-1': (4.773959005888173e-14, 0),
+        '{r~,phi_0}': (0.047248108559862646, 200),
+        '{r~,pi_0}': (11.796959780614525, 200),
+        '{p~,phi_0}': (0.3022379968162164, 200),
+        '{p~,pi_0}': (77413.62236522949, 200),
+        '{r~,phi_1}': (0.0618419344275124, 200),
+        '{r~,pi_1}': (9.05206522004134, 200),
+        '{p~,phi_1}': (0.46641088157977045, 200),
+        '{p~,pi_1}': (15165.356110870905, 200),
+        '{w,wbar}-formula': (2.1742607714259066e-12, 0),
+    }),
+}
+
+
+class TestGoldenVerdicts:
+    """Verdicts and exceed counts are exact; max_residual is pinned at
+    rel 1e-9, abs 1e-13 (last-bit moves of an O(1) bracket pass, a
+    different rounding-level residual does not)."""
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN), ids=lambda k: (
+        f"{_GOLDEN_SPECS[k[0]].label}-seed{k[1]}"))
+    def test_report_matches(self, key):
+        verdict, table = _GOLDEN[key]
+        doc = canonicity_report(_GOLDEN_SPECS[key[0]], samples=200,
+                                seed=key[1]).to_dict()
+        assert doc["verdict"] == verdict
+        assert list(doc["brackets"]) == list(table)
+        for name, (worst, exceed) in table.items():
+            entry = doc["brackets"][name]
+            assert entry["exceed_count"] == exceed, name
+            assert entry["max_residual"] == pytest.approx(
+                worst, rel=1e-9, abs=1e-13), name
+
+
 class TestHalfPlaneErrors:
     """I <= 0 raises a typed error before anything is differentiated."""
 
