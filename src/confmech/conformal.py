@@ -115,29 +115,37 @@ def casimir_I(sys: ConformalSystem, s: PhaseState) -> float:
 
 def sample_states(d: int, n: int, rng: np.random.Generator, box: float = 2.0,
                   singular_distance: Callable = None, exclusion: float = 1e-3,
-                  predicate: Callable = None):
+                  predicate: Callable = None, rows_predicate: Callable = None):
     """Reproducible random phase points, resampled away from singular sets.
 
     Components are uniform in [-box, box]; draws within ``exclusion`` of the
-    singular set (or rejected by ``predicate(state)``) are discarded, up to
-    ``100 * n`` attempts; then :class:`IncompleteResultError`.
+    singular set, rejected by ``rows_predicate(Q, P)`` (a bool per row of
+    ``(k, d)`` arrays) or rejected by ``predicate(state)`` are discarded, up
+    to ``100 * n`` attempts; then :class:`IncompleteResultError`.
+
+    Candidates are drawn ``n - accepted`` at a time as one ``(k, 2, d)``
+    array of q and p rows, which takes the generator's stream exactly as
+    drawing q and then p for each attempt would, so the states, their order
+    and the attempt count do not depend on the chunking.
     """
     out = []
     attempts = 0
     while len(out) < n:
-        attempts += 1
-        if attempts > 100 * n:
+        k = min(n - len(out), 100 * n - attempts)
+        if k <= 0:
             raise IncompleteResultError(
                 "state sampler exhausted its attempt budget; the "
                 "admissible region is too small")
-        q = rng.uniform(-box, box, size=d)
-        p = rng.uniform(-box, box, size=d)
-        if singular_distance is not None and singular_distance(q) < exclusion:
-            continue
-        s = PhaseState(q, p)
-        if predicate is not None and not predicate(s):
-            continue
-        out.append(s)
+        attempts += k
+        X = rng.uniform(-box, box, size=(k, 2, d))
+        if singular_distance is not None:
+            X = X[[not singular_distance(q) < exclusion for q in X[:, 0]]]
+        if rows_predicate is not None and len(X):
+            X = X[rows_predicate(X[:, 0], X[:, 1])]
+        for q, p in X:
+            s = PhaseState(q, p)
+            if predicate is None or predicate(s):
+                out.append(s)
     return out
 
 

@@ -41,7 +41,7 @@ from typing import Union
 import numpy as np
 
 from . import dual
-from .conformal import ConformalSystem, casimir_I, sample_states
+from .conformal import ConformalSystem, sample_states
 from .errors import (
     ConfmechError,
     NonPositiveEnergyError,
@@ -56,6 +56,7 @@ from .reduction import (
     angles_from_unit,
     chart_observables,
     from_hyperspherical,
+    hyperspherical_rows,
     spherical_system_from,
     to_hyperspherical,
 )
@@ -220,13 +221,14 @@ def _casimir_fn(sphere: SphericalSystem, d: int):
     """I as a dual-differentiable function of the Cartesian state, built
     from the angular data alone: I = (r^2 p^2 - (p.q)^2)/2 + U(angles)."""
     def fn(q, p):
-        qq = np.dot(q, q)
-        pp = np.dot(p, p)
-        qp = np.dot(q, p)
+        qq = np.vecdot(q, q)
+        pp = np.vecdot(p, p)
+        qp = np.vecdot(q, p)
         kin = 0.5 * (qq * pp - qp * qp)
         if d == 1:
             return kin + sphere.U(np.zeros(0))
-        return kin + sphere.U(angles_from_unit(q / dual.sqrt(qq), d))
+        return kin + sphere.U(angles_from_unit(q / dual.col(dual.sqrt(qq)),
+                                               d))
     return fn
 
 
@@ -239,10 +241,10 @@ def w_observables(sphere: SphericalSystem) -> tuple:
     ifn = _casimir_fn(sphere, d)
 
     def re_fn(q, p):
-        return np.dot(p, q) / np.dot(q, q)
+        return np.vecdot(p, q) / np.vecdot(q, q)
 
     def s_fn(q, p):
-        return dual.sqrt(abs(2.0 * ifn(q, p))) / np.dot(q, q)
+        return dual.sqrt(abs(2.0 * ifn(q, p))) / np.vecdot(q, q)
 
     return (Observable(d, re_fn, name="Re w"),
             Observable(d, s_fn, name="sqrt|2I|/r^2"))
@@ -391,76 +393,95 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     canonical. In d > 1 the transformed radial coordinates fail to commute
     with the angular chart: residuals like {r~, phi} sit at O(1), far above
     any bracket tolerance, at the majority of sampled states.
+
+    The admissibility screen, the bracket tables and the residuals each
+    run once over all sampled rows, and every number in the report is the
+    one a state-by-state evaluation gives; the potential must therefore be
+    one body over ``(..., d)`` rows, as every catalog potential is.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     sys = build(model) if isinstance(model, ModelSpec) else model
+    if sys.H.rows is None:
+        raise ValueError("canonicity_report needs a potential written once "
+                         "over (..., d) rows (V.rows is V.fn)")
     d = sys.d
     rng = np.random.default_rng(seed)
 
-    def admissible(s):
+    def admissible(Q, P):
+        # H > 1e-2, I > 1e-2, and x > 1e-2 (d = 1) or the chart's 1e-3
+        # pole margin (d > 1); a batch that raises is settled row by row,
+        # and a row that raises is out
         try:
-            h = sys.H(s)
-            i_val = casimir_I(sys, s)
+            h, i_val = _casimir_rows(sys, Q, P)
+            ok = np.isfinite(h) & (h > 1e-2) & (i_val > 1e-2)
+            if d == 1:
+                return ok & (Q[:, 0] > 1e-2)
+            hyperspherical_rows(Q, P, delta=1e-3)
+            return ok
         except ConfmechError:
-            return False
-        if not (h > 1e-2 and i_val > 1e-2):
-            return False
-        if d == 1:
-            return s.q[0] > 1e-2
-        try:
-            to_hyperspherical(s, delta=1e-3)
-        except ConfmechError:
-            return False
-        return True
+            if len(Q) == 1:
+                return np.zeros(1, dtype=bool)
+            return np.concatenate([admissible(Q[i:i + 1], P[i:i + 1])
+                                   for i in range(len(Q))])
 
     states = sample_states(d, samples, rng,
                            singular_distance=sys.singular_distance,
-                           predicate=admissible)
+                           rows_predicate=admissible)
+    Q = np.array([s.q for s in states])
+    P = np.array([s.p for s in states])
 
     tobs = tilde_observables(sys)
     charts = chart_observables(d)
-    # one bracket table per state over (p~, r~, phi_0, pi_0, ..., Re w, s)
+    # every state's bracket table over (p~, r~, phi_0, pi_0, ..., Re w, s)
     coords = ([tobs["p_tilde"], tobs["r_tilde"]]
               + [charts[f"{u}_{a}"] for a in range(d - 1)
                  for u in ("phi", "pi")]
               + list(w_observables(spherical_system_from(sys.V, d))))
+    B = brackets(coords, Q, P)
     # (table name, tilde row, chart column) of each mixed bracket
     mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), 2 + 2 * a + k)
              for a in range(d - 1) for t in "rp"
              for k, u in enumerate(("phi", "pi"))]
-    names = (["{p~,r~}-1"] + [name for name, _, _ in mixed]
-             + ["{w,wbar}-formula"])
+    _, i_val = _casimir_rows(sys, Q, P)
+    # r is to_hyperspherical's, and I > 0 puts every state on the positive
+    # branch
+    columns = {"{p~,r~}-1": np.abs(B[:, 0, 1] - 1.0),
+               **{name: np.abs(B[:, j, k]) for name, j, k in mixed},
+               "{w,wbar}-formula": _ww_residual_rows(
+                   B[:, -2, -1], np.sqrt(np.vecdot(Q, Q)), i_val)}
+    table = {name: {"max_residual": float(max(0.0, v.max())),
+                    "exceed_count": int(np.sum(v > tol))}
+             for name, v in columns.items()}
 
-    table = {n: {"max_residual": 0.0, "exceed_count": 0} for n in names}
-    mixed_majority = 0
-    for s in states:
-        B = brackets(coords, s).tolist()
-        _tally(table["{p~,r~}-1"], abs(B[0][1] - 1.0), tol)
-        sample_worst = 0.0
-        for name, j, k in mixed:
-            val = abs(B[j][k])
-            _tally(table[name], val, tol)
-            sample_worst = max(sample_worst, val)
-        if d > 1 and sample_worst > 10.0 * tol:
-            mixed_majority += 1
-        kp = to_klein(to_hyperspherical(s) if d > 1 else s, casimir_I(sys, s))
-        res = abs(_ww(B[-2][-1], kp.branch) - formula_ww(kp))
-        _tally(table["{w,wbar}-formula"], res, tol)
-
-    canonical = (table["{p~,r~}-1"]["max_residual"] < tol and
-                 all(table[n]["max_residual"] < tol for n, _, _ in mixed))
-    if d > 1 and mixed_majority > len(states) // 2:
-        canonical = False
+    canonical = all(entry["max_residual"] < tol
+                    for name, entry in table.items()
+                    if name != "{w,wbar}-formula")
+    if d > 1:
+        worst = np.max([columns[name] for name, _, _ in mixed], axis=0)
+        if np.sum(worst > 10.0 * tol) > len(states) // 2:
+            canonical = False
     return CanonicityReport(
         dimension=d, brackets=table, samples=samples, tol=tol, seed=seed,
         verdict="canonical" if canonical else "non-canonical")
 
 
-def _tally(entry: dict, value: float, tol: float):
-    entry["max_residual"] = max(entry["max_residual"], value)
-    if value > tol:
-        entry["exceed_count"] += 1
+def _casimir_rows(sys: ConformalSystem, Q, P):
+    """H and I at every row, each bit for bit ``sys.H(s)`` and
+    ``casimir_I(sys, s)`` (float_power rounds D**2 as Python does)."""
+    h = sys.H.rows(Q, P)
+    return h, 0.5 * (4.0 * h * sys.K.rows(Q, P)
+                     - np.float_power(sys.D.rows(Q, P), 2))
+
+
+def _ww_residual_rows(b, r, i_val):
+    """``abs(_ww(b, POSITIVE_I) - formula_ww(to_klein((r, p_r), I)))`` at
+    every row, rounded as that complex scalar path rounds it: with
+    s = sqrt(2I), w - wbar = 2i s/r**2 and both sides are imaginary,
+    -2i b against i (s / s**2) (2 s/r**2)**2."""
+    s = np.sqrt(2.0 * i_val)
+    t = 2.0 * (s / np.float_power(r, 2))
+    return np.abs(-2.0 * b - s / np.float_power(s, 2) * (t * t))
 
 
 # ---------------------------------------------------------------------------

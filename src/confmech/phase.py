@@ -67,19 +67,21 @@ class Observable:
     """A scalar function of a phase point with a gradient.
 
     ``fn(q, p)`` must accept plain float arrays and, unless an analytic
-    ``grad_fn(q, p) -> (dq, dp)`` is given, object arrays of dual numbers
-    (write scalar math through :mod:`confmech.dual` helpers): gradients
-    come from ``grad_fn`` if set, else from the dual engine, and an
-    observable that digests neither raises. ``grad_fn`` is worth providing
-    on anything evaluated inside an integrator loop.
+    ``grad_fn(q, p) -> (dq, dp)`` is given, dual-number jets (write scalar
+    math through :mod:`confmech.dual` helpers or numpy): gradients come
+    from ``grad_fn`` if set, else from the dual engine, and an observable
+    that digests neither raises. ``grad_fn`` is worth providing on
+    anything evaluated inside an integrator loop.
 
     The optional array form ``rows(Q, P)`` takes ``(N, d)`` float arrays
     and returns the N values of ``fn`` on their rows, bit for bit (it
     raises what ``fn`` raises on any row); trajectory monitors use it in
     place of N calls to ``fn``. An ``fn`` written once over ``(..., d)``
-    arrays (``np.vecdot`` for dot products, ``q.T[k]`` for a coordinate)
-    serves floats, duals and rows alike and is its own ``rows``, as the
-    catalog potentials and the generators of ``build_system`` are.
+    arrays (``np.vecdot`` for dot products, ``q.T[k]`` or ``q[..., k]``
+    for a coordinate) serves floats, jets and rows alike and is its own
+    ``rows``, as the catalog potentials and the generators of
+    ``build_system`` are; the rows form of :func:`brackets`
+    differentiates such an ``fn`` at all rows in one jet evaluation.
     """
 
     __slots__ = ("dim", "fn", "grad_fn", "name", "rows")
@@ -179,17 +181,48 @@ def grad(obs: Observable, state: PhaseState):
     return dq, dp
 
 
-def brackets(observables, state: PhaseState) -> np.ndarray:
+def _grad_rows(obs: Observable, Q: np.ndarray, P: np.ndarray):
+    """``(dQ, dP)`` at every row of ``(N, d)`` arrays with :func:`grad`'s
+    checks: the analytic ``grad_fn`` row by row, else one jet evaluation
+    over all rows, where the first row whose value or gradient is not
+    finite raises what :func:`grad` raises at that state."""
+    if obs.grad_fn is not None:
+        g = [grad(obs, PhaseState(q, p)) for q, p in zip(Q, P)]
+        return (np.reshape([x[0] for x in g], Q.shape),
+                np.reshape([x[1] for x in g], P.shape))
+    vals, (dq, dp) = dual.gradient(obs.fn, Q, P)
+    ok = np.isfinite(vals) & np.isfinite(dq).all(-1) & np.isfinite(dp).all(-1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        s = PhaseState(Q[i], P[i])
+        grad(obs, s)  # raises grad's own error at that state
+        raise NonFiniteError(f"gradient of {obs.name or '<anon>'} is not "
+                             "finite", state=s)
+    return dq, dp
+
+
+def brackets(observables, state, P: np.ndarray = None) -> np.ndarray:
     """Table ``B[j, k] = {A_j, A_k}`` of every ordered pair at a state,
     each observable differentiated once (by :func:`grad`). Each entry off
     the zero diagonal is computed from its own ordered pair, not negated
-    from its transpose, so the sign of an exact zero is the pair's own."""
-    grads = [grad(A, state) for A in observables]
-    B = np.zeros((len(grads), len(grads)))
+    from its transpose, so the sign of an exact zero is the pair's own.
+
+    Rows form: ``brackets(observables, Q, P)`` with ``(N, d)`` arrays gives
+    the ``(N, m, m)`` tables of all rows from one gradient evaluation per
+    observable. Each slice is bit for bit the table of its row's state,
+    but for the sign of an exact zero: ``np.vecdot`` adds its dot product
+    to +0.0, where ``np.dot`` of two vectors returns it as it is."""
+    if P is None:
+        lead, dot = (), np.dot
+        grads = [grad(A, state) for A in observables]
+    else:
+        lead, dot = P.shape[:-1], np.vecdot
+        grads = [_grad_rows(A, state, P) for A in observables]
+    B = np.zeros(lead + (len(grads), len(grads)))
     for j, (dAq, dAp) in enumerate(grads):
         for k, (dBq, dBp) in enumerate(grads):
             if j != k:
-                B[j, k] = np.dot(dAp, dBq) - np.dot(dAq, dBp)
+                B[..., j, k] = dot(dAp, dBq) - dot(dAq, dBp)
     return B
 
 

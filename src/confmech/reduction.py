@@ -79,22 +79,23 @@ def _factor_lists(d: int):
 
 
 def _factor(phi, idx, kind):
-    return dual.sin(phi[idx]) if kind == "s" else dual.cos(phi[idx])
+    return dual.sin(phi[..., idx]) if kind == "s" else dual.cos(phi[..., idx])
 
 
 def unit_from_angles(phi, d: int):
-    """Unit vector on the (d-1)-sphere; works on floats and duals."""
+    """Unit vectors on the (d-1)-sphere from ``(..., d-1)`` angles; floats
+    or jets."""
     out = []
     for factors in _factor_lists(d):
         v = 1.0
         for idx, kind in factors:
             v = v * _factor(phi, idx, kind)
         out.append(v)
-    return np.array(out)  # float unless a dual entered
+    return dual.stack(out)
 
 
 def unit_tangents(phi, d: int):
-    """d x (d-1) matrix of tangent vectors du/dt_a (floats or duals)."""
+    """``(..., d, d-1)`` tangent vectors du/dt_a (floats or jets)."""
     out = []
     for factors in _factor_lists(d):
         row = [0.0] * (d - 1)
@@ -102,66 +103,71 @@ def unit_tangents(phi, d: int):
             v = 1.0
             for pos, (idx, kind) in enumerate(factors):
                 if pos == which:
-                    f = (dual.cos(phi[idx]) if kind == "s"
-                         else -dual.sin(phi[idx]))
+                    f = (dual.cos(phi[..., idx]) if kind == "s"
+                         else -dual.sin(phi[..., idx]))
                 else:
                     f = _factor(phi, idx, kind)
                 v = v * f
             row[didx] = row[didx] + v
-        out.append(row)
-    return np.array(out)
+        out.append(dual.stack(row))
+    return dual.stack(out, axis=-2)
 
 
 def angles_from_unit(n, d: int, delta: float = _POLE_MARGIN):
-    """Invert the chart on a unit vector; floats or duals.
+    """Invert the chart on ``(..., d)`` unit vectors; floats or jets.
 
-    Raises :class:`ChartSingularError` when any polar angle is within
-    ``delta`` of a pole (where the azimuthal directions degenerate).
+    Raises :class:`ChartSingularError` when any polar angle, of any row, is
+    within ``delta`` of a pole (where the azimuthal directions degenerate).
     """
+    nv = dual.value(n)
     if d == 1:
-        if dual.value(n[0]) <= 0:
+        if np.any(nv[..., 0] <= 0):
             raise ChartSingularError(
                 "the 1D chart covers the half-line x > 0 only")
-        return np.zeros(0)
+        return np.zeros(np.shape(nv)[:-1] + (0,))
     phi = []
     for k in range(d - 2):
-        c = n[d - 1 - k]
+        c = n[..., d - 1 - k]
         # remaining components live on a sphere of radius prod(sin);
         # renormalize so the arccos argument stays in range
         rem = 0.0
         for j in range(d - 1 - k):
-            rem = rem + n[j] * n[j]
-        s = dual.sqrt(rem + c * c)
-        c = c / s
-        if not isinstance(c, dual.Dual):
-            c = min(1.0, max(-1.0, c))
-        theta = dual.arccos(c)
-        tv = dual.value(theta)
-        if tv < delta or tv > np.pi - delta:
+            rem = rem + n[..., j] * n[..., j]
+        c = c / dual.sqrt(rem + c * c)
+        # the guard reads the angle's value, its argument clamped to [-1, 1]
+        tv = dual.arccos(np.clip(dual.value(c), -1.0, 1.0))
+        if np.any((tv < delta) | (tv > np.pi - delta)):
             raise ChartSingularError(
                 f"polar angle {k} is within {delta:g} of a pole; "
                 "permute/rotate axes and reduce again")
-        phi.append(theta)
-    phi.append(dual.arctan2(n[1], n[0]))
-    return np.array(phi)
+        phi.append(dual.arccos(c) if isinstance(c, dual.Dual) else tv)
+    phi.append(dual.arctan2(n[..., 1], n[..., 0]))
+    return dual.stack(phi)
+
+
+def hyperspherical_rows(Q, P, delta: float = _POLE_MARGIN):
+    """The chart map on ``(..., d)`` float arrays: ``(r, p_r, phi, pi)``,
+    with ``phi`` and ``pi`` of shape ``(..., d-1)``, each row bit for bit
+    what :func:`to_hyperspherical` gives for it; raises
+    :class:`ChartSingularError` if any row is outside the chart."""
+    d = np.shape(Q)[-1]
+    r = np.sqrt(np.vecdot(Q, Q))  # np.linalg.norm's formula, row by row
+    if np.any(r <= 0):
+        raise ChartSingularError("the chart is undefined at the origin")
+    n = Q / r[..., None]
+    phi = angles_from_unit(n, d, delta=delta)
+    p_r = np.vecdot(P, n)
+    if d == 1:
+        return r, p_r, phi, np.zeros_like(phi)
+    pi = r[..., None] * (P[..., None, :] @ unit_tangents(phi, d))[..., 0, :]
+    return r, p_r, phi, pi
 
 
 def to_hyperspherical(s: PhaseState,
                       delta: float = _POLE_MARGIN) -> ReducedState:
     """Cartesian -> (r, p_r, angles, momenta), the canonical chart map."""
-    q, p = s.q, s.p
-    d = s.d
-    r = float(np.linalg.norm(q))
-    if r <= 0:
-        raise ChartSingularError("the chart is undefined at the origin")
-    n = q / r
-    phi = angles_from_unit(n, d, delta=delta)
-    p_r = float(np.dot(p, n))
-    if d == 1:
-        return ReducedState(r=r, p_r=p_r, phi=np.zeros(0), pi=np.zeros(0))
-    T = unit_tangents(phi, d)
-    pi = r * (p @ T)
-    return ReducedState(r=r, p_r=p_r, phi=phi, pi=np.asarray(pi, dtype=float))
+    r, p_r, phi, pi = hyperspherical_rows(s.q, s.p, delta=delta)
+    return ReducedState(r=float(r), p_r=float(p_r), phi=phi, pi=pi)
 
 
 def from_hyperspherical(rs: ReducedState) -> PhaseState:
@@ -184,9 +190,9 @@ def sphere_metric_diag(phi, d: int):
     for a in range(d - 1):
         diag.append(1.0 / acc)
         if a < d - 2:
-            sa = dual.sin(phi[a])
+            sa = dual.sin(phi[..., a])
             acc = acc * sa * sa
-    return np.array(diag)
+    return dual.stack(diag)
 
 
 def sphere_metric_inverse(phi, d: int) -> np.ndarray:
@@ -270,10 +276,10 @@ def chart_observables(d: int) -> dict:
     Cartesian phase space, dual-differentiable for bracket checks."""
 
     def r_fn(q, p):
-        return dual.sqrt(np.dot(q, q))
+        return dual.sqrt(np.vecdot(q, q))
 
     def p_r_fn(q, p):
-        return np.dot(p, q) / dual.sqrt(np.dot(q, q))
+        return np.vecdot(p, q) / dual.sqrt(np.vecdot(q, q))
 
     obs = {
         "r": Observable(d, r_fn, name="r"),
@@ -281,16 +287,15 @@ def chart_observables(d: int) -> dict:
     }
 
     def phi_fn(q, p, a):
-        r = dual.sqrt(np.dot(q, q))
-        return angles_from_unit(q / r, d)[a]
+        r = dual.sqrt(np.vecdot(q, q))
+        return angles_from_unit(q / dual.col(r), d)[..., a]
 
     def pi_fn(q, p, a):
-        r = dual.sqrt(np.dot(q, q))
-        phi = angles_from_unit(q / r, d)
-        T = unit_tangents(phi, d)
+        r = dual.sqrt(np.vecdot(q, q))
+        T = unit_tangents(angles_from_unit(q / dual.col(r), d), d)
         acc = 0.0
         for i in range(d):
-            acc = acc + p[i] * T[i, a]
+            acc = acc + p[..., i] * T[..., i, a]
         return r * acc
 
     for a in range(d - 1):

@@ -117,8 +117,26 @@ class TestGradientDriver:
         assert val == 7.0
         npt.assert_allclose(dq, [0.0, 0.0])
 
+    def test_rows_match_each_point(self):
+        # one evaluation over (N, d) rows gives each row's value and
+        # gradient bit for bit, through indexing, .T, stack and vecdot
+        def fn(q, p):
+            r2 = np.vecdot(q, q)
+            u = dual.stack([q.T[0] / dual.sqrt(r2),
+                            dual.sin(q[..., 1]) * p[..., 0]])
+            return dual.arctan2(u[..., 1], u[..., 0]) + np.vecdot(p, q) / r2
+
+        rng = np.random.default_rng(4)
+        Q, P = rng.uniform(-2, 2, (6, 3)), rng.uniform(-2, 2, (6, 3))
+        vals, (dQ, dP) = dual.gradient(fn, Q, P)
+        assert vals.shape == (6,) and dQ.shape == dP.shape == (6, 3)
+        for i in range(6):
+            val, (dq, dp) = dual.gradient(fn, Q[i], P[i])
+            assert vals[i] == val
+            assert np.array_equal(dQ[i], dq) and np.array_equal(dP[i], dp)
+
     def test_object_array_numpy_dispatch(self):
-        # numpy ufuncs reach Dual methods through object arrays
+        # numpy's ufuncs and np.sum take a seeded jet as they take arrays
         q = dual.seed([0.3, 0.4], 2, 0)
         out = np.sum(np.sqrt(q * q))
         assert out.val == pytest.approx(0.7)
@@ -126,7 +144,7 @@ class TestGradientDriver:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_vecdot_matches_dot(self, d):
-        # np.vecdot calls .conjugate() on its first operand's elements
+        # np.vecdot and np.dot of vectors give the same jet, floats mixed in
         rng = np.random.default_rng(d)
         a = dual.seed(rng.uniform(-2, 2, d), 2 * d, 0)
         b = dual.seed(rng.uniform(-2, 2, d), 2 * d, d)

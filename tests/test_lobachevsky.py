@@ -6,6 +6,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confmech import models, phase
 from confmech.conformal import casimir_I
@@ -35,8 +37,9 @@ from confmech.lobachevsky import (
     tilde_observables,
     tilde_point,
     to_klein,
+    w_observables,
 )
-from confmech.phase import PhaseState, poisson_bracket
+from confmech.phase import PhaseState, brackets, poisson_bracket
 from confmech.reduction import (
     chart_observables,
     spherical_system_from,
@@ -157,6 +160,67 @@ class TestInvert:
             kp = to_klein((rng.uniform(0.2, 3.0), rng.uniform(-2, 2)),
                           rng.uniform(0.1, 2.0))
             assert invert(kp).w.imag > 0
+
+
+def _branch_states(sys_, n, seed, sign, floor=5e-2):
+    """States with sign * I > floor and H > floor, inside the chart."""
+    def pred(s):
+        try:
+            i_val, h = casimir_I(sys_, s), sys_.H(s)
+        except Exception:
+            return False
+        return sign * i_val > floor and h > floor and (
+            sys_.d == 1 or chart_interior(s))
+    return model_states(sys_, n, seed, predicate=pred)
+
+
+# both signs of I: the catalog on the positive branch, and attractive
+# inverse-square systems (I < 0 at small angular momentum) for both
+_BRANCH_CASES = ([(ms, 1.0) for ms in models.catalog()]
+                 + [(models.spec("inverse-square", d=d, kappa=k), sign)
+                    for d in (1, 2, 3) for k, sign in ((0.5, 1.0),
+                                                       (-0.5, -1.0))]
+                 + [(models.spec("inverse-square", d=3, kappa=-0.5), 1.0)])
+_BRANCH_SYSTEMS = {ms.label: models.build(ms) for ms, _ in _BRANCH_CASES}
+
+
+class TestBranchProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(_BRANCH_CASES),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_transport_signs(self, case, seed):
+        # H -> K, K -> +H, D -> -D at test_transport_signs' tolerance
+        ms, sign = case
+        sys_ = _BRANCH_SYSTEMS[ms.label]
+        (s,) = _branch_states(sys_, 1, seed, sign)
+        kp = to_klein(to_hyperspherical(s), casimir_I(sys_, s))
+        assert kp.branch == (POSITIVE_I if sign > 0 else NEGATIVE_I)
+        h, dd, k = killing_forms(kp)
+        h2, dd2, k2 = killing_forms(invert(kp))
+        assert abs(h2 - k) < 1e-12 * max(1.0, abs(k))
+        assert abs(k2 - h) < 1e-12 * max(1.0, abs(h))
+        assert abs(dd2 + dd) < 1e-12 * max(1.0, abs(dd))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(_BRANCH_CASES),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_brackets_match_each_state(self, case, seed):
+        # every (N, m, m) slice of the rows form against the table of its
+        # row's state, over the decoupling coordinates and H, D, K, I
+        ms, sign = case
+        sys_ = _BRANCH_SYSTEMS[ms.label]
+        states = _branch_states(sys_, 5, seed, sign)
+        obs = [sys_.H, sys_.D, sys_.K, sys_.casimir,
+               *tilde_observables(sys_).values(),
+               *chart_observables(ms.d).values(),
+               *w_observables(spherical_system_from(sys_.V, ms.d))]
+        rows = brackets(obs, np.array([s.q for s in states]),
+                        np.array([s.p for s in states]))
+        assert rows.shape == (5, len(obs), len(obs))
+        for table, s in zip(rows, states):
+            want = brackets(obs, s)
+            assert np.all(np.abs(table - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 class TestTildeMap:

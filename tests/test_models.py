@@ -447,9 +447,11 @@ class TestOneBody:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_dual_value_matches_float(self, ms, data):
-        # to rounding, not bit for bit: float dot products go through BLAS,
-        # whose kernels may fuse multiply-adds, while dual dot products add
-        # plain products in order
+        # bit for bit wherever the float call adds its products in order as
+        # the jet does: every observable at d = 1, and the free V. To
+        # rounding only where the float path takes np.vecdot of d >= 2
+        # entries (V of every other model, and H, D, K, I), a BLAS dot
+        # whose kernels may fuse multiply-adds
         sys_ = _SYSTEMS[ms.label]
         Q, P = _admissible_rows(sys_, data.draw(_row_values(ms.d)), 5e-2)
         for q, p in zip(Q, P):
@@ -457,5 +459,8 @@ class TestOneBody:
             pd = dual.seed(p, 2 * ms.d, ms.d)
             for obs in (sys_.V, *sys_.monitors().values()):
                 value = dual.value(obs.fn(qd, pd))
-                assert value == pytest.approx(obs.fn(q, p), rel=1e-10,
-                                              abs=1e-10), obs.name
+                if ms.d == 1 or (obs is sys_.V and ms.name == "free"):
+                    assert value == obs.fn(q, p), obs.name
+                else:
+                    assert value == pytest.approx(obs.fn(q, p), rel=1e-10,
+                                                  abs=1e-10), obs.name

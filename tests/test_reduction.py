@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from confmech import models
 from confmech.conformal import casimir_I
@@ -13,6 +15,7 @@ from confmech.reduction import (
     angular_potential,
     chart_observables,
     from_hyperspherical,
+    hyperspherical_rows,
     sphere_metric_inverse,
     spherical_energy,
     spherical_system_from,
@@ -81,6 +84,47 @@ class TestChart:
             assert np.max(np.abs(rs2.phi - rs.phi)) < 1e-10
             assert np.max(np.abs(rs2.pi - rs.pi)) < 1e-10
             done += 1
+
+
+def _close(got, want, tol):
+    """|got - want| <= tol max(1, |want|) entry by entry."""
+    return np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
+class TestChartProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trip(self, d, seed):
+        # from_hyperspherical o to_hyperspherical at test_round_trip's 1e-10
+        rng = np.random.default_rng(seed)
+        s = PhaseState(rng.uniform(-2, 2, d), rng.uniform(-2, 2, d))
+        assume(chart_interior(s))
+        back = from_hyperspherical(to_hyperspherical(s))
+        assert np.max(np.abs(back.q - s.q)) < 1e-10
+        assert np.max(np.abs(back.p - s.p)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3, 4]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_each_state(self, d, seed):
+        # the rows form of the chart map against to_hyperspherical per row
+        sys_ = models.build(models.spec("free", d=d))
+        states = model_states(sys_, 6, seed, predicate=chart_interior)
+        Q = np.array([s.q for s in states])
+        P = np.array([s.p for s in states])
+        r, p_r, phi, pi = hyperspherical_rows(Q, P)
+        assert phi.shape == pi.shape == (6, d - 1)
+        for i, s in enumerate(states):
+            rs = to_hyperspherical(s)
+            for got, want in ((r[i], rs.r), (p_r[i], rs.p_r),
+                              (phi[i], rs.phi), (pi[i], rs.pi)):
+                assert _close(got, want, 1e-12)
+
+    def test_rows_raise_for_any_row_outside(self):
+        Q = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 2.0]])  # row 1 on the pole
+        with pytest.raises(ChartSingularError):
+            hyperspherical_rows(Q, np.ones((2, 3)))
+        with pytest.raises(ChartSingularError):
+            hyperspherical_rows(np.array([[0.5], [-1.0]]), np.ones((2, 1)))
 
 
 class TestMetric:
