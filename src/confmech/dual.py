@@ -153,13 +153,6 @@ class Dual:
     def __repr__(self):
         return f"Dual({self.val!r}, {self.eps!r})"
 
-    def arctan2(self, other):
-        ov, oe = (other.val, other.eps) if isinstance(other, Dual) \
-            else (other, np.zeros(self.eps.shape[-1:]))
-        denom = self.val * self.val + ov * ov
-        return Dual(_map(math.atan2, self.val, ov),
-                    (col(ov) * self.eps - col(self.val) * oe) / col(denom))
-
 
 def _map(fn, *args):
     """``fn`` (a :mod:`math` function) entry by entry over broadcast
@@ -223,12 +216,15 @@ sqrt, exp, log, sin, cos, tan, arcsin, arccos, arctan = map(_elementary,
 
 
 def arctan2(y, x):
-    if isinstance(y, Dual):
-        return y.arctan2(x)
-    if isinstance(x, Dual):
-        # promote y to a constant jet against x's seed width
-        return Dual(y, np.zeros(x.eps.shape[-1:])).arctan2(x)
-    return _map(math.atan2, y, x)
+    jets = [a for a in (y, x) if isinstance(a, Dual)]
+    if not jets:
+        return _map(math.atan2, y, x)
+    # a float operand is a constant jet of the other's seed width
+    (yv, ye), (xv, xe) = [(a.val, a.eps) if isinstance(a, Dual) else
+                          (a, np.zeros(jets[0].eps.shape[-1:]))
+                          for a in (y, x)]
+    return Dual(_map(math.atan2, yv, xv), (col(xv) * ye - col(yv) * xe)
+                / col(yv * yv + xv * xv))
 
 
 def vecdot(a, b):
