@@ -48,7 +48,9 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
     Analytic gradients propagate from the potential to every generator.
     Each generator is one body over ``(..., d)`` arrays, so its array form
     ``rows`` is its ``fn``: always for D and K, and for H and the Casimir
-    when V's own ``fn`` is its array form (``V.rows is V.fn``).
+    when V's own ``fn`` is its array form (``V.rows is V.fn``). A system
+    over a V written for one point only has no rows form of H, and
+    :func:`~confmech.lobachevsky.canonicity_report` rejects it.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -110,18 +112,25 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
 
 def casimir_I(sys: ConformalSystem, s: PhaseState) -> float:
     """(4HK - D^2)/2 at a state; equals the reduced spherical energy."""
-    return 0.5 * (4.0 * sys.H(s) * sys.K(s) - sys.D(s) ** 2)
+    return float(_casimir(sys.H(s), sys.K(s), sys.D(s)))
+
+
+def _casimir(h, k, dd):
+    """(4hk - dd^2)/2 of floats, or of arrays entry by entry with the same
+    bits (float_power squares as Python's float ** does; numpy's ** does
+    not)."""
+    return 0.5 * (4.0 * h * k - np.float_power(dd, 2))
 
 
 def sample_states(d: int, n: int, rng: np.random.Generator, box: float = 2.0,
                   singular_distance: Callable = None, exclusion: float = 1e-3,
-                  predicate: Callable = None, rows_predicate: Callable = None):
+                  predicate: Callable = None):
     """Reproducible random phase points, resampled away from singular sets.
 
     Components are uniform in [-box, box]; draws within ``exclusion`` of the
-    singular set, rejected by ``rows_predicate(Q, P)`` (a bool per row of
-    ``(k, d)`` arrays) or rejected by ``predicate(state)`` are discarded, up
-    to ``100 * n`` attempts; then :class:`IncompleteResultError`.
+    singular set or rejected by ``predicate(Q, P)`` (a bool per row of
+    ``(k, d)`` arrays of q and p) are discarded, up to ``100 * n``
+    attempts; then :class:`IncompleteResultError`.
 
     Candidates are drawn ``n - accepted`` at a time as one ``(k, 2, d)``
     array of q and p rows, which takes the generator's stream exactly as
@@ -140,12 +149,9 @@ def sample_states(d: int, n: int, rng: np.random.Generator, box: float = 2.0,
         X = rng.uniform(-box, box, size=(k, 2, d))
         if singular_distance is not None:
             X = X[[not singular_distance(q) < exclusion for q in X[:, 0]]]
-        if rows_predicate is not None and len(X):
-            X = X[rows_predicate(X[:, 0], X[:, 1])]
-        for q, p in X:
-            s = PhaseState(q, p)
-            if predicate is None or predicate(s):
-                out.append(s)
+        if predicate is not None and len(X):
+            X = X[predicate(X[:, 0], X[:, 1])]
+        out.extend(PhaseState(q, p) for q, p in X)
     return out
 
 

@@ -14,8 +14,9 @@ build and broadcast arrays of jets.
 
 Every value rounds as the float code of one point does, entry by entry:
 products and sums follow the same order, dot products add their products
-left to right, and transcendental functions come from :mod:`math` one entry
-at a time (numpy's own arccos or arctan2 loops can differ in the last bit).
+left to right, transcendental functions come from :mod:`math` one entry at
+a time (numpy's own arccos or arctan2 loops can differ in the last bit),
+and square roots, correctly rounded everywhere, from ``np.sqrt``.
 A jet's value therefore matches the float call bit for bit except where
 the float call goes through a BLAS dot product, which may fuse
 multiply-adds.
@@ -156,9 +157,12 @@ class Dual:
 
 def _map(fn, *args):
     """``fn`` (a :mod:`math` function) entry by entry over broadcast
-    arguments, so each value rounds as the scalar call does."""
+    arguments, so each value rounds as the scalar call does. IEEE 754
+    rounds a square root correctly, so ``np.sqrt`` serves math.sqrt."""
     if not any(isinstance(a, np.ndarray) for a in args):
         return fn(*args)
+    if fn is math.sqrt:
+        return np.sqrt(*args)
     args = np.broadcast_arrays(*args)
     flat = [fn(*v) for v in zip(*(a.ravel().tolist() for a in args))]
     return np.array(flat, dtype=float).reshape(args[0].shape)

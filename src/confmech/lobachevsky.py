@@ -41,7 +41,7 @@ from typing import Union
 import numpy as np
 
 from . import dual
-from .conformal import ConformalSystem, sample_states
+from .conformal import ConformalSystem, _casimir, casimir_I, sample_states
 from .errors import (
     ConfmechError,
     NonPositiveEnergyError,
@@ -413,7 +413,8 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
         # pole margin (d > 1); a batch that raises is settled row by row,
         # and a row that raises is out
         try:
-            h, i_val = _casimir_rows(sys, Q, P)
+            h = sys.H.rows(Q, P)
+            i_val = _casimir(h, sys.K.rows(Q, P), sys.D.rows(Q, P))
             ok = np.isfinite(h) & (h > 1e-2) & (i_val > 1e-2)
             if d == 1:
                 return ok & (Q[:, 0] > 1e-2)
@@ -427,7 +428,7 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
 
     states = sample_states(d, samples, rng,
                            singular_distance=sys.singular_distance,
-                           rows_predicate=admissible)
+                           predicate=admissible)
     Q = np.array([s.q for s in states])
     P = np.array([s.p for s in states])
 
@@ -443,13 +444,16 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), 2 + 2 * a + k)
              for a in range(d - 1) for t in "rp"
              for k, u in enumerate(("phi", "pi"))]
-    _, i_val = _casimir_rows(sys, Q, P)
-    # r is to_hyperspherical's, and I > 0 puts every state on the positive
-    # branch
+    r, p_r, _, _ = hyperspherical_rows(Q, P)
+    # the scalar {w,wbar} check of each state: I > 0 puts it on the
+    # positive branch
+    ww = [abs(_ww(b, POSITIVE_I)
+              - formula_ww(to_klein((r_k, p_k), casimir_I(sys, s))))
+          for b, r_k, p_k, s in zip(B[:, -2, -1].tolist(), r.tolist(),
+                                    p_r.tolist(), states)]
     columns = {"{p~,r~}-1": np.abs(B[:, 0, 1] - 1.0),
                **{name: np.abs(B[:, j, k]) for name, j, k in mixed},
-               "{w,wbar}-formula": _ww_residual_rows(
-                   B[:, -2, -1], np.sqrt(np.vecdot(Q, Q)), i_val)}
+               "{w,wbar}-formula": np.array(ww)}
     table = {name: {"max_residual": float(max(0.0, v.max())),
                     "exceed_count": int(np.sum(v > tol))}
              for name, v in columns.items()}
@@ -464,24 +468,6 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     return CanonicityReport(
         dimension=d, brackets=table, samples=samples, tol=tol, seed=seed,
         verdict="canonical" if canonical else "non-canonical")
-
-
-def _casimir_rows(sys: ConformalSystem, Q, P):
-    """H and I at every row, each bit for bit ``sys.H(s)`` and
-    ``casimir_I(sys, s)`` (float_power rounds D**2 as Python does)."""
-    h = sys.H.rows(Q, P)
-    return h, 0.5 * (4.0 * h * sys.K.rows(Q, P)
-                     - np.float_power(sys.D.rows(Q, P), 2))
-
-
-def _ww_residual_rows(b, r, i_val):
-    """``abs(_ww(b, POSITIVE_I) - formula_ww(to_klein((r, p_r), I)))`` at
-    every row, rounded as that complex scalar path rounds it: with
-    s = sqrt(2I), w - wbar = 2i s/r**2 and both sides are imaginary,
-    -2i b against i (s / s**2) (2 s/r**2)**2."""
-    s = np.sqrt(2.0 * i_val)
-    t = 2.0 * (s / np.float_power(r, 2))
-    return np.abs(-2.0 * b - s / np.float_power(s, 2) * (t * t))
 
 
 # ---------------------------------------------------------------------------

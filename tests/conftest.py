@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from confmech import models
 from confmech.conformal import sample_states
+from confmech.phase import PhaseState
 from confmech.reduction import to_hyperspherical
 
 # HYPOTHESIS_PROFILE=ci draws every property's examples from a fixed
@@ -44,4 +45,7 @@ def model_states(sys_, n, seed, predicate=None, box=2.0):
 
     return sample_states(sys_.d, n, rng, box=box,
                          singular_distance=sys_.singular_distance,
-                         exclusion=5e-2, predicate=ok)
+                         exclusion=5e-2,
+                         predicate=lambda Q, P: np.array(
+                             [ok(PhaseState(q, p)) for q, p in zip(Q, P)],
+                             dtype=bool))

@@ -85,7 +85,7 @@ class TestSamplerBudget:
     def test_sample_states_exhausted(self):
         with pytest.raises(IncompleteResultError, match="attempt budget"):
             sample_states(2, 3, np.random.default_rng(0),
-                          predicate=lambda s: False)
+                          predicate=lambda Q, P: np.zeros(len(Q), dtype=bool))
 
     def test_homogeneity_exhausted(self):
         nowhere = Observable(2, lambda q, p: np.inf)  # never finite

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confmech import models, phase
-from confmech.conformal import casimir_I
+from confmech.conformal import build_system, casimir_I
 from confmech.errors import (
     NonPositiveEnergyError,
     ZeroAngularEnergyError,
@@ -39,7 +39,7 @@ from confmech.lobachevsky import (
     to_klein,
     w_observables,
 )
-from confmech.phase import PhaseState, brackets, poisson_bracket
+from confmech.phase import Observable, PhaseState, brackets, poisson_bracket
 from confmech.reduction import (
     chart_observables,
     spherical_system_from,
@@ -361,6 +361,14 @@ class TestCanonicity:
         for n in (0, -1):
             with pytest.raises(ValueError, match="samples must be >= 1"):
                 canonicity_report(models.spec("free", d=3), samples=n)
+
+    def test_per_point_potential_rejected(self):
+        # a V written for one point has no rows form, so neither has H
+        V = Observable(2, lambda q, p: 0.5 / (q[0] ** 2 + q[1] ** 2))
+        sys_ = build_system(V, 2)
+        assert sys_.H.rows is None
+        with pytest.raises(ValueError, match=r"\(\.\.\., d\) rows"):
+            canonicity_report(sys_, samples=5)
 
     def test_report_dict(self):
         rep = canonicity_report(models.spec("free", d=2), samples=10,
