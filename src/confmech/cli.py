@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -84,9 +85,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """``float(text)``; NaN and +-inf are bad values (ValueError)."""
+    if not math.isfinite(x := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return x
+
+
+# argparse names the type in its message: "invalid finite float value"
+_finite_float.__name__ = "finite float"
+
 _FLAGS = [f for f in fields(RunConfig) if f.name not in ("command", "echo")]
 # the annotations are strings (postponed evaluation)
-_FLAG_TYPES = {f.name: {"str": str, "int": int, "float": float}[f.type]
+_FLAG_TYPES = {f.name: {"str": str, "int": int, "float": _finite_float}[f.type]
                for f in _FLAGS}
 
 

@@ -183,6 +183,8 @@ def check_homogeneity(V: Observable, d: int, samples: int = 100,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError("tol must be a positive finite number")
     rng = np.random.default_rng(seed)
     worst = 0.0
     accepted = 0
@@ -250,6 +252,8 @@ def verify_algebra(sys: ConformalSystem, samples: int = 200,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError("tol must be a positive finite number")
     rng = np.random.default_rng(seed)
     states = sample_states(sys.d, samples, rng,
                            singular_distance=sys.singular_distance)

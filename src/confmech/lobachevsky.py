@@ -41,7 +41,7 @@ from typing import Union
 import numpy as np
 
 from . import dual
-from .conformal import ConformalSystem, _casimir, casimir_I, sample_states
+from .conformal import ConformalSystem, _casimir, sample_states
 from .errors import (
     ConfmechError,
     NonPositiveEnergyError,
@@ -146,12 +146,10 @@ def to_klein(source: Union[ReducedState, PhaseState, tuple],
 def from_klein(kp: KleinPoint) -> tuple:
     """Inverse map: (r, p_r). Requires w - wbar != 0."""
     diff = kp.w - kp.wbar
-    r2 = 2.0 * kp.sigma / diff  # = r^2, real for both branches
-    r2 = r2.real if isinstance(r2, complex) else r2
+    r2 = (2.0 * kp.sigma / diff).real  # = r^2, real for both branches
     if r2 <= 0:
         raise ValueError("the point does not come from a radial state")
-    a = 0.5 * (kp.w + kp.wbar)
-    a = a.real if isinstance(a, complex) else a
+    a = (0.5 * (kp.w + kp.wbar)).real
     r = math.sqrt(r2)
     return r, a * r
 
@@ -171,12 +169,7 @@ def killing_forms(kp: KleinPoint) -> tuple:
     h = kp.sigma * kp.w * kp.wbar / diff
     dd = kp.sigma * (kp.w + kp.wbar) / diff
     k = kp.sigma / diff
-    out = []
-    for z in (h, dd, k):
-        if isinstance(z, complex):
-            z = z.real
-        out.append(float(z))
-    return tuple(out)
+    return tuple(float(z.real) for z in (h, dd, k))
 
 
 def invert(kp: KleinPoint) -> KleinPoint:
@@ -401,6 +394,8 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError("tol must be a positive finite number")
     sys = build(model) if isinstance(model, ModelSpec) else model
     if sys.H.rows is None:
         raise ValueError("canonicity_report needs a potential written once "
@@ -445,12 +440,12 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
              for a in range(d - 1) for t in "rp"
              for k, u in enumerate(("phi", "pi"))]
     r, p_r, _, _ = hyperspherical_rows(Q, P)
+    i_val = _casimir(sys.H.rows(Q, P), sys.K.rows(Q, P), sys.D.rows(Q, P))
     # the scalar {w,wbar} check of each state: I > 0 puts it on the
     # positive branch
-    ww = [abs(_ww(b, POSITIVE_I)
-              - formula_ww(to_klein((r_k, p_k), casimir_I(sys, s))))
-          for b, r_k, p_k, s in zip(B[:, -2, -1].tolist(), r.tolist(),
-                                    p_r.tolist(), states)]
+    ww = [abs(_ww(b, POSITIVE_I) - formula_ww(to_klein((r_k, p_k), i_k)))
+          for b, r_k, p_k, i_k in zip(B[:, -2, -1].tolist(), r.tolist(),
+                                      p_r.tolist(), i_val.tolist())]
     columns = {"{p~,r~}-1": np.abs(B[:, 0, 1] - 1.0),
                **{name: np.abs(B[:, j, k]) for name, j, k in mixed},
                "{w,wbar}-formula": np.array(ww)}
@@ -570,23 +565,10 @@ def _wirtinger(fn, w: complex, h: float = 1e-6) -> tuple:
 
 
 def halfplane_bracket(F, G, w: complex, g: float) -> complex:
-    """Bracket of two functions of (w, wbar) induced by
-    {w, wbar} = -(i/g)(w - wbar)^2 as the only nonzero bracket."""
-    ww = -(1j / g) * (w - w.conjugate()) ** 2
+    """Bracket of two functions of (w, wbar) induced by {w, wbar} =
+    :func:`formula_ww` at sqrt(2I) = g > 0 as the only nonzero bracket."""
+    ww = formula_ww(KleinPoint(POSITIVE_I, w, w.conjugate(), g))
     Fw, Fwb = _wirtinger(F, w)
     Gw, Gwb = _wirtinger(G, w)
     return (Fw * Gwb - Fwb * Gw) * ww
 
-
-def killing_form_functions(g: float) -> dict:
-    """The closed-form H, D, K as functions of w on the upper half-plane."""
-    def h_fn(w):
-        return 1j * g * w * w.conjugate() / (w - w.conjugate())
-
-    def d_fn(w):
-        return 1j * g * (w + w.conjugate()) / (w - w.conjugate())
-
-    def k_fn(w):
-        return 1j * g / (w - w.conjugate())
-
-    return {"H": h_fn, "D": d_fn, "K": k_fn}

@@ -155,8 +155,9 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
     q = r n, p = p_r n + l / r.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t_grid[0] < 0 or (len(t_grid) > 1 and not np.all(np.diff(t_grid) > 0)):
-        raise ValueError("t_grid must be nonnegative and strictly increasing")
+    if not (len(t_grid) and t_grid[0] >= 0 and np.all(np.diff(t_grid) > 0)):
+        raise ValueError("t_grid must be nonempty, nonnegative and strictly "
+                         "increasing")
     rd = RadialData.from_state(sys, s0)
     t_max = float(t_grid[-1])
     if t_max > 0:

@@ -146,11 +146,11 @@ def angles_from_unit(n, d: int, delta: float = _POLE_MARGIN):
 
 
 def hyperspherical_rows(Q, P, delta: float = _POLE_MARGIN):
-    """The chart map on ``(..., d)`` float arrays: ``(r, p_r, phi, pi)``,
-    with ``phi`` and ``pi`` of shape ``(..., d-1)``, each row bit for bit
-    what :func:`to_hyperspherical` gives for it; raises
+    """The chart map on ``(..., d)`` arrays of floats or jets: ``(r, p_r,
+    phi, pi)``, ``phi`` and ``pi`` of shape ``(..., d-1)``; each float row
+    is bit for bit :func:`to_hyperspherical`'s. Raises
     :class:`ChartSingularError` if any row is outside the chart."""
-    d = np.shape(Q)[-1]
+    d = Q.shape[-1]
     r = np.sqrt(np.vecdot(Q, Q))  # np.linalg.norm's formula, row by row
     if np.any(r <= 0):
         raise ChartSingularError("the chart is undefined at the origin")
@@ -159,7 +159,9 @@ def hyperspherical_rows(Q, P, delta: float = _POLE_MARGIN):
     p_r = np.vecdot(P, n)
     if d == 1:
         return r, p_r, phi, np.zeros_like(phi)
-    pi = r[..., None] * (P[..., None, :] @ unit_tangents(phi, d))[..., 0, :]
+    T = unit_tangents(phi, d)
+    pi = r[..., None] * dual.stack([np.vecdot(P, T[..., :, a])
+                                    for a in range(d - 1)])
     return r, p_r, phi, pi
 
 
@@ -213,10 +215,9 @@ class SphericalSystem:
 
     d: int
     U: Callable
-    metric_diag: Callable
 
     def energy(self, phi, pi):
-        g = self.metric_diag(phi)
+        g = sphere_metric_diag(phi, self.d)
         kin = 0.0
         for a in range(self.d - 1):
             kin = kin + 0.5 * g[a] * pi[a] * pi[a]
@@ -234,13 +235,8 @@ def spherical_system_from(V: Observable, d: int) -> SphericalSystem:
     """Angular system of a degree minus-two potential: U = V on the unit
     sphere (the radial factor drops out by homogeneity)."""
     zeros = np.zeros(d)
-
-    def U(phi):
-        u = unit_from_angles(phi, d)
-        return V.fn(u, zeros)
-
-    return SphericalSystem(d=d, U=U,
-                           metric_diag=lambda phi: sphere_metric_diag(phi, d))
+    return SphericalSystem(
+        d=d, U=lambda phi: V.fn(unit_from_angles(phi, d), zeros))
 
 
 def angular_potential(V: Observable, rs: ReducedState) -> float:
@@ -272,35 +268,19 @@ def spherical_energy(sys: SphericalSystem, phi, pi) -> float:
 
 
 def chart_observables(d: int) -> dict:
-    """The chart functions (r, p_r, angles, momenta) as observables on the
-    Cartesian phase space, dual-differentiable for bracket checks."""
+    """The chart functions as observables on the Cartesian phase space:
+    ``r``, ``p_r`` and, for a < d - 1, ``phi_a`` and ``pi_a``, each one
+    entry of :func:`hyperspherical_rows`, so bracket checks differentiate
+    the chart map itself."""
 
-    def r_fn(q, p):
-        return dual.sqrt(np.vecdot(q, q))
+    def entry(k, a=None):
+        def fn(q, p):
+            x = hyperspherical_rows(q, p)[k]
+            return x if a is None else x[..., a]
+        return fn
 
-    def p_r_fn(q, p):
-        return np.vecdot(p, q) / dual.sqrt(np.vecdot(q, q))
-
-    obs = {
-        "r": Observable(d, r_fn, name="r"),
-        "p_r": Observable(d, p_r_fn, name="p_r"),
-    }
-
-    def phi_fn(q, p, a):
-        r = dual.sqrt(np.vecdot(q, q))
-        return angles_from_unit(q / dual.col(r), d)[..., a]
-
-    def pi_fn(q, p, a):
-        r = dual.sqrt(np.vecdot(q, q))
-        T = unit_tangents(angles_from_unit(q / dual.col(r), d), d)
-        acc = 0.0
-        for i in range(d):
-            acc = acc + p[..., i] * T[..., i, a]
-        return r * acc
-
-    for a in range(d - 1):
-        obs[f"phi_{a}"] = Observable(
-            d, (lambda q, p, _a=a: phi_fn(q, p, _a)), name=f"phi_{a}")
-        obs[f"pi_{a}"] = Observable(
-            d, (lambda q, p, _a=a: pi_fn(q, p, _a)), name=f"pi_{a}")
-    return obs
+    fields = [("r", 0, None), ("p_r", 1, None)] + [
+        (f"{u}_{a}", k, a) for a in range(d - 1)
+        for k, u in ((2, "phi"), (3, "pi"))]
+    return {name: Observable(d, entry(k, a), name=name)
+            for name, k, a in fields}

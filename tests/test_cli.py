@@ -131,6 +131,37 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
+    @pytest.mark.parametrize("argv,config,flag", [
+        (["reconstruct", "--model", "free", "--dim", "3", "--t-end", "nan"],
+         None, "--t-end"),
+        (["reconstruct", "--model", "free", "--dim", "3", "--t-end", "inf"],
+         None, "--t-end"),
+        (["exact", "--model", "free", "--dim", "3", "--t-end", "inf"],
+         None, "--t-end"),
+        (["verify-algebra", "--model", "free", "--dim", "3", "--tol", "nan"],
+         None, "--tol"),
+        (["simulate", "--model", "higgs", "--dim", "3", "--omega", "nan"],
+         None, "--omega"),
+        (["simulate", "--model", "higgs", "--dim", "3", "--omega=-inf"],
+         None, "--omega"),
+        (["exact", "--model", "free", "--dim", "3"], "t_end = inf\n",
+         "'t_end'"),
+    ], ids=["reconstruct-nan", "reconstruct-inf", "exact-inf", "tol-nan",
+            "omega-nan", "omega-minus-inf", "config-file-inf"])
+    def test_non_finite_float_is_2(self, tmp_path, capsys, argv, config,
+                                   flag):
+        if config is not None:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(config)
+            argv = [*argv, "--config", str(cfg_file)]
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert flag in captured.err
+
     @pytest.mark.parametrize("flags", [
         ["--model", "free", "--dim", "1"],  # I = 0 everywhere
         ["--model", "inverse-square", "--dim", "1", "--kappa", "-1"],  # I < 0

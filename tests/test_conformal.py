@@ -80,6 +80,14 @@ class TestHomogeneity:
         assert set(d) == {"max_residual", "samples", "tol", "seed", "pass"}
         assert d["seed"] == 5
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"),
+                                     float("inf")])
+    def test_tol_must_be_positive_finite(self, tol):
+        # a tol no residual can pass would report a failure of the potential
+        V = models.potential(models.spec("inverse-square", d=2, kappa=1.0))
+        with pytest.raises(ValueError, match="tol must be"):
+            check_homogeneity(V, 2, samples=10, tol=tol)
+
 
 class TestSamplerBudget:
     def test_sample_states_exhausted(self):
@@ -130,6 +138,13 @@ class TestVerifyAlgebra:
         for n in (0, -3):
             with pytest.raises(ValueError, match="samples must be >= 1"):
                 verify_algebra(sys_, samples=n)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_positive_finite(self, tol):
+        # tol = -1 would fail a closing algebra, tol = inf pass any
+        with pytest.raises(ValueError, match="tol must be"):
+            verify_algebra(models.build(models.spec("free", d=2)),
+                           samples=10, tol=tol)
 
 
 _CATALOG = [(ms, models.build(ms)) for ms in models.catalog()]

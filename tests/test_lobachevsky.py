@@ -19,6 +19,7 @@ from confmech.errors import (
 from confmech.lobachevsky import (
     NEGATIVE_I,
     POSITIVE_I,
+    KleinPoint,
     assemble_omega,
     bracket_matrix,
     bracket_ww,
@@ -30,7 +31,6 @@ from confmech.lobachevsky import (
     invert,
     kahler_hessian_fd,
     kahler_potential,
-    killing_form_functions,
     killing_forms,
     metric_coefficient,
     tilde_map,
@@ -362,6 +362,14 @@ class TestCanonicity:
             with pytest.raises(ValueError, match="samples must be >= 1"):
                 canonicity_report(models.spec("free", d=3), samples=n)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"),
+                                     float("inf")])
+    def test_tol_must_be_positive_finite(self, tol):
+        # tol = 0 or NaN would call the canonical d = 1 map non-canonical
+        with pytest.raises(ValueError, match="tol must be"):
+            canonicity_report(models.spec("inverse-square", d=1, kappa=0.5),
+                              tol=tol)
+
     def test_per_point_potential_rejected(self):
         # a V written for one point has no rows form, so neither has H
         V = Observable(2, lambda q, p: 0.5 / (q[0] ** 2 + q[1] ** 2))
@@ -602,16 +610,19 @@ class TestKahlerGeometry:
         # with {w,wbar} = -(i/g)(w-wbar)^2 as the only bracket, the closed
         # Killing forms close the same so(1,2) relations
         g = 1.0
-        forms = killing_form_functions(g)
+
+        def form(k):
+            return lambda w: killing_forms(
+                KleinPoint(POSITIVE_I, w, w.conjugate(), g))[k]
+
+        H, D, K = form(0), form(1), form(2)
         rng = np.random.default_rng(11)
         for _ in range(20):
             w = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.5))
-            h = forms["H"](w).real
-            dd = forms["D"](w).real
-            k = forms["K"](w).real
-            hd = halfplane_bracket(forms["H"], forms["D"], w, g)
-            hk = halfplane_bracket(forms["H"], forms["K"], w, g)
-            kd = halfplane_bracket(forms["K"], forms["D"], w, g)
+            h, dd, k = H(w), D(w), K(w)
+            hd = halfplane_bracket(H, D, w, g)
+            hk = halfplane_bracket(H, K, w, g)
+            kd = halfplane_bracket(K, D, w, g)
             assert abs(hd - 2 * h) < 1e-9 * max(1.0, abs(h))
             assert abs(hk - dd) < 1e-9 * max(1.0, abs(dd))
             assert abs(kd + 2 * k) < 1e-9 * max(1.0, abs(k))

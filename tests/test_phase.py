@@ -24,7 +24,7 @@ from confmech.phase import (
     position_observable,
 )
 from confmech.radial import RadialData, radial_squared
-from confmech.reduction import SphericalSystem, sphere_metric_diag
+from confmech.reduction import SphericalSystem
 
 from conftest import model_states
 
@@ -239,9 +239,7 @@ class TestAdaptive:
         assert abs(traj.ps[-1, 0]) < 1e-8
 
     def test_free_rotation_on_circle(self):
-        sphere = SphericalSystem(d=2, U=lambda phi: 0.0,
-                                 metric_diag=lambda phi:
-                                 sphere_metric_diag(phi, 2))
+        sphere = SphericalSystem(d=2, U=lambda phi: 0.0)
         I = sphere.hamiltonian_observable()
         traj = integrate_adaptive(I, PhaseState([0.0], [1.0]), 1e-10, 1.0,
                                   t_eval=[1.0])

@@ -252,6 +252,14 @@ class TestFallTime:
 
 
 class TestReconstruct:
+    @pytest.mark.parametrize("grid", [[], [0.5, 0.5], [-0.1, 1.0]],
+                             ids=["empty", "repeated", "negative"])
+    def test_bad_grid_rejected(self, grid):
+        free2 = models.build(models.spec("free", d=2))
+        s0 = PhaseState([1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="t_grid must be"):
+            reconstruct(free2, s0, grid)
+
     def test_free_particle_straight_line(self):
         free2 = models.build(models.spec("free", d=2))
         s0 = PhaseState([1.0, 0.0], [0.0, 1.0])

@@ -127,6 +127,28 @@ class TestChartProperties:
             hyperspherical_rows(np.array([[0.5], [-1.0]]), np.ones((2, 1)))
 
 
+class TestChartObservables:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3, 4]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_entries_are_the_chart_map(self, d, seed):
+        # each observable the bracket checks differentiate is one field of
+        # to_hyperspherical, bit for bit
+        obs = chart_observables(d)
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            s = PhaseState(rng.uniform(-2, 2, d), rng.uniform(-2, 2, d))
+            if not chart_interior(s):
+                continue
+            rs = to_hyperspherical(s)
+            want = {"r": rs.r, "p_r": rs.p_r,
+                    **{f"phi_{a}": rs.phi[a] for a in range(d - 1)},
+                    **{f"pi_{a}": rs.pi[a] for a in range(d - 1)}}
+            assert obs.keys() == want.keys()
+            for name, value in want.items():
+                assert (np.float64(obs[name](s)).tobytes()
+                        == np.float64(value).tobytes()), (name, s)
+
+
 class TestMetric:
     def test_equator(self):
         g = sphere_metric_inverse([np.pi / 2, 0.3], 3)
