@@ -225,3 +225,55 @@ class TestConservation:
         exact = 2 * K0 + 2 * D0 * t + 2 * H0 * t * t
         assert np.max(np.abs(two_k - exact)) < npt_tol * max(
             1.0, np.max(np.abs(two_k)))
+
+
+# verify_algebra residuals ({H,D}-2H, {H,K}-D, {K,D}+2K) as float.hex, per
+# (models.catalog() index, seed) at 200 samples
+_ZERO = "0x0.0p+0"
+_GOLDEN_ALGEBRA = {
+    (0, 0): (_ZERO, _ZERO, _ZERO),
+    (0, 1): (_ZERO, _ZERO, _ZERO),
+    (0, 7): (_ZERO, _ZERO, _ZERO),
+    (1, 0): ("0x1.02e8ddbd2cbc7p-52", _ZERO, _ZERO),
+    (1, 1): ("0x1.217fc2015edcep-52", _ZERO, _ZERO),
+    (1, 7): ("0x1.9e177977c626cp-52", _ZERO, _ZERO),
+    (2, 0): ("0x1.59086e2d89df4p-52", _ZERO, _ZERO),
+    (2, 1): ("0x1.f38422ac6463bp-53", _ZERO, _ZERO),
+    (2, 7): ("0x1.d103333008838p-53", _ZERO, _ZERO),
+    (3, 0): ("0x1.46108fe457131p-52", _ZERO, _ZERO),
+    (3, 1): ("0x1.4bcb135be9a75p-52", _ZERO, _ZERO),
+    (3, 7): ("0x1.24c39fcffc11dp-52", _ZERO, _ZERO),
+    (4, 0): ("0x1.ce5065142c6bap-46", _ZERO, _ZERO),
+    (4, 1): ("0x1.0000000000000p-49", _ZERO, _ZERO),
+    (4, 7): ("0x1.0000000000000p-50", _ZERO, _ZERO),
+    (5, 0): ("0x1.87262c66d2797p-52", _ZERO, _ZERO),
+    (5, 1): ("0x1.3e711d370cc12p-52", _ZERO, _ZERO),
+    (5, 7): ("0x1.636798a9026d7p-52", _ZERO, _ZERO),
+    (6, 0): ("0x1.39d0d02c7dfbdp-47", _ZERO, _ZERO),
+    (6, 1): ("0x1.ce844c6fac260p-48", _ZERO, _ZERO),
+    (6, 7): ("0x1.25668f2da8f9bp-47", _ZERO, _ZERO),
+    (7, 0): ("0x1.718f7f57dcf06p-44", _ZERO, _ZERO),
+    (7, 1): ("0x1.0af4fd6be1d77p-45", _ZERO, _ZERO),
+    (7, 7): ("0x1.135226d747309p-46", _ZERO, _ZERO),
+}
+
+
+class TestGoldenAlgebra:
+    """The so(1,2) residuals are pinned bit for bit (float.hex): the
+    gradient and bracket paths may change, the numbers they give may not."""
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN_ALGEBRA), ids=lambda k: (
+        f"{_CATALOG[k[0]][0].label}-seed{k[1]}"))
+    def test_catalog(self, key):
+        rep = verify_algebra(_CATALOG[key[0]][1], samples=200, seed=key[1])
+        got = tuple(v.hex() for v in rep.residuals.values())
+        assert got == _GOLDEN_ALGEBRA[key]
+
+    def test_per_point_cubic(self):
+        # the system of test_cubic_fails_only_hd, whose V takes one point
+        sys_ = build_system(_cubic_potential(2), 2,
+                            singular_distance=lambda q:
+                            float(np.linalg.norm(q)))
+        rep = verify_algebra(sys_, samples=100, tol=1e-8, seed=0)
+        got = tuple(v.hex() for v in rep.residuals.values())
+        assert got == ("0x1.fe849b52136a7p-2", _ZERO, _ZERO)
