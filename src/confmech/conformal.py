@@ -46,10 +46,12 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
 
     Homogeneity of V is *not* checked here; use :func:`check_homogeneity`.
     Analytic gradients propagate from the potential to every generator.
-    Each generator is one body over ``(..., d)`` arrays, so its array form
-    ``rows`` is its ``fn``: always for D and K, and for H and the Casimir
-    when V's own ``fn`` is its array form (``V.rows is V.fn``). A system
-    over a V written for one point only has no rows form of H, and
+    Each generator and its gradient are one body over ``(..., d)`` arrays,
+    so its array form ``rows`` is its ``fn``: always for D and K, and for H
+    and the Casimir when V's own ``fn`` is its array form
+    (``V.rows is V.fn``), whose ``grad_fn`` then takes rows too. A system
+    over a V written for one point only has no rows form of H:
+    :func:`verify_algebra` goes state by state, and
     :func:`~confmech.lobachevsky.canonicity_report` rejects it.
     """
     if d < 1:
@@ -77,7 +79,7 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
         return 0.5 * np.vecdot(q, q)
 
     def k_grad(q, p):
-        return np.asarray(q, dtype=float), np.zeros(len(q))
+        return np.asarray(q, dtype=float), np.zeros(np.shape(q))
 
     def i_fn(q, p):
         qq = np.vecdot(q, q)
@@ -90,14 +92,16 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
         def i_grad(q, p):
             q = np.asarray(q, dtype=float)
             p = np.asarray(p, dtype=float)
-            qq = q @ q
-            pp = p @ p
-            qp = q @ p
+            qq = np.vecdot(q, q)
+            pp = np.vecdot(p, p)
+            qp = np.vecdot(q, p)
             dVq, _ = vg(q, p)
-            v = float(vfn(q, p))
-            dq = pp * q - qp * p + 2.0 * v * q + qq * np.asarray(dVq, dtype=float)
+            v = vfn(q, p)
+            # rows scale along the last axis: work on the transposes
+            q, p, dVq = q.T, p.T, np.asarray(dVq, dtype=float).T
+            dq = pp * q - qp * p + 2.0 * v * q + qq * dVq
             dp = qq * p - qp * q
-            return dq, dp
+            return dq.T, dp.T
 
     H = Observable(d, h_fn, grad_fn=h_grad, name=f"H[{name}]" if name else "H",
                    rows=h_fn if v_broadcasts else None)
@@ -249,6 +253,10 @@ def verify_algebra(sys: ConformalSystem, samples: int = 200,
     scale-free across models. A non-homogeneous potential fails exactly on
     {H,D}-2H while the other two relations still pass; the report keeps the
     relations separate so the failure is localized.
+
+    All sampled states go through one rows-form :func:`brackets` table; a
+    system over a V written for one point only (``H.rows is None``) stacks
+    the tables and values of its states one by one into the same arrays.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -257,20 +265,21 @@ def verify_algebra(sys: ConformalSystem, samples: int = 200,
     rng = np.random.default_rng(seed)
     states = sample_states(sys.d, samples, rng,
                            singular_distance=sys.singular_distance)
-    worst = dict.fromkeys(_RELATIONS, 0.0)
-    for s in states:
-        try:
-            B = brackets((sys.H, sys.D, sys.K), s).tolist()
-            h, dd, kk = sys.H(s), sys.D(s), sys.K(s)
-        except NonFiniteError as err:
-            if err.state is None:
-                err.state = s
-            raise
-        # (relation, bracket, right-hand side) with {H,D}, {H,K}, {K,D}
-        for name, lhs, rhs in zip(_RELATIONS, (B[0][1], B[0][2], B[2][1]),
-                                  (2.0 * h, dd, -2.0 * kk)):
-            worst[name] = max(worst[name],
-                              abs(lhs - rhs) / max(1.0, abs(rhs)))
+    gens = (sys.H, sys.D, sys.K)
+    if sys.H.rows is not None:
+        Q = np.array([s.q for s in states])
+        P = np.array([s.p for s in states])
+        B = brackets(gens, Q, P)
+        h, dd, kk = (A.rows(Q, P) for A in gens)
+    else:  # a V written for one point takes neither rows nor row jets
+        B = np.array([brackets(gens, s) for s in states])
+        h, dd, kk = np.array([[A(s) for A in gens] for s in states]).T
+    # (relation, bracket, right-hand side) with {H,D}, {H,K}, {K,D}
+    worst = {name: float(np.max(np.abs(lhs - rhs)
+                                / np.maximum(1.0, np.abs(rhs))))
+             for name, lhs, rhs in zip(
+                 _RELATIONS, (B[:, 0, 1], B[:, 0, 2], B[:, 2, 1]),
+                 (2.0 * h, dd, -2.0 * kk))}
     passed = all(v < tol for v in worst.values())
     return AlgebraReport(residuals=worst, samples=samples, tol=tol, seed=seed,
                          passed=passed)

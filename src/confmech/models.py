@@ -246,8 +246,9 @@ class _Entry:
     ``(..., d)`` arrays: a float vector, an object vector of duals, or the
     ``(N, d)`` rows of a trajectory (one value per row, each bit for bit
     the value of that row alone); it raises DomainError if the point, or
-    any row, is on the singular set. ``dV(q, p) -> (dV/dq, 0)`` takes float
-    vectors; the potential observable is named ``V[tag]``."""
+    any row, is on the singular set. ``dV(q, p) -> (dV/dq, 0)`` is one body
+    over float ``(..., d)`` arrays, a point or rows, with the same bits per
+    row; the potential observable is named ``V[tag]``."""
 
     tag: str
     V: Callable
@@ -270,10 +271,25 @@ def _singular(cond) -> bool:
     return cond.any() if isinstance(cond, np.ndarray) else bool(cond)
 
 
+# (dot product of the last axes, power through C ``pow``) on rows, and on
+# one point: numpy's array ``**`` squares and cubes by multiplying, which
+# rounds differently from ``pow``, while ``np.vecdot`` and
+# ``np.float_power`` give the same bits as ``ndarray.dot`` and ``pow`` but
+# cost a microsecond of dispatch per call inside the integrator loop
+_ROWS_OPS = (np.vecdot, np.float_power)
+_POINT_OPS = (np.ndarray.dot, pow)
+
+
+def _ops(q):
+    """``(dot, power)`` for ``q``: the rows forms on ``(N, d)`` arrays, the
+    scalar forms on one point."""
+    return _ROWS_OPS if q.ndim > 1 else _POINT_OPS
+
+
 def _free(d: int, params: dict) -> _Entry:
     return _Entry(
         "free", lambda q, p: np.zeros(q.shape[:-1])[()],
-        lambda q, p: (np.zeros(d), np.zeros(d)),
+        lambda q, p: (np.zeros(q.shape), np.zeros(q.shape)),
         lambda q: np.inf,
         lambda: PhaseState(np.linspace(1.0, 0.4, d), np.linspace(0.3, 1.0, d)),
         SphericalPotentialForm("free", "0", {}, lambda t: 0.0))
@@ -291,8 +307,8 @@ def _inverse_square(d: int, params: dict) -> _Entry:
         return kappa / r2
 
     def dV(q, p):
-        r2 = q @ q
-        return -2.0 * kappa * q / r2 ** 2, np.zeros(d)
+        dot, power = _ops(q)
+        return (-2.0 * kappa * q.T / power(dot(q, q), 2)).T, np.zeros(q.shape)
 
     def reference():
         if d == 1:
@@ -326,11 +342,11 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
         return 0.5 * w2 / (xd * xd) + 0.5 * w2 / r2
 
     def dV(q, p):
-        r2 = q @ q
-        xd = q[d - 1]
-        dq = -w2 * q / r2 ** 2
-        dq[d - 1] += -w2 / xd ** 3
-        return dq, np.zeros(d)
+        dot, power = _ops(q)
+        qT = q.T
+        dq = -w2 * qT / power(dot(q, q), 2)
+        dq[d - 1] += -w2 / power(qT[d - 1], 3)
+        return dq.T, np.zeros(q.shape)
 
     def reference():
         q = np.full(d, 0.4)
@@ -364,14 +380,17 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
         return gamma * xd / (r2 * np.sqrt(rho2))  # np.sqrt calls Dual.sqrt
 
     def dV(q, p):
-        r2 = q @ q
-        xd = q[d - 1]
+        dot, power = _ops(q)
+        qT = q.T
+        r2 = dot(q, q)
+        xd = qT[d - 1]
         rho = np.sqrt(r2 - xd * xd)  # |x_perp|: no x_d dependence
-        dq = -gamma * xd * (2.0 / (r2 ** 2 * rho)
-                            + 1.0 / (r2 * rho ** 3)) * q
+        r4 = power(r2, 2)
+        dq = -gamma * xd * (2.0 / (r4 * rho)
+                            + 1.0 / (r2 * power(rho, 3))) * qT
         dq[d - 1] = gamma * (1.0 / (r2 * rho)
-                             - 2.0 * xd ** 2 / (r2 ** 2 * rho))
-        return dq, np.zeros(d)
+                             - 2.0 * power(xd, 2) / (r4 * rho))
+        return dq.T, np.zeros(q.shape)
 
     def sdist(q):
         r2 = float(q @ q)
@@ -417,10 +436,10 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
         return total
 
     def dV(q, p):
-        # sum over pairs of -2 g^2 a / (a.q)^3; the cubes are Python-float
-        # powers, which numpy's array power does not reproduce bit for bit
-        cubes = [s ** 3 for s in np.vecdot(axes, q).tolist()]
-        return (force_axes / np.array(cubes)[:, None]).sum(axis=0), np.zeros(d)
+        # sum over pairs of -2 g^2 a / (a.q)^3, pair by pair in order
+        cubes = np.float_power(np.vecdot(axes, q[..., None, :]), 3)
+        return ((force_axes / cubes[..., None]).sum(axis=-2),
+                np.zeros(q.shape))
 
     def sdist(q):
         return float(np.min(np.abs(axes @ q)) / root2)

@@ -76,12 +76,15 @@ class Observable:
     The optional array form ``rows(Q, P)`` takes ``(N, d)`` float arrays
     and returns the N values of ``fn`` on their rows, bit for bit (it
     raises what ``fn`` raises on any row); trajectory monitors use it in
-    place of N calls to ``fn``. An ``fn`` written once over ``(..., d)``
-    arrays (``np.vecdot`` for dot products, ``q.T[k]`` or ``q[..., k]``
-    for a coordinate) serves floats, jets and rows alike and is its own
-    ``rows``, as the catalog potentials and the generators of
-    ``build_system`` are; the rows form of :func:`brackets`
-    differentiates such an ``fn`` at all rows in one jet evaluation.
+    place of N calls to ``fn``. An observable with ``rows`` has a
+    ``grad_fn``, if any, that also takes ``(N, d)`` rows and returns the
+    ``(N, d)`` gradients, each row bit for bit its one-point call. An
+    ``fn`` written once over ``(..., d)`` arrays (``np.vecdot`` for dot
+    products, ``q.T[k]`` or ``q[..., k]`` for a coordinate) serves floats,
+    jets and rows alike and is its own ``rows``, as the catalog potentials
+    and the generators of ``build_system`` are; the rows form of
+    :func:`brackets` differentiates all rows in one ``grad_fn`` call, or
+    else in one jet evaluation of such an ``fn``.
     """
 
     __slots__ = ("dim", "fn", "grad_fn", "name", "rows")
@@ -183,14 +186,20 @@ def grad(obs: Observable, state: PhaseState):
 
 def _grad_rows(obs: Observable, Q: np.ndarray, P: np.ndarray):
     """``(dQ, dP)`` at every row of ``(N, d)`` arrays with :func:`grad`'s
-    checks: the analytic ``grad_fn`` row by row, else one jet evaluation
-    over all rows, where the first row whose value or gradient is not
-    finite raises what :func:`grad` raises at that state."""
-    if obs.grad_fn is not None:
+    checks, from one evaluation over all rows: the analytic ``grad_fn``
+    called once on ``(Q, P)`` (values from ``rows``) when the observable
+    has both, else one jet evaluation; the first row whose value or
+    gradient is not finite raises what :func:`grad` raises at that state.
+    A ``grad_fn`` without ``rows`` goes row by row."""
+    if obs.grad_fn is None:
+        vals, (dq, dp) = dual.gradient(obs.fn, Q, P)
+    elif obs.rows is not None:
+        vals = obs.rows(Q, P)
+        dq, dp = _grad_arrays(obs, Q, P)
+    else:
         g = [grad(obs, PhaseState(q, p)) for q, p in zip(Q, P)]
         return (np.reshape([x[0] for x in g], Q.shape),
                 np.reshape([x[1] for x in g], P.shape))
-    vals, (dq, dp) = dual.gradient(obs.fn, Q, P)
     ok = np.isfinite(vals) & np.isfinite(dq).all(-1) & np.isfinite(dp).all(-1)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -349,7 +358,6 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
 
 
 # Dormand-Prince 5(4) embedded pair.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from confmech import dual, models
 from confmech.conformal import build_system, check_homogeneity, sample_states
 from confmech.errors import DomainError, UnsupportedModelError
-from confmech.phase import Observable, integrate_verlet
+from confmech.phase import Observable, PhaseState, brackets, integrate_verlet
 from confmech.reduction import (
     ReducedState,
     angular_potential,
@@ -407,6 +407,14 @@ class TestArrayForms:
 
 _SYSTEMS = {ms.label: models.build(ms) for ms in _ARRAY_SPECS}
 
+_GRAD_SPECS = (
+    [models.spec("inverse-square", d=d, kappa=1.0) for d in range(1, 9)]
+    + [models.spec("higgs", d=d, omega=1.0) for d in (2, 3, 4)]
+    + [models.spec("coulomb", d=d, gamma=1.0) for d in (2, 3, 4)]
+    + [models.spec("calogero", n=n, g=1.0) for n in (2, 3, 4, 5)]
+    + [models.spec("free", d=d) for d in (1, 2, 3)])
+_GRAD_SYSTEMS = {ms.label: models.build(ms) for ms in _GRAD_SPECS}
+
 
 def _admissible_rows(sys_, values, margin):
     """The (q, p) rows of ``values`` at least ``margin`` from the singular
@@ -442,6 +450,24 @@ class TestOneBody:
             assert obs.rows is obs.fn, obs.name
             per_row = [obs.fn(q, p) for q, p in zip(Q, P)]
             assert _same_bits(obs.fn(Q, P), per_row), obs.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gradients_and_brackets_take_rows(self, data):
+        # one grad_fn call and one bracket table over rows give each row's
+        # one-point answer: the gradients bit for bit, the tables equal
+        # (np.vecdot adds to +0.0, so an exact zero may change sign)
+        ms = data.draw(st.sampled_from(_GRAD_SPECS), label="model")
+        sys_ = _GRAD_SYSTEMS[ms.label]
+        Q, P = _admissible_rows(sys_, data.draw(_row_values(ms.d)), 1e-3)
+        gens = (sys_.H, sys_.D, sys_.K)
+        for obs in (sys_.V, *gens, sys_.casimir):
+            dQ, dP = obs.grad_fn(Q, P)
+            per_row = [obs.grad_fn(q, p) for q, p in zip(Q, P)]
+            assert dQ.tobytes() == np.array([g[0] for g in per_row]).tobytes()
+            assert dP.tobytes() == np.array([g[1] for g in per_row]).tobytes()
+        for table, q, p in zip(brackets(gens, Q, P), Q, P):
+            assert np.array_equal(table, brackets(gens, PhaseState(q, p)))
 
     @pytest.mark.parametrize("ms", _ARRAY_SPECS, ids=lambda ms: ms.label)
     @settings(max_examples=30, deadline=None)

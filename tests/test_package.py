@@ -1,8 +1,13 @@
 """The package's public name surface."""
 
+import importlib.util
+import sys
 import types
+from pathlib import Path
 
 import confmech
+from confmech import (cli, conformal, dual, lobachevsky, models,  # noqa: F401
+                      phase, radial, reduction)
 
 
 def test_all_holds_no_modules():
@@ -10,3 +15,23 @@ def test_all_holds_no_modules():
     assert not [m for m in exported if isinstance(m, types.ModuleType)]
     assert "Observable" in confmech.__all__
     assert "phase" not in confmech.__all__
+
+
+def test_benchmark_tracer_finds_and_restores_every_name():
+    # the benchmark's tracer rebinds confmech functions by name, so a
+    # renamed or removed one fails here, not only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name.startswith("confmech") and mod is not None}
+    before = {(name, key): val for name, mod in modules.items()
+              for key, val in vars(mod).items()}
+    with tracing.Tracer("test").installed(tracing.install_layers):
+        rebound = {key for key, val in before.items()
+                   if getattr(modules[key[0]], key[1]) is not val}
+    assert ("confmech.conformal", "verify_algebra") in rebound
+    assert ("confmech.phase", "_grad_arrays") in rebound
+    assert [key for key in rebound
+            if getattr(modules[key[0]], key[1]) is not before[key]] == []

@@ -15,6 +15,7 @@ from confmech.phase import (
     Observable,
     PhaseState,
     Trajectory,
+    brackets,
     grad,
     grad_finite_difference,
     integrate_adaptive,
@@ -79,6 +80,24 @@ class TestGrad:
         blows_up = Observable(1, lambda q, p: 1e400)  # overflows to inf
         with pytest.raises(NonFiniteError):
             grad(blows_up, PhaseState([1.0], [1.0]))
+
+    def test_rows_raise_at_the_first_bad_row(self):
+        # row 3 overflows H (kappa / r^2 with r^2 = 1e-320): the rows table
+        # raises grad's own error at that state, as the per-state path does
+        sys_ = models.build(models.spec("inverse-square", d=2, kappa=1.0))
+        Q = np.array([[1.0, 0.5], [0.3, -1.2], [-0.7, 0.9], [1e-160, 0.0],
+                      [2.0, 1.0]])
+        P = np.array([[0.2, 0.1], [1.0, 0.0], [-0.4, 0.3], [0.5, 0.5],
+                      [0.0, -1.0]])
+        state = PhaseState(Q[3], P[3])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as want:
+                grad(sys_.H, state)
+            with pytest.raises(NonFiniteError) as got:
+                brackets((sys_.H, sys_.D, sys_.K), Q, P)
+        assert str(got.value) == str(want.value)
+        assert np.array_equal(got.value.state.q, Q[3])
+        assert np.array_equal(got.value.state.p, P[3])
 
     def test_non_dual_observable_raises(self):
         # gradients are analytic or dual: an observable the dual engine
