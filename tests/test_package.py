@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import confmech
+# every module the benchmark's tracer patches, loaded before the snapshot
 from confmech import (cli, conformal, dual, lobachevsky, models,  # noqa: F401
                       phase, radial, reduction)
 
