@@ -1,6 +1,7 @@
 """Half-plane coordinate, Killing forms, decoupling inversion, bracket
 formulas, canonicity verdicts, and the symplectic-form assembly."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -522,6 +523,80 @@ class TestGoldenVerdicts:
             assert entry["exceed_count"] == exceed, name
             assert entry["max_residual"] == pytest.approx(
                 worst, rel=1e-9, abs=1e-13), name
+
+
+def _golden_bracket_lines(sys_, s):
+    """``bracket_matrix(...).tobytes().hex()`` at a state and, where the
+    chart reaches it, the ``float.hex`` of every ``expected_brackets``
+    field, one line each."""
+    sphere = spherical_system_from(sys_.V, sys_.d)
+    lines = [bracket_matrix(sphere, s).tobytes().hex()]
+    if sys_.d == 1 and s.q[0] <= 0:
+        return lines
+    rs = to_hyperspherical(s)
+    table = expected_brackets(to_klein(rs, casimir_I(sys_, s)), sphere, rs)
+    lines.append(table.branch)
+    for z in (table.ww_numeric, table.ww_formula):
+        lines += [z.real.hex(), z.imag.hex()]
+    for row in table.mixed:
+        lines += [row.name, row.eom.hex()]
+        for z in (row.numeric, row.consistent, row.displayed):
+            lines += [z.real.hex(), z.imag.hex()]
+    return lines
+
+
+# SHA-256 of the _golden_bracket_lines of the catalog's positive-I states
+# (_positive_I_states(sys_, 3, seed=73)), recorded from the one-entry-per-
+# observable chart: (catalog index, state index) -> digest
+_GOLDEN_BRACKET_SYSTEMS = [models.build(ms) for ms in models.catalog()]
+_GOLDEN_BRACKETS = {
+    (0, 0): '31d4153a17312a169b251cc7f91bcd201ab4cf8b673fea5a2917edac7ca801f9',
+    (0, 1): 'dbc9e376d1629d45c869906c63031dc2a8eb23443fce26ea489e3596690f61d6',
+    (0, 2): 'c166793b89dc40b7a7dbbedc5e181f13701f363c910be8c63f04615019084178',
+    (1, 0): 'd2ffcc20f640e0439858f685cbc040e873296c6b98978841e8dfe6bd83240dc2',
+    (1, 1): '45f86c41277607879d996332cbc2be64afe23c0f494bc6b10c03f3807c446042',
+    (1, 2): '97b6d893dce3090711fe6826dba753c72ceb51a0d06bbc81a77c07152897c0db',
+    (2, 0): 'c389a262887c514a5a7d676c6a56b74fff90e972021388907dc40107a8a53d4e',
+    (2, 1): 'cf7968d57a7a010db878900b358713563dc0c034c2ce7200bca16c814d1c5d49',
+    (2, 2): 'a0dac42c1cccafaa42077d35becaf53c4848070556f30021116452204ab34c86',
+    (3, 0): 'f088de09971ab034876a50d8ccdf7aaebfc851132107a76a44fe63aa69e8d009',
+    (3, 1): '3e0ef1b5764bc2e2864dc4e392a8c3884990ed59c1675a963c1631e1d9b17f66',
+    (3, 2): 'bd1a7e3017d43996d8bf645c0ee100711ca6a08ac40594664cf37bee0fd1300c',
+    (4, 0): '8a190c1963d2244d8e63f22e315e4ae174f95d84f3b5862e6f975e4996fbe179',
+    (4, 1): '5bf6d08e86936319ea0e57343ab6069232c67adede5073a07996eabc9e87e505',
+    (4, 2): '13dc2f00a4ec7dfd554cf63170808f010f69d3dd2763a6424103ae226bee4ffe',
+    (5, 0): 'e1b5aa0394ee77734d8e6addfe793091345539709d249afef9d6221c41022617',
+    (5, 1): 'cdeefae239c2f79a2d30d293ea3c1b03fa9ffd6999f99afb94646b06afeb166b',
+    (5, 2): 'd7fe3fb70fd082f205a710b834688af309f595a97f3c2444a8e15ad69cf49ee8',
+    (6, 0): '54682969858826def92b3196f5ea2f536bd079774b82a9552b4505e6274c3c77',
+    (6, 1): '61a6fa4970b1a187d440abf1b6b9ed30a18c99486cf2fbf7dc2b102c29b7ebf5',
+    (6, 2): 'fb6b24e0842caa3e761cfe80bb683300aa54b5efce13e2d180d94f8e250481f1',
+    (7, 0): '7d9a62d6b8fac5f79f4b194ef7d55a1ede0bf14c3d9ee2427568c155adeb7b7c',
+    (7, 1): '2ba5009e8264d4fe19b96a888b981e617fd24c2e6449a296d8c18eacd6b452a9',
+    (7, 2): '4e3d9243f017c0f1f69a239420a3d19ea0ac0fe7687c48be70ac47dce877e6b4',
+}
+
+
+class TestGoldenBrackets:
+    """The per-state consumers bracket_matrix and expected_brackets are
+    pinned bit for bit; the paths behind them may change, their numbers
+    may not."""
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN_BRACKETS), ids=lambda k: (
+        f"{models.catalog()[k[0]].label}-state{k[1]}"))
+    def test_catalog(self, key):
+        sys_ = _GOLDEN_BRACKET_SYSTEMS[key[0]]
+        s = _positive_I_states(sys_, 3, seed=73)[key[1]]
+        digest = hashlib.sha256(
+            "\n".join(_golden_bracket_lines(sys_, s)).encode()).hexdigest()
+        assert digest == _GOLDEN_BRACKETS[key]
+
+    def test_one_dimensional_negative_x(self):
+        # x < 0 is outside the d = 1 chart; the table needs no chart there
+        sys_ = models.build(models.spec("inverse-square", d=1, kappa=0.5))
+        s = PhaseState([-1.3], [0.4])
+        assert _golden_bracket_lines(sys_, s) == [
+            '0000000000000000bfe7006b7e68e6bfbfe7006b7e68e63f0000000000000000']
 
 
 class TestHalfPlaneErrors:
