@@ -54,7 +54,7 @@ from .reduction import (
     ReducedState,
     SphericalSystem,
     angles_from_unit,
-    chart_observables,
+    chart_observable,
     from_hyperspherical,
     hyperspherical_rows,
     spherical_system_from,
@@ -311,18 +311,21 @@ def expected_brackets(kp: KleinPoint, sphere: SphericalSystem,
     the commonly displayed 1/(2I) (exactly twice it); the numeric column
     settles which one the canonical structure actually produces. Every
     engine value comes from one :func:`brackets` table over (Re w, s), I
-    and the chart coordinates, on ``kp``'s branch:
+    and, for d > 1, the :func:`~confmech.reduction.chart_observable`
+    block (r, p_r, phi_a..., pi_a...) from row 3 on, on ``kp``'s branch:
     {w, wbar} = -2 sigma^ {Re w, s} and {u, w} = {u, Re w} + sigma^ {u, s}.
+    d = 1 has no angular coordinates, no chart and no mixed rows.
     """
     d = sphere.d
-    charts = chart_observables(d)
-    names = [f"{kind}_{a}" for a in range(d - 1) for kind in ("phi", "pi")]
     iobs = Observable(d, _casimir_fn(sphere, d), name="I")
-    B = brackets([*w_observables(sphere), iobs] + [charts[n] for n in names],
+    B = brackets([*w_observables(sphere), iobs]
+                 + ([chart_observable(d)] if d > 1 else []),
                  from_hyperspherical(rs)).tolist()
     diff = kp.w - kp.wbar
     mixed = []
-    for j, name in enumerate(names, start=3):
+    # the chart's phi_a is row 5 + a of the table, its pi_a row 4 + d + a
+    for name, j in [(f"{u}_{a}", 5 + k * (d - 1) + a) for a in range(d - 1)
+                    for k, u in enumerate(("phi", "pi"))]:
         v_a = B[j][2]
         num = (complex(B[j][0], B[j][1]) if kp.branch == POSITIVE_I
                else complex(B[j][0] + B[j][1]))
@@ -428,15 +431,14 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     P = np.array([s.p for s in states])
 
     tobs = tilde_observables(sys)
-    charts = chart_observables(d)
-    # every state's bracket table over (p~, r~, phi_0, pi_0, ..., Re w, s)
+    # every state's bracket table over (p~, r~), for d > 1 the chart block
+    # (r, p_r, phi_0, ..., pi_0, ...) from column 2 on, and (Re w, s)
     coords = ([tobs["p_tilde"], tobs["r_tilde"]]
-              + [charts[f"{u}_{a}"] for a in range(d - 1)
-                 for u in ("phi", "pi")]
+              + ([chart_observable(d)] if d > 1 else [])
               + list(w_observables(spherical_system_from(sys.V, d))))
     B = brackets(coords, Q, P)
     # (table name, tilde row, chart column) of each mixed bracket
-    mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), 2 + 2 * a + k)
+    mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), 4 + k * (d - 1) + a)
              for a in range(d - 1) for t in "rp"
              for k, u in enumerate(("phi", "pi"))]
     r, p_r, _, _ = hyperspherical_rows(Q, P)
@@ -471,16 +473,21 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
 
 def bracket_matrix(sphere: SphericalSystem, s: PhaseState) -> np.ndarray:
     """Antisymmetric matrix {xi_j, xi_k} of the half-plane coordinates
-    xi = (Re w, Im w, phi^a..., pi_a...): one :func:`brackets` table. The
-    positive-I inverse of :func:`assemble_omega`, so I <= 0 raises
+    xi = (Re w, Im w, phi^a..., pi_a...): one :func:`brackets` table over
+    (Re w, Im w) and, for d > 1, the
+    :func:`~confmech.reduction.chart_observable` block, whose r and p_r
+    rows and columns are dropped. d = 1 has no chart, so its 2 x 2 table
+    takes x < 0 as well as x > 0. The positive-I inverse of
+    :func:`assemble_omega`, so I <= 0 raises
     :class:`ZeroAngularEnergyError` before any differentiation."""
     if _state_branch(sphere, s) != POSITIVE_I:
         raise ZeroAngularEnergyError("the Kahler block needs I > 0")
     d = sphere.d
-    charts = chart_observables(d)
-    return brackets(list(w_observables(sphere))
-                    + [charts[f"phi_{a}"] for a in range(d - 1)]
-                    + [charts[f"pi_{a}"] for a in range(d - 1)], s)
+    if d == 1:
+        return brackets(w_observables(sphere), s)
+    B = brackets([*w_observables(sphere), chart_observable(d)], s)
+    xi = [0, 1, *range(4, 2 * d + 2)]
+    return B[np.ix_(xi, xi)]
 
 
 def assemble_omega(rs: Union[ReducedState, PhaseState, tuple],
@@ -531,29 +538,6 @@ def metric_coefficient(w: complex, g: float) -> float:
 def kahler_potential(w: complex, g: float) -> float:
     """g log( i (wbar - w) ) = g log(2 Im w), real on the half-plane."""
     return g * math.log(2.0 * w.imag)
-
-
-def kahler_hessian_fd(w: complex, g: float) -> float:
-    """d^2/dw dwbar of the Kahler potential via a finite-difference
-    Laplacian (the independent check of :func:`metric_coefficient`).
-
-    Fourth-order stencils with step 1e-4 Im w on extended-precision floats
-    keep the oracle below 1e-10 relative error on the tested grid.
-    """
-    ld = np.longdouble
-
-    def f(x, y):
-        return ld(g) * np.log(ld(2.0) * y)
-
-    x0, y0 = ld(w.real), ld(w.imag)
-    h = ld(1e-4) * y0
-
-    def second(fn):
-        return (-fn(2 * h) + 16 * fn(h) - ld(30.0) * fn(ld(0.0))
-                + 16 * fn(-h) - fn(-2 * h)) / (12 * h * h)
-
-    lap = (second(lambda e: f(x0 + e, y0)) + second(lambda e: f(x0, y0 + e)))
-    return float(0.25 * lap)
 
 
 def _wirtinger(fn, w: complex, h: float = 1e-6) -> tuple:

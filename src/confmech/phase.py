@@ -64,7 +64,12 @@ class PhaseState:
 
 
 class Observable:
-    """A scalar function of a phase point with a gradient.
+    """A function of a phase point with a gradient.
+
+    Its value is a scalar or has m components: shape ``(m,)`` at a point
+    and ``(N, m)`` on rows, with gradients of shape ``(m, d)`` and
+    ``(N, m, d)``; :func:`brackets` gives each component its own row and
+    column of the table.
 
     ``fn(q, p)`` must accept plain float arrays and, unless an analytic
     ``grad_fn(q, p) -> (dq, dp)`` is given, dual-number jets (write scalar
@@ -97,9 +102,9 @@ class Observable:
         self.name = name
         self.rows = rows
 
-    def __call__(self, state: PhaseState) -> float:
+    def __call__(self, state: PhaseState):
         v = dual.value(self.fn(state.q, state.p))
-        if not np.isfinite(v):
+        if not np.all(np.isfinite(v)):
             raise NonFiniteError(f"observable {self.name or '<anon>'} is not "
                                  "finite here", state=state)
         return v
@@ -117,22 +122,6 @@ class Observable:
         sfn, ofn = self.fn, other.fn
         return Observable(self.dim, lambda q, p: sfn(q, p) * ofn(q, p),
                           name=f"({self.name}*)")
-
-
-def position_observable(i: int, d: int) -> Observable:
-    def gfn(q, p, _i=i, _d=d):
-        dq = np.zeros(_d)
-        dq[_i] = 1.0
-        return dq, np.zeros(_d)
-    return Observable(d, lambda q, p: q[i], grad_fn=gfn, name=f"x{i}")
-
-
-def momentum_observable(i: int, d: int) -> Observable:
-    def gfn(q, p, _i=i, _d=d):
-        dp = np.zeros(_d)
-        dp[_i] = 1.0
-        return np.zeros(_d), dp
-    return Observable(d, lambda q, p: p[i], grad_fn=gfn, name=f"p{i}")
 
 
 def grad_finite_difference(obs: Observable, state: PhaseState):
@@ -189,8 +178,9 @@ def _grad_rows(obs: Observable, Q: np.ndarray, P: np.ndarray):
     checks, from one evaluation over all rows: the analytic ``grad_fn``
     called once on ``(Q, P)`` (values from ``rows``) when the observable
     has both, else one jet evaluation; the first row whose value or
-    gradient is not finite raises what :func:`grad` raises at that state.
-    A ``grad_fn`` without ``rows`` goes row by row."""
+    gradient is not finite raises what :func:`grad` raises at that state
+    (a row is bad if any component of a vector observable is). A
+    ``grad_fn`` without ``rows`` goes row by row."""
     if obs.grad_fn is None:
         vals, (dq, dp) = dual.gradient(obs.fn, Q, P)
     elif obs.rows is not None:
@@ -201,6 +191,8 @@ def _grad_rows(obs: Observable, Q: np.ndarray, P: np.ndarray):
         return (np.reshape([x[0] for x in g], Q.shape),
                 np.reshape([x[1] for x in g], P.shape))
     ok = np.isfinite(vals) & np.isfinite(dq).all(-1) & np.isfinite(dp).all(-1)
+    if ok.ndim > 1:  # (N, m) components
+        ok = ok.all(-1)
     if not ok.all():
         i = int(np.argmin(ok))
         s = PhaseState(Q[i], P[i])
@@ -212,9 +204,12 @@ def _grad_rows(obs: Observable, Q: np.ndarray, P: np.ndarray):
 
 def brackets(observables, state, P: np.ndarray = None) -> np.ndarray:
     """Table ``B[j, k] = {A_j, A_k}`` of every ordered pair at a state,
-    each observable differentiated once (by :func:`grad`). Each entry off
-    the zero diagonal is computed from its own ordered pair, not negated
-    from its transpose, so the sign of an exact zero is the pair's own.
+    each observable differentiated once (by :func:`grad`). A vector
+    observable, told apart by its ``(m, d)`` gradients, takes m
+    consecutive rows and columns, one per component, in its own order.
+    Each entry off the zero diagonal is computed from its own ordered
+    pair, not negated from its transpose, so the sign of an exact zero is
+    the pair's own.
 
     Rows form: ``brackets(observables, Q, P)`` with ``(N, d)`` arrays gives
     the ``(N, m, m)`` tables of all rows from one gradient evaluation per
@@ -227,18 +222,28 @@ def brackets(observables, state, P: np.ndarray = None) -> np.ndarray:
     else:
         lead, dot = P.shape[:-1], np.vecdot
         grads = [_grad_rows(A, state, P) for A in observables]
-    B = np.zeros(lead + (len(grads), len(grads)))
-    for j, (dAq, dAp) in enumerate(grads):
-        for k, (dBq, dBp) in enumerate(grads):
+    # the gradients of every entry along axis -2: one for a scalar's
+    # (..., d) pair, m for a vector's (..., m, d) pair
+    dQ, dP = (np.concatenate([np.reshape(g[i], lead + (-1, g[i].shape[-1]))
+                              for g in grads], axis=-2) for i in (0, 1))
+    m = dQ.shape[-2]
+    B = np.zeros(lead + (m, m))
+    for j in range(m):
+        for k in range(m):
             if j != k:
-                B[..., j, k] = dot(dAp, dBq) - dot(dAq, dBp)
+                B[..., j, k] = (dot(dP[..., j, :], dQ[..., k, :])
+                                - dot(dQ[..., j, :], dP[..., k, :]))
     return B
 
 
 def poisson_bracket(A: Observable, B: Observable, state: PhaseState) -> float:
-    """{A, B} at a state, with the {p, x} = +1 sign convention: the one
-    entry of the two-observable :func:`brackets` table."""
-    return float(brackets((A, B), state)[0, 1])
+    """{A, B} of two scalar observables at a state, with the {p, x} = +1
+    sign convention: the one entry of their :func:`brackets` table. A
+    vector observable raises ValueError; read its brackets from a table."""
+    table = brackets((A, B), state)
+    if table.shape != (2, 2):
+        raise ValueError("poisson_bracket takes two scalar observables")
+    return float(table[0, 1])
 
 
 @dataclass

@@ -75,11 +75,6 @@ def radial_squared(rd: RadialData, t):
     return 2.0 * rd.E * t * t + 2.0 * rd.D0 * t + rd.r0sq
 
 
-def radial_squared_rate(rd: RadialData, t):
-    """d(r^2)/dt = 4 E t + 2 D0; equals 2 D(t). Float or array ``t``."""
-    return 4.0 * rd.E * t + 2.0 * rd.D0
-
-
 def radial_momentum(rd: RadialData, t):
     """p_r(t) = (2 E t + D0) / r(t) on a collapse-free interval; float or
     array ``t``."""

@@ -267,20 +267,16 @@ def spherical_energy(sys: SphericalSystem, phi, pi) -> float:
     return float(dual.value(sys.energy(phi, pi)))
 
 
-def chart_observables(d: int) -> dict:
-    """The chart functions as observables on the Cartesian phase space:
-    ``r``, ``p_r`` and, for a < d - 1, ``phi_a`` and ``pi_a``, each one
-    entry of :func:`hyperspherical_rows`, so bracket checks differentiate
-    the chart map itself."""
+def chart_observable(d: int) -> Observable:
+    """The chart map as one observable on the Cartesian phase space, with
+    the ``2d`` components ``(r, p_r, phi_0, ..., phi_{d-2}, pi_0, ...,
+    pi_{d-2})`` of one :func:`hyperspherical_rows` call, so a bracket
+    table differentiates the chart map once. Like the chart it raises
+    :class:`ChartSingularError` outside it, at d = 1 wherever x <= 0."""
 
-    def entry(k, a=None):
-        def fn(q, p):
-            x = hyperspherical_rows(q, p)[k]
-            return x if a is None else x[..., a]
-        return fn
+    def fn(q, p):
+        r, p_r, phi, pi = hyperspherical_rows(q, p)
+        return dual.stack([r, p_r] + [x[..., a] for x in (phi, pi)
+                                      for a in range(d - 1)])
 
-    fields = [("r", 0, None), ("p_r", 1, None)] + [
-        (f"{u}_{a}", k, a) for a in range(d - 1)
-        for k, u in ((2, "phi"), (3, "pi"))]
-    return {name: Observable(d, entry(k, a), name=name)
-            for name, k, a in fields}
+    return Observable(d, fn, name="chart")

@@ -34,15 +34,15 @@ from confmech.lobachevsky import (
 )
 from confmech.phase import (
     PhaseState,
+    brackets,
     integrate_adaptive,
     integrate_verlet,
-    poisson_bracket,
 )
 from confmech.radial import RadialData, fall_time, radial_squared, reconstruct
 from confmech.reduction import (
     ReducedState,
     angular_potential,
-    chart_observables,
+    chart_observable,
     spherical_energy,
     spherical_system_from,
     to_hyperspherical,
@@ -250,8 +250,9 @@ def test_c07_canonicity_verdicts():
 
     free2 = models.build(models.spec("free", d=2))
     s = PhaseState([1.0, 0.0], [1.0, 1.0])
-    witness = poisson_bracket(tilde_observables(free2)["r_tilde"],
-                              chart_observables(2)["phi_0"], s)
+    # phi_0 is component 2 of the chart, column 3 of the table
+    witness = brackets((tilde_observables(free2)["r_tilde"],
+                        chart_observable(2)), s)[0, 3]
     assert abs(witness - (-0.3535533905932738)) < 1e-8
     _report("7 canonicity verdicts",
             f"d=1 canonical, d=2/d=3 non-canonical, witness "

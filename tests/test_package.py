@@ -1,5 +1,6 @@
-"""The package's public name surface."""
+"""The package's public name surface and its sources."""
 
+import ast
 import importlib.util
 import sys
 import types
@@ -36,3 +37,16 @@ def test_benchmark_tracer_finds_and_restores_every_name():
     assert ("confmech.phase", "_grad_arrays") in rebound
     assert [key for key in rebound
             if getattr(modules[key[0]], key[1]) is not before[key]] == []
+
+
+def test_sources_parse_at_the_python_floor():
+    # requires-python is >=3.10, so syntax newer than 3.10 anywhere in the
+    # sources fails here, on any interpreter, not only on a 3.10 one
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    files = [f for d in ("src", "tests", "perfbench", "demos")
+             for f in sorted((root / d).rglob("*.py"))]
+    assert len(files) > 20
+    for f in files:
+        ast.parse(f.read_text(), filename=str(f), feature_version=(3, 10))

@@ -20,14 +20,28 @@ from confmech.phase import (
     grad_finite_difference,
     integrate_adaptive,
     integrate_verlet,
-    momentum_observable,
     poisson_bracket,
-    position_observable,
 )
 from confmech.radial import RadialData, radial_squared
 from confmech.reduction import SphericalSystem
 
 from conftest import model_states
+
+
+def position_observable(i: int, d: int) -> Observable:
+    def gfn(q, p, _i=i, _d=d):
+        dq = np.zeros(_d)
+        dq[_i] = 1.0
+        return dq, np.zeros(_d)
+    return Observable(d, lambda q, p: q[i], grad_fn=gfn, name=f"x{i}")
+
+
+def momentum_observable(i: int, d: int) -> Observable:
+    def gfn(q, p, _i=i, _d=d):
+        dp = np.zeros(_d)
+        dp[_i] = 1.0
+        return np.zeros(_d), dp
+    return Observable(d, lambda q, p: p[i], grad_fn=gfn, name=f"p{i}")
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +109,26 @@ class TestGrad:
                 grad(sys_.H, state)
             with pytest.raises(NonFiniteError) as got:
                 brackets((sys_.H, sys_.D, sys_.K), Q, P)
+        assert str(got.value) == str(want.value)
+        assert np.array_equal(got.value.state.q, Q[3])
+        assert np.array_equal(got.value.state.p, P[3])
+
+    def test_vector_rows_raise_at_the_first_bad_row(self):
+        # only the second component of a two-component observable is
+        # non-finite, at row 3 (1 / x_1 with x_1 = 0): the rows table
+        # raises grad's own error at that state, not at a flattened index
+        vec = Observable(2, lambda q, p: dual.stack([q[..., 0],
+                                                     1.0 / q[..., 1]]),
+                         name="vec")
+        Q = np.array([[1.0, 0.5], [0.3, -1.2], [-0.7, 0.9], [1.5, 0.0],
+                      [2.0, 1.0]])
+        P = np.ones_like(Q)
+        state = PhaseState(Q[3], P[3])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as want:
+                grad(vec, state)
+            with pytest.raises(NonFiniteError) as got:
+                brackets((vec,), Q, P)
         assert str(got.value) == str(want.value)
         assert np.array_equal(got.value.state.q, Q[3])
         assert np.array_equal(got.value.state.p, P[3])
@@ -181,6 +215,14 @@ class TestPoissonBracket:
             rhs = (poisson_bracket(A, B, s) * C(s)
                    + B(s) * poisson_bracket(A, C, s))
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+    def test_vector_observable_rejected(self):
+        # a two-component observable would fill the one entry read here
+        # with a bracket between its own components
+        vec = Observable(1, lambda q, p: dual.stack([q[..., 0], p[..., 0]]))
+        with pytest.raises(ValueError, match="two scalar observables"):
+            poisson_bracket(vec, momentum_observable(0, 1),
+                            PhaseState([0.5], [1.0]))
 
 
 class TestVerlet:

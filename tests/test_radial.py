@@ -16,13 +16,17 @@ from confmech.radial import (
     RadialData,
     fall_time,
     radial_squared,
-    radial_squared_rate,
     reconstruct,
     reparam_time,
 )
 from scipy.integrate import quad
 
 _CATALOG = [(ms, models.build(ms)) for ms in models.catalog()]
+
+
+def radial_squared_rate(rd: RadialData, t):
+    """d(r^2)/dt = 4 E t + 2 D0; equals 2 D(t). Float or array ``t``."""
+    return 4.0 * rd.E * t + 2.0 * rd.D0
 
 
 def _radial_oracle_final(rd, t_end, rtol=1e-11):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from confmech import models
 from confmech.conformal import casimir_I
 from confmech.errors import ChartSingularError, NotHomogeneousError
-from confmech.phase import PhaseState, integrate_adaptive, poisson_bracket
+from confmech.phase import PhaseState, brackets, grad, integrate_adaptive
 from confmech.reduction import (
     ReducedState,
     angular_potential,
-    chart_observables,
+    chart_observable,
     from_hyperspherical,
     hyperspherical_rows,
     sphere_metric_inverse,
@@ -131,9 +131,9 @@ class TestChartObservables:
     @settings(max_examples=60, deadline=None)
     @given(d=st.sampled_from([1, 2, 3, 4]), seed=st.integers(0, 2 ** 32 - 1))
     def test_entries_are_the_chart_map(self, d, seed):
-        # each observable the bracket checks differentiate is one field of
+        # each component the bracket checks differentiate is one field of
         # to_hyperspherical, bit for bit
-        obs = chart_observables(d)
+        obs = chart_observable(d)
         rng = np.random.default_rng(seed)
         for _ in range(10):
             s = PhaseState(rng.uniform(-2, 2, d), rng.uniform(-2, 2, d))
@@ -143,9 +143,10 @@ class TestChartObservables:
             want = {"r": rs.r, "p_r": rs.p_r,
                     **{f"phi_{a}": rs.phi[a] for a in range(d - 1)},
                     **{f"pi_{a}": rs.pi[a] for a in range(d - 1)}}
-            assert obs.keys() == want.keys()
-            for name, value in want.items():
-                assert (np.float64(obs[name](s)).tobytes()
+            got = obs(s)
+            assert got.shape == (len(want),)
+            for (name, value), entry in zip(want.items(), got):
+                assert (np.float64(entry).tobytes()
                         == np.float64(value).tobytes()), (name, s)
 
 
@@ -259,7 +260,7 @@ class TestSphericalEnergy:
 class TestChartCanonicity:
     @pytest.mark.parametrize("d", [2, 3])
     def test_canonical_brackets(self, d):
-        obs = chart_observables(d)
+        obs = chart_observable(d)
         names = (["r", "p_r"] + [f"phi_{a}" for a in range(d - 1)]
                  + [f"pi_{a}" for a in range(d - 1)])
         rng = np.random.default_rng(d + 40)
@@ -269,9 +270,10 @@ class TestChartCanonicity:
             if not chart_interior(s, margin=0.05):
                 continue
             done += 1
+            B = brackets((obs,), s)  # rows and columns in names' order
             for i, a in enumerate(names):
-                for b in names[i + 1:]:
-                    val = poisson_bracket(obs[a], obs[b], s)
+                for j, b in enumerate(names[i + 1:], start=i + 1):
+                    val = B[i, j]
                     if (a, b) == ("r", "p_r"):
                         expected = -1.0  # {p_r, r} = +1
                     elif (a.startswith("phi_") and b == "pi_" + a[4:]):
@@ -280,11 +282,36 @@ class TestChartCanonicity:
                         expected = 0.0
                     assert abs(val - expected) < 1e-9, (a, b, val)
 
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_tables_are_canonical(self, d, seed):
+        # the rows table of the one chart observable: every slice is its
+        # row's table (== lets the sign of an exact zero differ), and each
+        # is the canonical matrix, {p_r, r} = {pi_a, phi_a} = 1, at 1e-12
+        # of each entry's own scale |dA/dp||dB/dq| + |dA/dq||dB/dp|
+        obs = chart_observable(d)
+        rng = np.random.default_rng(seed)
+        states = [s for s in (PhaseState(rng.uniform(-2, 2, d),
+                                         rng.uniform(-2, 2, d))
+                              for _ in range(8)) if chart_interior(s)]
+        assume(states)
+        rows = brackets((obs,), np.array([s.q for s in states]),
+                        np.array([s.p for s in states]))
+        canonical = np.zeros((2 * d, 2 * d))
+        for a, b in [(1, 0)] + [(d + 1 + a, 2 + a) for a in range(d - 1)]:
+            canonical[a, b], canonical[b, a] = 1.0, -1.0
+        for table, s in zip(rows, states):
+            assert np.all(table == brackets((obs,), s)), s
+            dq, dp = (np.abs(g) for g in grad(obs, s))
+            scale = dp @ dq.T + dq @ dp.T
+            assert np.all(np.abs(table - canonical)
+                          <= 1e-12 * np.maximum(1.0, scale)), s
+
     def test_momentum_convention(self):
         # {p_r, r} = +1 mirrors {p, x} = +1
-        obs = chart_observables(2)
+        obs = chart_observable(2)
         s = PhaseState([1.1, -0.4], [0.3, 0.9])
-        assert poisson_bracket(obs["p_r"], obs["r"], s) == \
+        assert brackets((obs,), s)[1, 0] == \
             pytest.approx(1.0, abs=1e-11)
 
 
