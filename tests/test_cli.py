@@ -1,5 +1,6 @@
 """Command-line surface: parsing, schemas, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -403,3 +404,56 @@ class TestRowFormatter:
         traj = _table_trajectory(values)
         assert _first_difference(trajectory_csv(traj),
                                  _per_value_csv(traj)) is None
+
+
+# the catalog (models.catalog()) as command-line flags
+_CATALOG_FLAGS = [
+    ["--model", "free", "--dim", "3"],
+    ["--model", "inverse-square", "--dim", "2", "--kappa", "1"],
+    ["--model", "inverse-square", "--dim", "3", "--kappa", "1"],
+    ["--model", "higgs", "--dim", "3", "--omega", "1"],
+    ["--model", "coulomb", "--dim", "3", "--gamma", "1"],
+    ["--model", "calogero", "--particles", "2", "--g", "1"],
+    ["--model", "calogero", "--particles", "3", "--g", "1"],
+    ["--model", "calogero", "--particles", "4", "--g", "1"],
+]
+
+# (command line before the model flags, SHA-256 over the exit code and
+# standard output of every catalog model in turn)
+_PINNED = {
+    "simulate": (
+        ["simulate", "--dt", "1e-3", "--t-end", "0.5"],
+        "92819ae1415c72c5579cb695439bb52b782da2fcbe2b0602b29ec2ac0ee9cbc3"),
+    "simulate-json": (
+        ["simulate", "--dt", "1e-3", "--t-end", "0.5", "--format", "json"],
+        "a4167f03f65a02c88e5a5c56b008ed25697adec64fd350cdce011318241c413a"),
+    "reconstruct": (
+        ["reconstruct", "--t-end", "5", "--num", "51"],
+        "7a7bf16da859b083242977b58ab575e23a6dbb497f14c1ae27119972706f2df4"),
+    "verify-algebra": (
+        ["verify-algebra", "--samples", "200"],
+        "69b865bc98183f73dc546c818ed14ca5492ba890da0238d9439b370bc0dbf68a"),
+    "verify-decoupling": (
+        ["verify-decoupling", "--samples", "200"],
+        "ca5078b7b9ecad87613aa2ea63c32dac02b7eb49defbf9c4be9bf87d35b412eb"),
+    "reduce": (
+        ["reduce"],
+        "9fc210404b78b0f199334864a825b9d0ab60cdb75e33822e63527950e70a0d11"),
+    "exact": (
+        ["exact", "--t-end", "2", "--num", "11"],
+        "20b28b9b6556915c9c9a23ca981e7324d406ed3a0ba463f56a0239d73ba01d5d"),
+}
+
+
+class TestPinnedOutput:
+    """Every command's bytes on the catalog, pinned: a change to any
+    monitor, report, chart or radial value shows here."""
+
+    @pytest.mark.parametrize("name", list(_PINNED))
+    def test_catalog_bytes(self, name, capsys):
+        argv, digest = _PINNED[name]
+        h = hashlib.sha256()
+        for flags in _CATALOG_FLAGS:
+            code = main(argv + flags)
+            h.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert h.hexdigest() == digest
