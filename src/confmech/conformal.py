@@ -46,19 +46,15 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
 
     Homogeneity of V is *not* checked here; use :func:`check_homogeneity`.
     Analytic gradients propagate from the potential to every generator.
-    Each generator and its gradient are one body over ``(..., d)`` arrays,
-    so its array form ``rows`` is its ``fn``: always for D and K, and for H
-    and the Casimir when V's own ``fn`` is its array form
-    (``V.rows is V.fn``), whose ``grad_fn`` then takes rows too. A system
-    over a V written for one point only has no rows form of H:
-    :func:`verify_algebra` goes state by state, and
-    :func:`~confmech.lobachevsky.canonicity_report` rejects it.
+    Each generator and its gradient are one body over ``(..., d)`` arrays
+    (``vectorized``); V's ``fn`` and ``grad_fn`` take rows as every
+    observable's do, lifted by :class:`~confmech.phase.Observable` when V
+    is written for one point.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     vfn = V.fn
     vg = V.grad_fn
-    v_broadcasts = V.rows is vfn
 
     def h_fn(q, p):
         return 0.5 * np.vecdot(p, p) + vfn(q, p)
@@ -104,11 +100,10 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
             return dq.T, dp.T
 
     H = Observable(d, h_fn, grad_fn=h_grad, name=f"H[{name}]" if name else "H",
-                   rows=h_fn if v_broadcasts else None)
-    Dg = Observable(d, d_fn, grad_fn=d_grad, name="D", rows=d_fn)
-    K = Observable(d, k_fn, grad_fn=k_grad, name="K", rows=k_fn)
-    I = Observable(d, i_fn, grad_fn=i_grad, name="I",
-                   rows=i_fn if v_broadcasts else None)
+                   vectorized=True)
+    Dg = Observable(d, d_fn, grad_fn=d_grad, name="D", vectorized=True)
+    K = Observable(d, k_fn, grad_fn=k_grad, name="K", vectorized=True)
+    I = Observable(d, i_fn, grad_fn=i_grad, name="I", vectorized=True)
     return ConformalSystem(d=d, V=V, H=H, D=Dg, K=K, casimir=I, name=name,
                            params=dict(params or {}),
                            singular_distance=singular_distance)
@@ -254,9 +249,7 @@ def verify_algebra(sys: ConformalSystem, samples: int = 200,
     {H,D}-2H while the other two relations still pass; the report keeps the
     relations separate so the failure is localized.
 
-    All sampled states go through one rows-form :func:`brackets` table; a
-    system over a V written for one point only (``H.rows is None``) stacks
-    the tables and values of its states one by one into the same arrays.
+    All sampled states go through one rows-form :func:`brackets` table.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -266,14 +259,10 @@ def verify_algebra(sys: ConformalSystem, samples: int = 200,
     states = sample_states(sys.d, samples, rng,
                            singular_distance=sys.singular_distance)
     gens = (sys.H, sys.D, sys.K)
-    if sys.H.rows is not None:
-        Q = np.array([s.q for s in states])
-        P = np.array([s.p for s in states])
-        B = brackets(gens, Q, P)
-        h, dd, kk = (A.rows(Q, P) for A in gens)
-    else:  # a V written for one point takes neither rows nor row jets
-        B = np.array([brackets(gens, s) for s in states])
-        h, dd, kk = np.array([[A(s) for A in gens] for s in states]).T
+    Q = np.array([s.q for s in states])
+    P = np.array([s.p for s in states])
+    B = brackets(gens, Q, P)
+    h, dd, kk = (A.fn(Q, P) for A in gens)
     # (relation, bracket, right-hand side) with {H,D}, {H,K}, {K,D}
     worst = {name: float(np.max(np.abs(lhs - rhs)
                                 / np.maximum(1.0, np.abs(rhs))))

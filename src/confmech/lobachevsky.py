@@ -239,8 +239,8 @@ def w_observables(sphere: SphericalSystem) -> tuple:
     def s_fn(q, p):
         return dual.sqrt(abs(2.0 * ifn(q, p))) / np.vecdot(q, q)
 
-    return (Observable(d, re_fn, name="Re w"),
-            Observable(d, s_fn, name="sqrt|2I|/r^2"))
+    return (Observable(d, re_fn, name="Re w", vectorized=True),
+            Observable(d, s_fn, name="sqrt|2I|/r^2", vectorized=True))
 
 
 def _ww(b: float, branch: str) -> complex:
@@ -317,7 +317,7 @@ def expected_brackets(kp: KleinPoint, sphere: SphericalSystem,
     d = 1 has no angular coordinates, no chart and no mixed rows.
     """
     d = sphere.d
-    iobs = Observable(d, _casimir_fn(sphere, d), name="I")
+    iobs = Observable(d, _casimir_fn(sphere, d), name="I", vectorized=True)
     B = brackets([*w_observables(sphere), iobs]
                  + ([chart_observable(d)] if d > 1 else []),
                  from_hyperspherical(rs)).tolist()
@@ -350,8 +350,8 @@ def tilde_observables(sys: ConformalSystem) -> dict:
     def rt_fn(q, p):
         return dfn(q, p) / dual.sqrt(2.0 * hfn(q, p))
 
-    return {"p_tilde": Observable(sys.d, pt_fn, name="p~"),
-            "r_tilde": Observable(sys.d, rt_fn, name="r~")}
+    return {"p_tilde": Observable(sys.d, pt_fn, name="p~", vectorized=True),
+            "r_tilde": Observable(sys.d, rt_fn, name="r~", vectorized=True)}
 
 
 @dataclass
@@ -392,17 +392,14 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
 
     The admissibility screen, the bracket tables and the residuals each
     run once over all sampled rows, and every number in the report is the
-    one a state-by-state evaluation gives; the potential must therefore be
-    one body over ``(..., d)`` rows, as every catalog potential is.
+    one a state-by-state evaluation gives, for a potential written for one
+    point as for a catalog potential.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0.0 < tol < np.inf:  # NaN fails both comparisons
         raise ValueError("tol must be a positive finite number")
     sys = build(model) if isinstance(model, ModelSpec) else model
-    if sys.H.rows is None:
-        raise ValueError("canonicity_report needs a potential written once "
-                         "over (..., d) rows (V.rows is V.fn)")
     d = sys.d
     rng = np.random.default_rng(seed)
 
@@ -411,8 +408,8 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
         # pole margin (d > 1); a batch that raises is settled row by row,
         # and a row that raises is out
         try:
-            h = sys.H.rows(Q, P)
-            i_val = _casimir(h, sys.K.rows(Q, P), sys.D.rows(Q, P))
+            h = sys.H.fn(Q, P)
+            i_val = _casimir(h, sys.K.fn(Q, P), sys.D.fn(Q, P))
             ok = np.isfinite(h) & (h > 1e-2) & (i_val > 1e-2)
             if d == 1:
                 return ok & (Q[:, 0] > 1e-2)
@@ -442,7 +439,7 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
              for a in range(d - 1) for t in "rp"
              for k, u in enumerate(("phi", "pi"))]
     r, p_r, _, _ = hyperspherical_rows(Q, P)
-    i_val = _casimir(sys.H.rows(Q, P), sys.K.rows(Q, P), sys.D.rows(Q, P))
+    i_val = _casimir(sys.H.fn(Q, P), sys.K.fn(Q, P), sys.D.fn(Q, P))
     # the scalar {w,wbar} check of each state: I > 0 puts it on the
     # positive branch
     ww = [abs(_ww(b, POSITIVE_I) - formula_ww(to_klein((r_k, p_k), i_k)))

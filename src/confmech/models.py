@@ -133,7 +133,7 @@ def potential(model: ModelSpec) -> Observable:
     """The catalog potential as an observable with an exact gradient."""
     entry = _entry(model)
     return Observable(model.d, entry.V, grad_fn=entry.dV,
-                      name=f"V[{entry.tag}]", rows=entry.V)
+                      name=f"V[{entry.tag}]", vectorized=True)
 
 
 def singular_distance_fn(model: ModelSpec) -> Callable:

@@ -78,29 +78,30 @@ class Observable:
     that digests neither raises. ``grad_fn`` is worth providing on
     anything evaluated inside an integrator loop.
 
-    The optional array form ``rows(Q, P)`` takes ``(N, d)`` float arrays
-    and returns the N values of ``fn`` on their rows, bit for bit (it
-    raises what ``fn`` raises on any row); trajectory monitors use it in
-    place of N calls to ``fn``. An observable with ``rows`` has a
-    ``grad_fn``, if any, that also takes ``(N, d)`` rows and returns the
-    ``(N, d)`` gradients, each row bit for bit its one-point call. An
-    ``fn`` written once over ``(..., d)`` arrays (``np.vecdot`` for dot
-    products, ``q.T[k]`` or ``q[..., k]`` for a coordinate) serves floats,
-    jets and rows alike and is its own ``rows``, as the catalog potentials
-    and the generators of ``build_system`` are; the rows form of
-    :func:`brackets` differentiates all rows in one ``grad_fn`` call, or
-    else in one jet evaluation of such an ``fn``.
+    Every consumer calls ``fn`` and ``grad_fn`` on one point or on the
+    ``(N, d)`` rows of many (trajectory monitors, rows-form bracket
+    tables). ``vectorized=True`` declares both one body over ``(..., d)``
+    arrays of floats or jets, each row's result bit for bit its one-point
+    call (``np.vecdot`` for dot products, ``q.T[k]`` or ``q[..., k]`` for
+    a coordinate), as the catalog potentials and the generators of
+    ``build_system`` are. Otherwise they are taken as written for one
+    point and lifted here: a point passes straight through, and rows are
+    evaluated one at a time and stacked.
     """
 
-    __slots__ = ("dim", "fn", "grad_fn", "name", "rows")
+    __slots__ = ("dim", "fn", "grad_fn", "name")
 
     def __init__(self, dim: int, fn: Callable, grad_fn: Optional[Callable] = None,
-                 name: str = "", rows: Optional[Callable] = None):
+                 name: str = "", vectorized: bool = False):
         self.dim = int(dim)
+        if not vectorized:
+            fn = _lift(fn, _stack_values)
+            if grad_fn is not None:
+                grad_fn = _lift(grad_fn, lambda grads: tuple(
+                    np.stack(part) for part in zip(*grads)))
         self.fn = fn
         self.grad_fn = grad_fn
         self.name = name
-        self.rows = rows
 
     def __call__(self, state: PhaseState):
         v = dual.value(self.fn(state.q, state.p))
@@ -121,7 +122,24 @@ class Observable:
             raise ValueError("observable dimensions differ")
         sfn, ofn = self.fn, other.fn
         return Observable(self.dim, lambda q, p: sfn(q, p) * ofn(q, p),
-                          name=f"({self.name}*)")
+                          name=f"({self.name}*)", vectorized=True)
+
+
+def _lift(fn, stack):
+    """``fn`` of one point over ``(..., d)`` arrays of floats or jets: a
+    point passes straight through, rows go one at a time and ``stack``
+    joins their results."""
+    def lifted(q, p):
+        if np.ndim(q.val if isinstance(q, dual.Dual) else q) < 2:
+            return fn(q, p)
+        return stack([lifted(qi, pi) for qi, pi in zip(q, p)])
+    return lifted
+
+
+def _stack_values(values):
+    """Per-row values (floats, arrays or jets) along a new first axis."""
+    axis = -1 - np.ndim(dual.value(values[0])) if values else -1
+    return dual.stack(values, axis=axis)
 
 
 def grad_finite_difference(obs: Observable, state: PhaseState):
@@ -175,21 +193,16 @@ def grad(obs: Observable, state: PhaseState):
 
 def _grad_rows(obs: Observable, Q: np.ndarray, P: np.ndarray):
     """``(dQ, dP)`` at every row of ``(N, d)`` arrays with :func:`grad`'s
-    checks, from one evaluation over all rows: the analytic ``grad_fn``
-    called once on ``(Q, P)`` (values from ``rows``) when the observable
-    has both, else one jet evaluation; the first row whose value or
-    gradient is not finite raises what :func:`grad` raises at that state
-    (a row is bad if any component of a vector observable is). A
-    ``grad_fn`` without ``rows`` goes row by row."""
+    checks: ``fn`` and the analytic ``grad_fn`` each called once on
+    ``(Q, P)``, or else one jet evaluation of ``fn``; the first row whose
+    value or gradient is not finite raises what :func:`grad` raises at
+    that state (a row is bad if any component of a vector observable
+    is)."""
     if obs.grad_fn is None:
         vals, (dq, dp) = dual.gradient(obs.fn, Q, P)
-    elif obs.rows is not None:
-        vals = obs.rows(Q, P)
-        dq, dp = _grad_arrays(obs, Q, P)
     else:
-        g = [grad(obs, PhaseState(q, p)) for q, p in zip(Q, P)]
-        return (np.reshape([x[0] for x in g], Q.shape),
-                np.reshape([x[1] for x in g], P.shape))
+        vals = obs.fn(Q, P)
+        dq, dp = _grad_arrays(obs, Q, P)
     ok = np.isfinite(vals) & np.isfinite(dq).all(-1) & np.isfinite(dp).all(-1)
     if ok.ndim > 1:  # (N, m) components
         ok = ok.all(-1)
@@ -278,18 +291,10 @@ class Trajectory:
 
 
 def _monitor_rows(monitors, ts, qs, ps):
-    """Each monitor on every recorded state: its array form ``rows`` if it
-    has one, else ``fn`` row by row."""
-    out = {}
-    for name, obs in monitors.items():
-        if obs.rows is not None:
-            out[name] = np.asarray(obs.rows(qs, ps), dtype=float)
-            continue
-        vals = np.empty(len(ts))
-        for i in range(len(ts)):
-            vals[i] = dual.value(obs.fn(qs[i], ps[i]))
-        out[name] = vals
-    return out
+    """Each monitor's ``fn`` on the rows of every recorded state at once;
+    ``ts`` holds their times (``perfbench`` counts the rows from it)."""
+    return {name: np.asarray(obs.fn(qs, ps), dtype=float)
+            for name, obs in monitors.items()}
 
 
 def verlet_steps(dt: float, t_end: float) -> int:

@@ -233,10 +233,13 @@ class SphericalSystem:
 
 def spherical_system_from(V: Observable, d: int) -> SphericalSystem:
     """Angular system of a degree minus-two potential: U = V on the unit
-    sphere (the radial factor drops out by homogeneity)."""
-    zeros = np.zeros(d)
-    return SphericalSystem(
-        d=d, U=lambda phi: V.fn(unit_from_angles(phi, d), zeros))
+    sphere (the radial factor drops out by homogeneity). U takes the
+    ``(..., d-1)`` angles of one point or of rows, floats or jets."""
+    def U(phi):
+        u = unit_from_angles(phi, d)
+        return V.fn(u, np.zeros(np.shape(dual.value(u))))
+
+    return SphericalSystem(d=d, U=U)
 
 
 def angular_potential(V: Observable, rs: ReducedState) -> float:
@@ -279,4 +282,4 @@ def chart_observable(d: int) -> Observable:
         return dual.stack([r, p_r] + [x[..., a] for x in (phi, pi)
                                       for a in range(d - 1)])
 
-    return Observable(d, fn, name="chart")
+    return Observable(d, fn, name="chart", vectorized=True)

@@ -371,13 +371,29 @@ class TestCanonicity:
             canonicity_report(models.spec("inverse-square", d=1, kappa=0.5),
                               tol=tol)
 
-    def test_per_point_potential_rejected(self):
-        # a V written for one point has no rows form, so neither has H
-        V = Observable(2, lambda q, p: 0.5 / (q[0] ** 2 + q[1] ** 2))
-        sys_ = build_system(V, 2)
-        assert sys_.H.rows is None
-        with pytest.raises(ValueError, match=r"\(\.\.\., d\) rows"):
-            canonicity_report(sys_, samples=5)
+    @pytest.mark.parametrize("analytic", [False, True],
+                             ids=["jets", "grad_fn"])
+    @pytest.mark.parametrize("ms", [
+        models.spec("inverse-square", d=2, kappa=1.0),
+        models.spec("coulomb", d=3, gamma=1.0),
+        models.spec("calogero", n=4, g=1.0),
+    ], ids=lambda ms: ms.label)
+    def test_per_point_potential_report(self, ms, analytic):
+        # the catalog potential, called one point at a time: lifted to
+        # rows by Observable, it gives the catalog system's report exactly
+        cat = models.build(ms)
+
+        def one_point(f):
+            def g(q, p):
+                assert np.ndim(getattr(q, "val", q)) == 1
+                return f(q, p)
+            return g
+
+        V = Observable(ms.d, one_point(cat.V.fn),
+                       grad_fn=one_point(cat.V.grad_fn) if analytic else None)
+        sys_ = build_system(V, ms.d, singular_distance=cat.singular_distance)
+        got = canonicity_report(sys_, samples=100, seed=4).to_dict()
+        assert got == canonicity_report(ms, samples=100, seed=4).to_dict()
 
     def test_report_dict(self):
         rep = canonicity_report(models.spec("free", d=2), samples=10,

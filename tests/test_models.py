@@ -351,8 +351,8 @@ class TestArrayForms:
         strided = Y[:, :ms.d], Y[:, ms.d:]
         for obs in (sys_.V, *sys_.monitors().values()):
             scalar = [dual.value(obs.fn(q, p)) for q, p in zip(Q, P)]
-            assert _same_bits(obs.rows(Q, P), scalar), obs.name
-            assert _same_bits(obs.rows(*strided), scalar), obs.name
+            assert _same_bits(obs.fn(Q, P), scalar), obs.name
+            assert _same_bits(obs.fn(*strided), scalar), obs.name
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_calogero_gradient_matches_pair_loop(self, n):
@@ -386,17 +386,16 @@ class TestArrayForms:
         with pytest.raises(DomainError):
             V.fn(Q[1], Q[1])
         with pytest.raises(DomainError):
-            V.rows(Q, Q)
+            V.fn(Q, Q)
 
     def test_monitors_without_array_form(self):
-        # a potential built without rows: H and I fall back to the loop
+        # a potential not declared vectorized: its fn and grad_fn are
+        # lifted to rows one row at a time, with the same monitor bits
         ms = models.spec("calogero", n=4, g=1.0)
         sys_ = models.build(ms)
         bare = Observable(ms.d, sys_.V.fn, grad_fn=sys_.V.grad_fn)
         plain = build_system(bare, ms.d,
                              singular_distance=sys_.singular_distance)
-        assert plain.H.rows is None and plain.casimir.rows is None
-        assert plain.D.rows is not None and plain.K.rows is not None
         s0 = models.reference_state(ms)
         rows = integrate_verlet(sys_, s0, 1e-3, 0.5)
         loop = integrate_verlet(plain, s0, 1e-3, 0.5)
@@ -437,8 +436,7 @@ def _row_values(d):
 
 class TestOneBody:
     """Each catalog potential and H, D, K, I is one body over (..., d)
-    arrays: its array form is its fn, and floats, duals and row stacks all
-    go through it."""
+    arrays: floats, duals and row stacks all go through its fn."""
 
     @pytest.mark.parametrize("ms", _ARRAY_SPECS, ids=lambda ms: ms.label)
     @settings(max_examples=30, deadline=None)
@@ -447,7 +445,6 @@ class TestOneBody:
         sys_ = _SYSTEMS[ms.label]
         Q, P = _admissible_rows(sys_, data.draw(_row_values(ms.d)), 1e-3)
         for obs in (sys_.V, *sys_.monitors().values()):
-            assert obs.rows is obs.fn, obs.name
             per_row = [obs.fn(q, p) for q, p in zip(Q, P)]
             assert _same_bits(obs.fn(Q, P), per_row), obs.name
 

@@ -133,6 +133,33 @@ class TestGrad:
         assert np.array_equal(got.value.state.q, Q[3])
         assert np.array_equal(got.value.state.p, P[3])
 
+    def test_rows_of_one_point_observables(self):
+        # q[0] and p[0] are written for one point: on (N, d) rows with
+        # N = d they must still read coordinate 0 of each row, not row 0
+        A = Observable(2, lambda q, p: q[0] * q[0], name="A")
+        B = Observable(2, lambda q, p: p[0], name="B")
+        Q = np.array([[1.0, 2.0], [3.0, 4.0]])
+        P = np.array([[0.5, -1.0], [2.0, 0.25]])
+        tables = brackets((A, B), Q, P)
+        for table, q, p in zip(tables, Q, P):
+            assert np.array_equal(table, brackets((A, B), PhaseState(q, p)))
+        assert tables[1, 1, 0] == 6.0  # {B, A} = 2 q_0 at row 1
+
+    def test_vector_grad_fn_over_rows(self):
+        # a two-component observable whose analytic grad_fn is written for
+        # one point: over N != d rows each slice is its row's own table
+        vec = Observable(
+            2, lambda q, p: np.array([q[0] * p[1], p[0]]),
+            grad_fn=lambda q, p: (np.array([[p[1], 0.0], [0.0, 0.0]]),
+                                  np.array([[0.0, q[0]], [1.0, 0.0]])),
+            name="vec")
+        Q = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
+        P = np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 1.0]])
+        tables = brackets((vec,), Q, P)
+        assert tables.shape == (3, 2, 2)
+        for table, q, p in zip(tables, Q, P):
+            assert np.array_equal(table, brackets((vec,), PhaseState(q, p)))
+
     def test_non_dual_observable_raises(self):
         # gradients are analytic or dual: an observable the dual engine
         # cannot digest raises instead of quietly switching to finite
