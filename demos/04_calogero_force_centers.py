@@ -16,7 +16,7 @@ from confmech import models
 print("== two particles: back to the 1D system ==")
 c2 = models.calogero_relative(2, 1.0)
 y = 0.7
-print(f"V(y) = {c2.V.value(np.array([y]), np.zeros(1)):.6f}"
+print(f"V(y) = {c2.V.fn(np.array([y]), np.zeros(1)):.6f}"
       f"  vs  g^2/(2 y^2) = {1 / (2 * y * y):.6f}")
 
 print("\n== three particles: energy bookkeeping ==")
@@ -25,9 +25,9 @@ p = np.array([0.3, -0.1, -0.2])
 c3 = models.calogero_relative(3, 1.0)
 full = models.full_calogero_hamiltonian(3, 1.0)
 red = models.reduce_calogero_state(x, p)
-h_full = full.value(x, p)
+h_full = full.fn(x, p)
 h_com = np.sum(p) ** 2 / 6.0
-h_red = c3.H.value(red.q, red.p)
+h_red = c3.H.fn(red.q, red.p)
 print(f"full H = {h_full:.10f}")
 print(f"reduced H + COM kinetic = {h_red + h_com:.10f}")
 
@@ -51,11 +51,11 @@ print("\n== each pair term is a sphere-oscillator well ==")
 centers = sd3[:3]
 angle = 0.35
 yhat = np.array([np.cos(angle), np.sin(angle)])
-u_direct = c3.V.value(yhat, np.zeros(2))
+u_direct = c3.V.fn(yhat, np.zeros(2))
 u_wells = sum(0.5 / (yhat @ c) ** 2 for c in centers)
 print(f"U(angle={angle}) = {u_direct:.10f}")
 print(f"sum of (g^2/2) sec^2(angle to center) = {u_wells:.10f}")
 print("the potential diverges on the equator perpendicular to each center:")
 perp = np.array([-centers[0][1], centers[0][0]])
 print(f"  U at 1e-4 from an equator point: "
-      f"{c3.V.value(perp + 1e-4 * centers[0], np.zeros(2)):.3e}")
+      f"{c3.V.fn(perp + 1e-4 * centers[0], np.zeros(2)):.3e}")

@@ -305,17 +305,20 @@ def gradient(fn, *arrays):
     each array's last axis, at one point (vectors) or at every row of
     ``(N, k_i)`` arrays at once.
 
-    Returns ``(value, [grad_0, grad_1, ...])``, one gradient block of the
-    same shape per input array. Raises TypeError from ``fn`` if it cannot
-    handle jets.
+    Returns ``(value, [grad_0, grad_1, ...])``, one gradient block per
+    input array, of the value's shape plus that array's last axis. Raises
+    TypeError from ``fn`` if it cannot handle jets.
     """
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     sizes = [a.shape[-1] for a in arrays]
     offsets = np.cumsum([0] + sizes)
     out = fn(*(seed(a, offsets[-1], off) for a, off in zip(arrays, offsets)))
     if not isinstance(out, Dual):
-        # fn ignored at least the seeded entries entirely (a constant)
-        return (np.asarray(out, dtype=float)[()],
-                [np.zeros(a.shape) for a in arrays])
+        # a constant: broadcast over the rows unless fn did, zero gradients
+        val = np.asarray(out, dtype=float)
+        lead = arrays[0].shape[:-1]
+        if val.shape[:len(lead)] != lead:
+            val = np.broadcast_to(val, lead + val.shape)
+        return val[()], [np.zeros(val.shape + (k,)) for k in sizes]
     return out.val, [out.eps[..., off:off + k].copy()
                      for off, k in zip(offsets, sizes)]

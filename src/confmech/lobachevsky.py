@@ -53,8 +53,7 @@ from .phase import Observable, PhaseState, brackets
 from .reduction import (
     ReducedState,
     SphericalSystem,
-    angles_from_unit,
-    chart_observable,
+    _chart_components,
     from_hyperspherical,
     hyperspherical_rows,
     spherical_system_from,
@@ -210,37 +209,30 @@ def tilde_point(rs, I: float) -> KleinPoint:
 # Observables on the full Cartesian phase space (for numeric brackets)
 # ---------------------------------------------------------------------------
 
-def _casimir_fn(sphere: SphericalSystem, d: int):
-    """I as a dual-differentiable function of the Cartesian state, built
-    from the angular data alone: I = (r^2 p^2 - (p.q)^2)/2 + U(angles)."""
+def halfplane_observable(sphere: SphericalSystem) -> Observable:
+    """The half-plane coordinate as one dual-differentiable Cartesian
+    observable: (Re w, s, I) with Re w = p.q / q.q, s = sqrt(|2I|) / q.q,
+    I = (q.q p.p - (q.p)^2)/2 + U(angles), so w = Re w + sigma^ s with
+    sigma^ = i for I > 0 and 1 for I < 0 (the sign of I picks the branch);
+    for d > 1 the :func:`~confmech.reduction.chart_observable` components
+    follow, from the one chart evaluation whose angles I takes (d = 1 has
+    no chart, so x < 0 is in its domain)."""
+    d = sphere.d
+
     def fn(q, p):
+        if d == 1:
+            chart, phi = [], np.zeros(0)
+        else:
+            rows = hyperspherical_rows(q, p)
+            chart, phi = _chart_components(*rows), rows[2]
         qq = np.vecdot(q, q)
         pp = np.vecdot(p, p)
         qp = np.vecdot(q, p)
-        kin = 0.5 * (qq * pp - qp * qp)
-        if d == 1:
-            return kin + sphere.U(np.zeros(0))
-        return kin + sphere.U(angles_from_unit(q / dual.col(dual.sqrt(qq)),
-                                               d))
-    return fn
+        i = 0.5 * (qq * pp - qp * qp) + sphere.U(phi)
+        return dual.stack([np.vecdot(p, q) / qq,
+                           dual.sqrt(abs(2.0 * i)) / qq, i, *chart])
 
-
-def w_observables(sphere: SphericalSystem) -> tuple:
-    """The half-plane pair (Re w, s) as Cartesian observables,
-    dual-differentiable for the bracket engine: Re w = p.q / q.q and
-    s = sqrt(|2I|) / q.q, so that w = Re w + sigma^ s with sigma^ = i for
-    I > 0 and 1 for I < 0 (the sign of I at a state picks the branch)."""
-    d = sphere.d
-    ifn = _casimir_fn(sphere, d)
-
-    def re_fn(q, p):
-        return np.vecdot(p, q) / np.vecdot(q, q)
-
-    def s_fn(q, p):
-        return dual.sqrt(abs(2.0 * ifn(q, p))) / np.vecdot(q, q)
-
-    return (Observable(d, re_fn, name="Re w", vectorized=True),
-            Observable(d, s_fn, name="sqrt|2I|/r^2", vectorized=True))
+    return Observable(d, fn, name="half-plane", vectorized=True)
 
 
 def _ww(b: float, branch: str) -> complex:
@@ -251,7 +243,7 @@ def _ww(b: float, branch: str) -> complex:
 def _state_branch(sphere: SphericalSystem, s: PhaseState) -> str:
     """The branch the sign of I picks at a state, checked before any
     differentiation; I = 0 raises, as in :func:`to_klein`."""
-    i_val = _casimir_fn(sphere, sphere.d)(s.q, s.p)
+    i_val = halfplane_observable(sphere).fn(s.q, s.p)[2]
     if i_val == 0.0:
         raise ZeroAngularEnergyError(
             "the half-plane coordinate is undefined at I = 0")
@@ -263,7 +255,8 @@ def bracket_ww(sphere: SphericalSystem, s: PhaseState) -> complex:
     half-plane map via the dual engine), on the branch the sign of I
     picks there; :class:`ZeroAngularEnergyError` at I = 0."""
     branch = _state_branch(sphere, s)
-    return _ww(float(brackets(w_observables(sphere), s)[0, 1]), branch)
+    return _ww(float(brackets([halfplane_observable(sphere)], s)[0, 1]),
+               branch)
 
 
 def formula_ww(kp: KleinPoint) -> complex:
@@ -310,16 +303,13 @@ def expected_brackets(kp: KleinPoint, sphere: SphericalSystem,
     The table reports the self-consistent mixed prefactor 1/(4I) alongside
     the commonly displayed 1/(2I) (exactly twice it); the numeric column
     settles which one the canonical structure actually produces. Every
-    engine value comes from one :func:`brackets` table over (Re w, s), I
-    and, for d > 1, the :func:`~confmech.reduction.chart_observable`
-    block (r, p_r, phi_a..., pi_a...) from row 3 on, on ``kp``'s branch:
+    engine value comes from the :func:`brackets` table of
+    :func:`halfplane_observable`, on ``kp``'s branch:
     {w, wbar} = -2 sigma^ {Re w, s} and {u, w} = {u, Re w} + sigma^ {u, s}.
-    d = 1 has no angular coordinates, no chart and no mixed rows.
+    d = 1 has no angular coordinates and no mixed rows.
     """
     d = sphere.d
-    iobs = Observable(d, _casimir_fn(sphere, d), name="I", vectorized=True)
-    B = brackets([*w_observables(sphere), iobs]
-                 + ([chart_observable(d)] if d > 1 else []),
+    B = brackets([halfplane_observable(sphere)],
                  from_hyperspherical(rs)).tolist()
     diff = kp.w - kp.wbar
     mixed = []
@@ -428,14 +418,13 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     P = np.array([s.p for s in states])
 
     tobs = tilde_observables(sys)
-    # every state's bracket table over (p~, r~), for d > 1 the chart block
-    # (r, p_r, phi_0, ..., pi_0, ...) from column 2 on, and (Re w, s)
-    coords = ([tobs["p_tilde"], tobs["r_tilde"]]
-              + ([chart_observable(d)] if d > 1 else [])
-              + list(w_observables(spherical_system_from(sys.V, d))))
-    B = brackets(coords, Q, P)
+    # every state's bracket table over p~, r~ and the half-plane
+    # observable (Re w, s, I, r, p_r, phi_0, ..., pi_0, ...)
+    B = brackets([tobs["p_tilde"], tobs["r_tilde"],
+                  halfplane_observable(spherical_system_from(sys.V, d))],
+                 Q, P)
     # (table name, tilde row, chart column) of each mixed bracket
-    mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), 4 + k * (d - 1) + a)
+    mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), 7 + k * (d - 1) + a)
              for a in range(d - 1) for t in "rp"
              for k, u in enumerate(("phi", "pi"))]
     r, p_r, _, _ = hyperspherical_rows(Q, P)
@@ -443,7 +432,7 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     # the scalar {w,wbar} check of each state: I > 0 puts it on the
     # positive branch
     ww = [abs(_ww(b, POSITIVE_I) - formula_ww(to_klein((r_k, p_k), i_k)))
-          for b, r_k, p_k, i_k in zip(B[:, -2, -1].tolist(), r.tolist(),
+          for b, r_k, p_k, i_k in zip(B[:, 2, 3].tolist(), r.tolist(),
                                       p_r.tolist(), i_val.tolist())]
     columns = {"{p~,r~}-1": np.abs(B[:, 0, 1] - 1.0),
                **{name: np.abs(B[:, j, k]) for name, j, k in mixed},
@@ -470,21 +459,15 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
 
 def bracket_matrix(sphere: SphericalSystem, s: PhaseState) -> np.ndarray:
     """Antisymmetric matrix {xi_j, xi_k} of the half-plane coordinates
-    xi = (Re w, Im w, phi^a..., pi_a...): one :func:`brackets` table over
-    (Re w, Im w) and, for d > 1, the
-    :func:`~confmech.reduction.chart_observable` block, whose r and p_r
-    rows and columns are dropped. d = 1 has no chart, so its 2 x 2 table
-    takes x < 0 as well as x > 0. The positive-I inverse of
-    :func:`assemble_omega`, so I <= 0 raises
+    xi = (Re w, Im w, phi^a..., pi_a...): the rows and columns of the
+    :func:`halfplane_observable` table without I, r and p_r (d = 1 has no
+    chart, so its 2 x 2 table takes x < 0 as well as x > 0). The
+    positive-I inverse of :func:`assemble_omega`, so I <= 0 raises
     :class:`ZeroAngularEnergyError` before any differentiation."""
     if _state_branch(sphere, s) != POSITIVE_I:
         raise ZeroAngularEnergyError("the Kahler block needs I > 0")
-    d = sphere.d
-    if d == 1:
-        return brackets(w_observables(sphere), s)
-    B = brackets([*w_observables(sphere), chart_observable(d)], s)
-    xi = [0, 1, *range(4, 2 * d + 2)]
-    return B[np.ix_(xi, xi)]
+    xi = [0, 1, *range(5, 2 * sphere.d + 3)]
+    return brackets([halfplane_observable(sphere)], s)[np.ix_(xi, xi)]
 
 
 def assemble_omega(rs: Union[ReducedState, PhaseState, tuple],

@@ -110,10 +110,6 @@ class Observable:
                                  "finite here", state=state)
         return v
 
-    def value(self, q, p):
-        """Evaluate on raw arrays (no finiteness check, duals allowed)."""
-        return self.fn(q, p)
-
     def __mul__(self, other):
         """Pointwise product (feeds the Leibniz checks)."""
         if not isinstance(other, Observable):
@@ -182,42 +178,40 @@ def _grad_arrays(obs: Observable, q: np.ndarray, p: np.ndarray):
 
 def grad(obs: Observable, state: PhaseState):
     """Exact derivatives ``(dq, dp)``: the analytic ``grad_fn`` if set,
-    else the dual engine (an ``fn`` that cannot take duals raises)."""
-    obs(state)  # finiteness check at the point itself
-    dq, dp = _grad_arrays(obs, state.q, state.p)
-    if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))):
-        raise NonFiniteError(
-            f"gradient of {obs.name or '<anon>'} is not finite", state=state)
-    return dq, dp
+    else the dual engine (an ``fn`` that cannot take duals raises); the
+    one-point case of :func:`_grad_rows`."""
+    return _grad_rows(obs, state.q, state.p)
 
 
 def _grad_rows(obs: Observable, Q: np.ndarray, P: np.ndarray):
-    """``(dQ, dP)`` at every row of ``(N, d)`` arrays with :func:`grad`'s
-    checks: ``fn`` and the analytic ``grad_fn`` each called once on
-    ``(Q, P)``, or else one jet evaluation of ``fn``; the first row whose
-    value or gradient is not finite raises what :func:`grad` raises at
-    that state (a row is bad if any component of a vector observable
-    is)."""
+    """``(dQ, dP)`` at a point or at every row of ``(N, d)`` arrays:
+    ``fn`` and the analytic ``grad_fn`` each called once on ``(Q, P)``,
+    or else one jet evaluation of ``fn``. The first row whose value or
+    gradient is not finite (in any component, for a vector observable)
+    raises :class:`NonFiniteError` with that row's state, naming the
+    value if it is the value that is not finite there."""
     if obs.grad_fn is None:
         vals, (dq, dp) = dual.gradient(obs.fn, Q, P)
     else:
         vals = obs.fn(Q, P)
         dq, dp = _grad_arrays(obs, Q, P)
-    ok = np.isfinite(vals) & np.isfinite(dq).all(-1) & np.isfinite(dp).all(-1)
-    if ok.ndim > 1:  # (N, m) components
-        ok = ok.all(-1)
+    lead = Q.shape[:-1]
+    val_ok, dq_ok, dp_ok = (np.isfinite(np.reshape(x, lead + (-1,))).all(-1)
+                            for x in (vals, dq, dp))
+    ok = val_ok & dq_ok & dp_ok
     if not ok.all():
-        i = int(np.argmin(ok))
-        s = PhaseState(Q[i], P[i])
-        grad(obs, s)  # raises grad's own error at that state
-        raise NonFiniteError(f"gradient of {obs.name or '<anon>'} is not "
-                             "finite", state=s)
+        i = np.unravel_index(np.argmin(ok), lead)
+        name = obs.name or "<anon>"
+        raise NonFiniteError(
+            f"observable {name} is not finite here" if not val_ok[i]
+            else f"gradient of {name} is not finite",
+            state=PhaseState(Q[i], P[i]))
     return dq, dp
 
 
 def brackets(observables, state, P: np.ndarray = None) -> np.ndarray:
     """Table ``B[j, k] = {A_j, A_k}`` of every ordered pair at a state,
-    each observable differentiated once (by :func:`grad`). A vector
+    each observable differentiated once (by :func:`_grad_rows`). A vector
     observable, told apart by its ``(m, d)`` gradients, takes m
     consecutive rows and columns, one per component, in its own order.
     Each entry off the zero diagonal is computed from its own ordered
@@ -229,12 +223,10 @@ def brackets(observables, state, P: np.ndarray = None) -> np.ndarray:
     observable. Each slice is bit for bit the table of its row's state,
     but for the sign of an exact zero: ``np.vecdot`` adds its dot product
     to +0.0, where ``np.dot`` of two vectors returns it as it is."""
-    if P is None:
-        lead, dot = (), np.dot
-        grads = [grad(A, state) for A in observables]
-    else:
-        lead, dot = P.shape[:-1], np.vecdot
-        grads = [_grad_rows(A, state, P) for A in observables]
+    Q, P = (state.q, state.p) if P is None else (state, P)
+    lead = Q.shape[:-1]
+    dot = np.vecdot if lead else np.dot
+    grads = [_grad_rows(A, Q, P) for A in observables]
     # the gradients of every entry along axis -2: one for a scalar's
     # (..., d) pair, m for a vector's (..., m, d) pair
     dQ, dP = (np.concatenate([np.reshape(g[i], lead + (-1, g[i].shape[-1]))

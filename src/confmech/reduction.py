@@ -276,10 +276,13 @@ def chart_observable(d: int) -> Observable:
     pi_{d-2})`` of one :func:`hyperspherical_rows` call, so a bracket
     table differentiates the chart map once. Like the chart it raises
     :class:`ChartSingularError` outside it, at d = 1 wherever x <= 0."""
+    return Observable(d, lambda q, p: dual.stack(
+        _chart_components(*hyperspherical_rows(q, p))),
+        name="chart", vectorized=True)
 
-    def fn(q, p):
-        r, p_r, phi, pi = hyperspherical_rows(q, p)
-        return dual.stack([r, p_r] + [x[..., a] for x in (phi, pi)
-                                      for a in range(d - 1)])
 
-    return Observable(d, fn, name="chart", vectorized=True)
+def _chart_components(r, p_r, phi, pi) -> list:
+    """:func:`hyperspherical_rows`' output as the list of the chart's 2d
+    components ``(r, p_r, phi_0, ..., phi_{d-2}, pi_0, ..., pi_{d-2})``."""
+    return [r, p_r] + [x[..., a] for x in (phi, pi)
+                       for a in range(phi.shape[-1])]

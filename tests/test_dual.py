@@ -117,6 +117,20 @@ class TestGradientDriver:
         assert val == 7.0
         npt.assert_allclose(dq, [0.0, 0.0])
 
+    def test_constant_takes_the_value_and_row_shapes(self):
+        # a constant's zero gradient has the value's shape plus the input's
+        # last axis, and a constant is broadcast over the rows
+        def pair(q, p):
+            return np.array([1.0, 2.0])
+
+        val, (dq, dp) = dual.gradient(pair, np.ones(2), np.ones(2))
+        assert val.shape == (2,) and dq.shape == dp.shape == (2, 2)
+        val, (dq, dp) = dual.gradient(pair, np.ones((3, 2)), np.ones((3, 2)))
+        assert np.array_equal(val, [[1.0, 2.0]] * 3)
+        assert dq.shape == dp.shape == (3, 2, 2) and not dq.any()
+        val, (dq,) = dual.gradient(lambda q: 7.0, np.ones((4, 2)))
+        assert np.array_equal(val, [7.0] * 4) and dq.shape == (4, 2)
+
     def test_rows_match_each_point(self):
         # one evaluation over (N, d) rows gives each row's value and
         # gradient bit for bit, through indexing, .T, stack and vecdot

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmech import models, phase
+from confmech import dual, models, phase
 from confmech.conformal import build_system, casimir_I
 from confmech.errors import (
     NonPositiveEnergyError,
@@ -29,6 +29,7 @@ from confmech.lobachevsky import (
     formula_ww,
     from_klein,
     halfplane_bracket,
+    halfplane_observable,
     invert,
     kahler_potential,
     killing_forms,
@@ -37,10 +38,10 @@ from confmech.lobachevsky import (
     tilde_observables,
     tilde_point,
     to_klein,
-    w_observables,
 )
 from confmech.phase import Observable, PhaseState, brackets, poisson_bracket
 from confmech.reduction import (
+    angles_from_unit,
     chart_observable,
     spherical_system_from,
     to_hyperspherical,
@@ -212,11 +213,11 @@ class TestBranchProperties:
         states = _branch_states(sys_, 5, seed, sign)
         obs = [sys_.H, sys_.D, sys_.K, sys_.casimir,
                *tilde_observables(sys_).values(),
-               chart_observable(ms.d),
-               *w_observables(spherical_system_from(sys_.V, ms.d))]
+               halfplane_observable(spherical_system_from(sys_.V, ms.d))]
         rows = brackets(obs, np.array([s.q for s in states]),
                         np.array([s.p for s in states]))
-        m = len(obs) - 1 + 2 * ms.d  # the chart has 2d components
+        # (Re w, s, I), then the chart's 2d components
+        m = len(obs) - 1 + 3 + (2 * ms.d if ms.d > 1 else 0)
         assert rows.shape == (5, m, m)
         for table, s in zip(rows, states):
             want = brackets(obs, s)
@@ -641,6 +642,93 @@ class TestHalfPlaneErrors:
             models.potential(models.spec("free", d=2)), 2)
         with pytest.raises(ZeroAngularEnergyError):
             bracket_ww(sphere, PhaseState([1.0, 0.0], [1.0, 0.0]))
+
+
+_CALOGERO = {d: models.build(models.spec("calogero", particles=d + 1))
+             for d in (1, 2, 3, 4)}
+
+
+class TestHalfPlaneObservable:
+    """One observable (Re w, s, I, chart...) with one chart evaluation."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.sampled_from(sorted(_CALOGERO)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_components_bit_for_bit(self, d, seed):
+        # each component, and its gradient, against its own formula: the
+        # angular invariant from angles_from_unit of q / |q|, Re w and s
+        # from the dot products, the chart from chart_observable
+        sys_ = _CALOGERO[d]
+        sphere = spherical_system_from(sys_.V, d)
+        states = model_states(sys_, 4, seed,
+                              predicate=lambda s: d == 1 or chart_interior(s))
+        Q = np.array([s.q for s in states])
+        P = np.array([s.p for s in states])
+
+        def casimir(q, p):
+            qq = np.vecdot(q, q)
+            pp = np.vecdot(p, p)
+            qp = np.vecdot(q, p)
+            kin = 0.5 * (qq * pp - qp * qp)
+            if d == 1:
+                return kin + sphere.U(np.zeros(0))
+            return kin + sphere.U(
+                angles_from_unit(q / dual.col(dual.sqrt(qq)), d))
+
+        def reference(q, p):
+            i = casimir(q, p)
+            parts = [np.vecdot(p, q) / np.vecdot(q, q),
+                     dual.sqrt(abs(2.0 * i)) / np.vecdot(q, q), i]
+            if d > 1:
+                chart = chart_observable(d).fn(q, p)
+                parts += [chart[..., j] for j in range(2 * d)]
+            return dual.stack(parts)
+
+        hp = halfplane_observable(sphere).fn
+        m = 3 + (2 * d if d > 1 else 0)
+        for q, p in ((Q, P), (Q[0], P[0])):
+            got, want = hp(q, p), reference(q, p)
+            assert got.shape == q.shape[:-1] + (m,)
+            assert np.array_equal(got, want)
+            (got, grads), (want, want_grads) = (
+                dual.gradient(fn, q, p) for fn in (hp, reference))
+            assert np.array_equal(got, want)
+            for g, w in zip(grads, want_grads):
+                assert np.array_equal(g, w)
+
+    def test_one_dimensional_negative_x(self):
+        sphere = spherical_system_from(models.potential(
+            models.spec("inverse-square", d=1, kappa=0.5)), 1)
+        val = halfplane_observable(sphere).fn(np.array([-1.3]),
+                                              np.array([0.4]))
+        assert val.shape == (3,) and np.all(np.isfinite(val))
+
+    def test_I_checked_before_any_jet(self, monkeypatch):
+        # bracket_matrix and bracket_ww read I's sign from floats first
+        def differentiated(*args):
+            raise AssertionError("differentiated before the I check")
+        monkeypatch.setattr(dual, "gradient", differentiated)
+        monkeypatch.setattr(phase, "_grad_arrays", differentiated)
+        sphere = spherical_system_from(
+            models.potential(models.spec("free", d=2)), 2)
+        s = PhaseState([1.0, 0.0], [1.0, 0.0])
+        for fn in (bracket_matrix, bracket_ww):
+            with pytest.raises(ZeroAngularEnergyError):
+                fn(sphere, s)
+
+    def test_canonicity_differentiates_each_observable_once(self,
+                                                            monkeypatch):
+        # p~, r~ and the half-plane observable: one jet evaluation each
+        calls = []
+        gradient = dual.gradient
+
+        def counted(*args):
+            calls.append(args)
+            return gradient(*args)
+        monkeypatch.setattr(dual, "gradient", counted)
+        canonicity_report(models.spec("inverse-square", d=3, kappa=1.0),
+                          samples=200)
+        assert len(calls) == 3
 
 
 class TestOmega:

@@ -88,26 +88,26 @@ class TestModelSpec:
 class TestPotentialValues:
     def test_inverse_square(self):
         V = models.potential(models.spec("inverse-square", d=2, kappa=1.0))
-        assert V.value(np.array([1.0, 1.0]), np.zeros(2)) == \
+        assert V.fn(np.array([1.0, 1.0]), np.zeros(2)) == \
             pytest.approx(0.5)
 
     def test_higgs(self):
         V = models.potential(models.spec("higgs", d=3, omega=1.0))
-        assert V.value(np.array([1.0, 0.0, 1.0]), np.zeros(3)) == \
+        assert V.fn(np.array([1.0, 0.0, 1.0]), np.zeros(3)) == \
             pytest.approx(0.75)
 
     def test_coulomb(self):
         V = models.potential(models.spec("coulomb", d=3, gamma=2.0))
-        assert V.value(np.array([1.0, 0.0, 1.0]), np.zeros(3)) == \
+        assert V.fn(np.array([1.0, 0.0, 1.0]), np.zeros(3)) == \
             pytest.approx(1.0)
 
     def test_singular_configurations_raise(self):
         V = models.potential(models.spec("coulomb", d=3, gamma=1.0))
         with pytest.raises(DomainError):
-            V.value(np.array([0.0, 0.0, 1.0]), np.zeros(3))  # x_d = r
+            V.fn(np.array([0.0, 0.0, 1.0]), np.zeros(3))  # x_d = r
         Vc = models.potential(models.spec("calogero", n=3, g=1.0))
         with pytest.raises(DomainError):
-            Vc.value(np.array([0.0, 1.0]), np.zeros(2))  # x1 = x2
+            Vc.fn(np.array([0.0, 1.0]), np.zeros(2))  # x1 = x2
 
     def test_catalog_homogeneity(self, catalog_specs):
         for ms in catalog_specs:
@@ -137,7 +137,7 @@ class TestJacobi:
     def test_two_particle_potential(self):
         c2 = models.calogero_relative(2, 1.0)
         y = 0.7
-        assert c2.V.value(np.array([y]), np.zeros(1)) == \
+        assert c2.V.fn(np.array([y]), np.zeros(1)) == \
             pytest.approx(1.0 / (2.0 * y * y), rel=1e-14)
 
     def test_three_particle_energy_match(self):
@@ -153,9 +153,9 @@ class TestJacobi:
                 continue
             done += 1
             red = models.reduce_calogero_state(x, p)
-            h_full = full_H.value(x, p)
+            h_full = full_H.fn(x, p)
             com_kinetic = np.sum(p) ** 2 / (2.0 * 3)
-            h_red = c3.H.value(red.q, red.p)
+            h_red = c3.H.fn(red.q, red.p)
             assert abs(h_red - (h_full - com_kinetic)) < 1e-10 * max(
                 1.0, abs(h_full))
 
@@ -245,7 +245,7 @@ class TestCalogeroAngularGeometry:
             y = np.array([np.cos(a), np.sin(a)])
             if np.min(np.abs(centers @ y)) < 0.05:
                 continue
-            u_val = c3.V.value(y, np.zeros(2))
+            u_val = c3.V.fn(y, np.zeros(2))
             oscillators = sum(0.5 / (y @ c) ** 2 for c in centers)
             assert abs(u_val - oscillators) < 1e-9 * max(1.0, u_val)
 
@@ -259,7 +259,7 @@ class TestCalogeroAngularGeometry:
 
         def U(angle):
             u = np.array([np.cos(angle), np.sin(angle)])
-            return c3.V.value(u, np.zeros(2))
+            return c3.V.fn(u, np.zeros(2))
 
         for a0 in equator_angles:
             assert U(a0 + 1e-4) > 1e6
@@ -281,7 +281,7 @@ class TestCalogeroAngularGeometry:
 
         def U(angle):
             u = np.array([np.cos(angle), np.sin(angle)])
-            return c3.V.value(u, np.zeros(2))
+            return c3.V.fn(u, np.zeros(2))
 
         rng = np.random.default_rng(33)
         checked = 0

@@ -160,6 +160,22 @@ class TestGrad:
         for table, q, p in zip(tables, Q, P):
             assert np.array_equal(table, brackets((vec,), PhaseState(q, p)))
 
+    def test_constant_vector_observable(self):
+        # a two-component constant takes two rows and columns of the table,
+        # at a point and on rows, and brackets to zero with everything
+        const = Observable(2, lambda q, p: np.array([1.0, 2.0]))
+        x = Observable(2, lambda q, p: q[0], name="x")
+        s = PhaseState([0.5, -1.0], [2.0, 0.25])
+        table = brackets((x, const), s)
+        assert table.shape == (3, 3) and not table.any()
+        Q = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
+        P = np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 1.0]])
+        tables = brackets((x, const), Q, P)
+        assert tables.shape == (3, 3, 3) and not tables.any()
+        one = Observable(2, lambda q, p: 1.0, vectorized=True)
+        xv = Observable(2, lambda q, p: q[..., 0], vectorized=True)
+        assert brackets((xv, one), Q, P).shape == (3, 2, 2)
+
     def test_non_dual_observable_raises(self):
         # gradients are analytic or dual: an observable the dual engine
         # cannot digest raises instead of quietly switching to finite
