@@ -314,10 +314,12 @@ def gradient(fn, *arrays):
     offsets = np.cumsum([0] + sizes)
     out = fn(*(seed(a, offsets[-1], off) for a, off in zip(arrays, offsets)))
     if not isinstance(out, Dual):
-        # a constant: broadcast over the rows unless fn did, zero gradients
+        # a constant, zero gradients: broadcast over the rows unless fn
+        # did, told apart by the value's shape at the first row
         val = np.asarray(out, dtype=float)
         lead = arrays[0].shape[:-1]
-        if val.shape[:len(lead)] != lead:
+        if lead and val.shape == np.shape(
+                fn(*(a[(0,) * len(lead)] for a in arrays))):
             val = np.broadcast_to(val, lead + val.shape)
         return val[()], [np.zeros(val.shape + (k,)) for k in sizes]
     return out.val, [out.eps[..., off:off + k].copy()

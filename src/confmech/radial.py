@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .conformal import ConformalSystem, casimir_I
-from .errors import CollapseOnPathError, IncompleteResultError
+from .errors import CollapseOnPathError
 from .phase import PhaseState, Trajectory, integrate_adaptive, _monitor_rows
 
 
@@ -123,12 +123,13 @@ def reparam_time(rd: RadialData, t: float) -> float:
     formula folds the antiderivative's difference into the single
     atan2(s t, r0^2 + D0 t) / s, which does not cancel as I0 -> 0+.
     Adaptive quadrature to absolute tolerance 1e-12 otherwise. Raises
-    :class:`CollapseOnPathError` if r^2 vanishes on [0, t].
+    :class:`CollapseOnPathError` if r^2 vanishes on [0, t], and ValueError
+    unless t is finite and nonnegative.
     """
+    if not 0.0 <= t < math.inf:
+        raise ValueError("reparam_time expects a finite t >= 0")
     if t == 0.0:
         return 0.0
-    if t < 0.0:
-        raise ValueError("reparam_time expects t >= 0")
     _check_collapse_free(rd, t)
     if rd.I0 > 0.0:
         s = math.sqrt(2.0 * rd.I0)
@@ -173,22 +174,14 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
         ns = np.tile(n0, (len(t_grid), 1))
         ells = np.tile(ell0, (len(t_grid), 1))
     else:
-        targets = T_grid[T_grid > 0.0]
         ang = integrate_adaptive(sys.casimir, PhaseState(n0, ell0),
                                  rtol=rtol, t_end=float(T_grid[-1]),
-                                 t_eval=targets,
+                                 t_eval=T_grid,
                                  singular_distance=sys.singular_distance)
-        # the flow records (n0, ell0) at T = 0, then one row per target
-        skip = 0 if T_grid[0] == 0.0 else 1
-        if len(ang) - skip != len(t_grid):
-            raise IncompleteResultError("angular flow did not record every "
-                                        "requested reparametrized time")
         # project back to the sphere and its tangent space, row by row
         # (np.vecdot gives each row's dot product, as np.dot does)
-        ns = ang.qs[skip:]
-        ns = ns / np.sqrt(np.vecdot(ns, ns))[:, None]
-        ells = ang.ps[skip:]
-        ells = ells - np.vecdot(ells, ns)[:, None] * ns
+        ns = ang.qs / np.sqrt(np.vecdot(ang.qs, ang.qs))[:, None]
+        ells = ang.ps - np.vecdot(ang.ps, ns)[:, None] * ns
 
     rs = np.sqrt(radial_squared(rd, t_grid))
     prs = radial_momentum(rd, t_grid)

@@ -123,9 +123,9 @@ def test_c04_radial_closed_form():
                         r0sq=rng.uniform(0.5, 4.0))
         if rd.I0 < 0.05:
             continue
-        traj = _radial_trajectory(rd, grid[1:])
-        r2_num = traj.qs[1:, 0] ** 2
-        r2_exact = radial_squared(rd, traj.times[1:])
+        traj = _radial_trajectory(rd, grid)
+        r2_num = traj.qs[:, 0] ** 2
+        r2_exact = radial_squared(rd, traj.times)
         err = np.max(np.abs(r2_num - r2_exact) / np.abs(r2_exact))
         worst = max(worst, err)
         assert err < 1e-6
@@ -143,6 +143,7 @@ def test_c04_radial_closed_form():
         s0 = PhaseState([math.sqrt(r0sq)], [d0 / math.sqrt(r0sq)])
         with pytest.raises(StepUnderflowError) as err_info:
             integrate_adaptive(sys_.H, s0, 1e-10, 2.0 * t_star,
+                               t_eval=[2.0 * t_star],
                                singular_distance=sys_.singular_distance)
         gap = abs(err_info.value.t_reached - t_star)
         worst_fall = max(worst_fall, gap)

@@ -176,6 +176,16 @@ class TestExitCodes:
         assert diag["error"] == "IncompleteResultError"
         assert "attempt budget" in diag["message"]
 
+    def test_unreachable_reconstruct_grid_is_3(self, tmp_path):
+        # the grid [0, 1e-15] asks the angular flow for a time it cannot
+        # reach in one step
+        out = tmp_path / "diag.json"
+        code = main(["reconstruct", "--model", "coulomb", "--dim", "3",
+                     "--gamma", "1", "--t-end", "1e-15", "--num", "2",
+                     "--output", str(out)])
+        assert code == 3
+        assert json.loads(out.read_text())["error"] == "IncompleteResultError"
+
     def test_verification_failure_is_1_report_written(self, tmp_path):
         # an absurd tolerance fails verification but still writes a report
         out = tmp_path / "r.json"

@@ -19,13 +19,23 @@ def test_all_holds_no_modules():
     assert "phase" not in confmech.__all__
 
 
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 def test_benchmark_tracer_finds_and_restores_every_name():
     # the benchmark's tracer rebinds confmech functions by name, so a
     # renamed or removed one fails here, not only in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench("tracing")
     modules = {name: mod for name, mod in sys.modules.items()
                if name.startswith("confmech") and mod is not None}
     before = {(name, key): val for name, mod in modules.items()
@@ -37,6 +47,18 @@ def test_benchmark_tracer_finds_and_restores_every_name():
     assert ("confmech.phase", "_grad_arrays") in rebound
     assert [key for key in rebound
             if getattr(modules[key[0]], key[1]) is not before[key]] == []
+
+
+def test_benchmark_reconstruct_outputs_pass_their_checks(tmp_path):
+    # the reconstruct workload's checks call integrate_adaptive and other
+    # confmech functions themselves, so a change to those calls fails here,
+    # not only in a benchmark run
+    workloads = _load_perfbench("workloads")
+    wl = workloads.build("reconstruct", seed=0, out=tmp_path)
+    assert len(wl.commands) == len(workloads.RECONSTRUCT_MODELS)
+    for cmd in wl.commands:
+        assert cli.main(cmd.argv) == 0, cmd.label
+        assert cmd.check(cmd.output) is None, cmd.label
 
 
 def test_sources_parse_at_the_python_floor():

@@ -7,6 +7,7 @@ import pytest
 import confmech.dual as dual
 from confmech import models
 from confmech.errors import (
+    IncompleteResultError,
     NonFiniteError,
     SingularityApproachError,
     StepUnderflowError,
@@ -175,6 +176,18 @@ class TestGrad:
         one = Observable(2, lambda q, p: 1.0, vectorized=True)
         xv = Observable(2, lambda q, p: q[..., 0], vectorized=True)
         assert brackets((xv, one), Q, P).shape == (3, 2, 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_vectorized_constant_vector_on_rows(self, n):
+        # a vectorized constant returns its two components unbroadcast,
+        # on 2 rows as on 3: each row's table is still 3 x 3
+        const = Observable(2, lambda q, p: np.array([1.0, 2.0]),
+                           vectorized=True)
+        xv = Observable(2, lambda q, p: q[..., 0], vectorized=True)
+        Q = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])[:n]
+        P = np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 1.0]])[:n]
+        tables = brackets((xv, const), Q, P)
+        assert tables.shape == (n, 3, 3) and not tables.any()
 
     def test_non_dual_observable_raises(self):
         # gradients are analytic or dual: an observable the dual engine
@@ -359,22 +372,25 @@ class TestAdaptive:
 
     def test_rtol_range(self, eq1):
         with pytest.raises(ValueError):
-            integrate_adaptive(eq1.H, PhaseState([1.0], [0.0]), 1e-2, 1.0)
+            integrate_adaptive(eq1.H, PhaseState([1.0], [0.0]), 1e-2, 1.0,
+                               t_eval=[1.0])
 
     def test_step_underflow_near_collapse(self):
         attractive = models.build(models.spec("inverse-square", d=1,
                                               kappa=-2.0))
         with pytest.raises(StepUnderflowError) as err:
             integrate_adaptive(attractive.H, PhaseState([1.0], [-1.0]),
-                               1e-10, 5.0,
+                               1e-10, 5.0, t_eval=[5.0],
                                singular_distance=attractive.singular_distance)
         assert 0.0 < err.value.t_reached < 5.0
 
     def test_monitors_recorded(self, eq1):
+        # the monitors evaluated on the rows of a grid
         traj = integrate_adaptive(eq1.H, PhaseState([1.0], [0.5]), 1e-10,
-                                  1.0, monitors=eq1.monitors())
-        assert set(traj.monitors) == {"H", "D", "K", "I"}
-        H = traj.monitors["H"]
+                                  1.0, t_eval=np.linspace(0.0, 1.0, 101))
+        monitors = eq1.monitors()
+        assert set(monitors) == {"H", "D", "K", "I"}
+        H = monitors["H"].fn(traj.qs, traj.ps)
         assert np.max(np.abs(H - H[0])) < 1e-8
 
 
@@ -403,13 +419,47 @@ class TestDenseOutput:
         s0 = PhaseState([1.0, 0.3, -0.2], [0.1, 0.8, 0.3])
         t_eval = np.sort(np.random.default_rng(2).uniform(0.0, 3.0, 257))
         traj = integrate_adaptive(coulomb.H, s0, 1e-10, 3.0, t_eval=t_eval)
-        assert traj.times[0] == 0.0
-        assert np.array_equal(traj.times[1:], t_eval)
+        assert np.array_equal(traj.times, t_eval)
         # the allowed overshoot past t_end is filled from the last step
         t_end = 3.0 - 1e-13
         traj = integrate_adaptive(coulomb.H, s0, 1e-10, t_end,
                                   t_eval=[1.0, 3.0])
-        assert traj.times.tolist() == [0.0, 1.0, 3.0]
+        assert traj.times.tolist() == [1.0, 3.0]
+
+    def test_a_leading_zero_is_the_initial_state(self, coulomb):
+        # one row per requested time with or without t = 0; the t = 0 row
+        # is the initial state bit for bit (the dense formula at theta = 0
+        # would turn its -0.0 entries into +0.0), and prepending it leaves
+        # every other row as it was
+        s0 = PhaseState([1.0, 0.3, -0.0], [0.1, 0.8, -0.0])
+        grid = np.linspace(0.0, 3.0, 31)
+        full, tail = (integrate_adaptive(coulomb.H, s0, 1e-10, 3.0,
+                                         t_eval=g) for g in (grid, grid[1:]))
+        assert np.array_equal(full.times, grid)
+        assert np.array_equal(tail.times, grid[1:])
+        assert full.qs[0].tobytes() == s0.q.tobytes()
+        assert full.ps[0].tobytes() == s0.p.tobytes()
+        assert full.qs[1:].tobytes() == tail.qs.tobytes()
+        assert full.ps[1:].tobytes() == tail.ps.tobytes()
+
+    def test_unreachable_target_raises(self, coulomb):
+        # a t_end below 1e-14 leaves no step to take: only t = 0 is there
+        s0 = PhaseState([1.0, 0.3, -0.2], [0.1, 0.8, 0.3])
+        with pytest.raises(IncompleteResultError, match="5e-16"):
+            integrate_adaptive(coulomb.H, s0, 1e-10, 1e-15,
+                               t_eval=[5e-16, 1e-15])
+        traj = integrate_adaptive(coulomb.H, s0, 1e-10, 1e-15, t_eval=[0.0])
+        assert traj.times.tolist() == [0.0]
+
+    @pytest.mark.parametrize("t_end,t_eval", [
+        (np.nan, [1.0]), (np.inf, [1.0]), (1.0, []), (1.0, [0.5, 0.5]),
+        (1.0, [-0.5, 1.0]), (1.0, [2.0]),
+    ], ids=["nan-t_end", "inf-t_end", "empty", "repeated", "negative",
+            "past-t_end"])
+    def test_bad_times_rejected(self, coulomb, t_end, t_eval):
+        s0 = PhaseState([1.0, 0.3, -0.2], [0.1, 0.8, 0.3])
+        with pytest.raises(ValueError, match="t_end|t_eval"):
+            integrate_adaptive(coulomb.H, s0, 1e-10, t_end, t_eval=t_eval)
 
     def test_rows_meet_the_rtol_contract(self, catalog_specs):
         # every row within 20 rtol (1 + |y|) of an rtol 1e-13 run, up to

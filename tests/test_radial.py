@@ -106,6 +106,13 @@ class TestReparamTime:
     def test_zero_time(self):
         assert reparam_time(RadialData(E=1.0, D0=0.3, r0sq=2.0), 0.0) == 0.0
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("D0", [0.5, -3.0], ids=["atan2", "quad"])
+    def test_non_finite_or_negative_time_rejected(self, D0, t):
+        # I0 > 0 takes the atan2 branch, I0 < 0 the quadrature
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            reparam_time(RadialData(E=1.0, D0=D0, r0sq=1.0), t)
+
     def test_log_case_by_quadrature(self):
         # E=0, D0=2, r0^2=1: integral of 1/(4s+1) = ln(5)/4
         rd = RadialData(E=0.0, D0=2.0, r0sq=1.0)
@@ -251,6 +258,7 @@ class TestFallTime:
             s0 = PhaseState([math.sqrt(r0)], [d0 / math.sqrt(r0)])
             with pytest.raises(StepUnderflowError) as err:
                 integrate_adaptive(sys_.H, s0, 1e-10, 2.0 * t_star,
+                                   t_eval=[2.0 * t_star],
                                    singular_distance=sys_.singular_distance)
             assert abs(err.value.t_reached - t_star) < 1e-4
 
@@ -314,7 +322,7 @@ class TestReconstruct:
         ell0 = r0 * (s0.p - float(s0.p @ n0) * n0)
         T = np.array([reparam_time(rd, t) for t in grid])
         ang = integrate_adaptive(sys_.casimir, PhaseState(n0, ell0), 1e-10,
-                                 float(T[-1]), t_eval=T[1:],
+                                 float(T[-1]), t_eval=T,
                                  singular_distance=sys_.singular_distance)
         assert len(ang) == len(grid)
         ns, ells = [], []
@@ -396,7 +404,7 @@ class TestReconstruct:
         try:
             tr = reconstruct(sys_, s0, grid, rtol=1e-10)
             ta = integrate_adaptive(sys_.H, s0, 1e-10, t_end,
-                                    t_eval=grid[1:], singular_distance=guard)
+                                    t_eval=grid, singular_distance=guard)
         except StepUnderflowError:
             assume(False)  # the angular flow grazed a singular direction
         # a path that grazes the singular set leaves the direct run, not
@@ -414,8 +422,8 @@ class TestReconstruct:
         s0 = PhaseState([1.0], [0.4])
         grid = np.linspace(0.0, 2.0, 9)
         tr = reconstruct(eq1, s0, grid)
-        ta = integrate_adaptive(eq1.H, s0, 1e-11, 2.0, t_eval=grid[1:])
-        assert np.max(np.abs(tr.qs[1:, 0] - ta.qs[1:, 0])) < 1e-8
+        ta = integrate_adaptive(eq1.H, s0, 1e-11, 2.0, t_eval=grid)
+        assert np.max(np.abs(tr.qs[:, 0] - ta.qs[:, 0])) < 1e-8
 
     def test_collapse_rejected(self):
         att = models.build(models.spec("inverse-square", d=1, kappa=-2.0))

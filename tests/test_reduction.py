@@ -323,6 +323,6 @@ class TestSphereFlow:
         I_obs = sphere.hamiltonian_observable()
         s0 = PhaseState([np.pi / 2, 0.0], [0.2, 1.0])
         traj = integrate_adaptive(I_obs, s0, 1e-11, 10.0,
-                                  monitors={"I": I_obs})
-        I = traj.monitors["I"]
+                                  t_eval=np.linspace(0.0, 10.0, 201))
+        I = I_obs.fn(traj.qs, traj.ps)
         assert np.max(np.abs(I - I[0])) < 1e-8 * max(1.0, abs(I[0]))
