@@ -11,7 +11,6 @@ with its canonicity analysis.
 from types import ModuleType as _ModuleType
 
 from .conformal import (
-    AlgebraReport,
     ConformalSystem,
     build_system,
     casimir_I,
@@ -36,8 +35,6 @@ from .errors import (
     ZeroWError,
 )
 from .lobachevsky import (
-    BracketTable,
-    CanonicityReport,
     KleinPoint,
     assemble_omega,
     bracket_matrix,

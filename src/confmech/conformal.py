@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IncompleteResultError, NonFiniteError
-from .phase import Observable, PhaseState, brackets, grad
+from .errors import ConfmechError, IncompleteResultError
+from .phase import Observable, PhaseState, _grad_rows, brackets
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,26 @@ def sample_states(d: int, n: int, rng: np.random.Generator, box: float = 2.0,
     Components are uniform in [-box, box]; draws within ``exclusion`` of the
     singular set or rejected by ``predicate(Q, P)`` (a bool per row of
     ``(k, d)`` arrays of q and p) are discarded, up to ``100 * n``
-    attempts; then :class:`IncompleteResultError`.
+    attempts; then :class:`IncompleteResultError`. A predicate that raises
+    a :class:`ConfmechError` on a batch is asked again row by row (as
+    ``(1, d)`` arrays), and a row that raises is rejected; any other
+    exception propagates. This is the one rejection sampler behind every
+    seeded report.
 
     Candidates are drawn ``n - accepted`` at a time as one ``(k, 2, d)``
     array of q and p rows, which takes the generator's stream exactly as
     drawing q and then p for each attempt would, so the states, their order
     and the attempt count do not depend on the chunking.
     """
+    def admits(Q, P):
+        try:
+            return predicate(Q, P)
+        except ConfmechError:
+            if len(Q) == 1:
+                return np.zeros(1, dtype=bool)
+            return np.concatenate([admits(Q[i:i + 1], P[i:i + 1])
+                                   for i in range(len(Q))])
+
     out = []
     attempts = 0
     while len(out) < n:
@@ -149,9 +162,26 @@ def sample_states(d: int, n: int, rng: np.random.Generator, box: float = 2.0,
         if singular_distance is not None:
             X = X[[not singular_distance(q) < exclusion for q in X[:, 0]]]
         if predicate is not None and len(X):
-            X = X[predicate(X[:, 0], X[:, 1])]
+            X = X[admits(X[:, 0], X[:, 1])]
         out.extend(PhaseState(q, p) for q, p in X)
     return out
+
+
+def _seeded_rows(d: int, samples: int, tol: float, seed: int,
+                 singular_distance: Optional[Callable],
+                 predicate: Callable = None):
+    """The ``(samples, d)`` rows of q and of p that a seeded report checks:
+    one :func:`sample_states` call on ``default_rng(seed)``, after the
+    checks every report makes of its sample count and tolerance."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError("tol must be a positive finite number")
+    states = sample_states(d, samples, np.random.default_rng(seed),
+                           singular_distance=singular_distance,
+                           predicate=predicate)
+    return (np.array([s.q for s in states]),
+            np.array([s.p for s in states]))
 
 
 @dataclass
@@ -177,34 +207,22 @@ def check_homogeneity(V: Observable, d: int, samples: int = 100,
                       singular_distance: Callable = None) -> HomogeneityReport:
     """Degree minus-two test: max over random q of |q.grad V + 2V| / max(1,|V|).
 
-    Singular draws (non-finite evaluations) are resampled, up to
-    ``100 * samples`` attempts; then :class:`IncompleteResultError`.
+    The q rows are those of :func:`sample_states` on ``default_rng(seed)``
+    (its p rows go unused: V and its gradient are taken at p = 0). A draw
+    where V or its gradient is not finite is rejected and redrawn, up to
+    ``100 * samples`` attempts; then :class:`IncompleteResultError`. V and
+    its gradient are then evaluated once over all the rows.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError("tol must be a positive finite number")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    accepted = 0
-    attempts = 0
-    while accepted < samples:
-        attempts += 1
-        if attempts > 100 * samples:
-            raise IncompleteResultError(
-                "homogeneity sampler exhausted its attempts")
-        q = rng.uniform(-2.0, 2.0, size=d)
-        if singular_distance is not None and singular_distance(q) < 1e-3:
-            continue
-        s = PhaseState(q, np.zeros(d))
-        try:
-            v = V(s)
-            dq, _ = grad(V, s)
-        except NonFiniteError:
-            continue
-        residual = abs(float(np.dot(q, dq)) + 2.0 * v) / max(1.0, abs(v))
-        worst = max(worst, residual)
-        accepted += 1
+    def finite(Q, P):
+        _grad_rows(V, Q, np.zeros_like(Q))  # raises on a non-finite row
+        return np.ones(len(Q), dtype=bool)
+
+    Q, _ = _seeded_rows(d, samples, tol, seed, singular_distance, finite)
+    P = np.zeros_like(Q)
+    v = V.fn(Q, P)
+    dq, _ = _grad_rows(V, Q, P)
+    worst = float(np.max(np.abs(np.vecdot(Q, dq) + 2.0 * v)
+                         / np.maximum(1.0, np.abs(v))))
     return HomogeneityReport(max_residual=worst, samples=samples, tol=tol,
                              seed=seed, passed=worst < tol)
 
@@ -251,16 +269,8 @@ def verify_algebra(sys: ConformalSystem, samples: int = 200,
 
     All sampled states go through one rows-form :func:`brackets` table.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError("tol must be a positive finite number")
-    rng = np.random.default_rng(seed)
-    states = sample_states(sys.d, samples, rng,
-                           singular_distance=sys.singular_distance)
+    Q, P = _seeded_rows(sys.d, samples, tol, seed, sys.singular_distance)
     gens = (sys.H, sys.D, sys.K)
-    Q = np.array([s.q for s in states])
-    P = np.array([s.p for s in states])
     B = brackets(gens, Q, P)
     h, dd, kk = (A.fn(Q, P) for A in gens)
     # (relation, bracket, right-hand side) with {H,D}, {H,K}, {K,D}

@@ -41,9 +41,8 @@ from typing import Union
 import numpy as np
 
 from . import dual
-from .conformal import ConformalSystem, _casimir, sample_states
+from .conformal import ConformalSystem, _casimir, _seeded_rows
 from .errors import (
-    ConfmechError,
     NonPositiveEnergyError,
     ZeroAngularEnergyError,
     ZeroWError,
@@ -385,37 +384,22 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     one a state-by-state evaluation gives, for a potential written for one
     point as for a catalog potential.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError("tol must be a positive finite number")
     sys = build(model) if isinstance(model, ModelSpec) else model
     d = sys.d
-    rng = np.random.default_rng(seed)
 
     def admissible(Q, P):
         # H > 1e-2, I > 1e-2, and x > 1e-2 (d = 1) or the chart's 1e-3
-        # pole margin (d > 1); a batch that raises is settled row by row,
-        # and a row that raises is out
-        try:
-            h = sys.H.fn(Q, P)
-            i_val = _casimir(h, sys.K.fn(Q, P), sys.D.fn(Q, P))
-            ok = np.isfinite(h) & (h > 1e-2) & (i_val > 1e-2)
-            if d == 1:
-                return ok & (Q[:, 0] > 1e-2)
-            hyperspherical_rows(Q, P, delta=1e-3)
-            return ok
-        except ConfmechError:
-            if len(Q) == 1:
-                return np.zeros(1, dtype=bool)
-            return np.concatenate([admissible(Q[i:i + 1], P[i:i + 1])
-                                   for i in range(len(Q))])
+        # pole margin (d > 1); sample_states rejects a row that raises
+        h = sys.H.fn(Q, P)
+        i_val = _casimir(h, sys.K.fn(Q, P), sys.D.fn(Q, P))
+        ok = np.isfinite(h) & (h > 1e-2) & (i_val > 1e-2)
+        if d == 1:
+            return ok & (Q[:, 0] > 1e-2)
+        hyperspherical_rows(Q, P, delta=1e-3)
+        return ok
 
-    states = sample_states(d, samples, rng,
-                           singular_distance=sys.singular_distance,
-                           predicate=admissible)
-    Q = np.array([s.q for s in states])
-    P = np.array([s.p for s in states])
+    Q, P = _seeded_rows(d, samples, tol, seed, sys.singular_distance,
+                        admissible)
 
     tobs = tilde_observables(sys)
     # every state's bracket table over p~, r~ and the half-plane
@@ -446,7 +430,7 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
                     if name != "{w,wbar}-formula")
     if d > 1:
         worst = np.max([columns[name] for name, _, _ in mixed], axis=0)
-        if np.sum(worst > 10.0 * tol) > len(states) // 2:
+        if np.sum(worst > 10.0 * tol) > samples // 2:
             canonical = False
     return CanonicityReport(
         dimension=d, brackets=table, samples=samples, tol=tol, seed=seed,

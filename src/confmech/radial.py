@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .conformal import ConformalSystem, casimir_I
-from .errors import CollapseOnPathError
+from .errors import CollapseOnPathError, IncompleteResultError
 from .phase import PhaseState, Trajectory, integrate_adaptive, _monitor_rows
 
 
@@ -174,10 +174,17 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
         ns = np.tile(n0, (len(t_grid), 1))
         ells = np.tile(ell0, (len(t_grid), 1))
     else:
-        ang = integrate_adaptive(sys.casimir, PhaseState(n0, ell0),
-                                 rtol=rtol, t_end=float(T_grid[-1]),
-                                 t_eval=T_grid,
-                                 singular_distance=sys.singular_distance)
+        try:
+            ang = integrate_adaptive(sys.casimir, PhaseState(n0, ell0),
+                                     rtol=rtol, t_end=float(T_grid[-1]),
+                                     t_eval=T_grid,
+                                     singular_distance=sys.singular_distance)
+        except IncompleteResultError as err:
+            # the integrator names reparametrized times; the grid's end is
+            # a time the caller asked for, and the flow fell short of it
+            raise IncompleteResultError(
+                "the angular flow stopped before the requested "
+                f"t={t_max:.12g}") from err
         # project back to the sphere and its tangent space, row by row
         # (np.vecdot gives each row's dot product, as np.dot does)
         ns = ang.qs / np.sqrt(np.vecdot(ang.qs, ang.qs))[:, None]

@@ -184,7 +184,12 @@ class TestExitCodes:
                      "--gamma", "1", "--t-end", "1e-15", "--num", "2",
                      "--output", str(out)])
         assert code == 3
-        assert json.loads(out.read_text())["error"] == "IncompleteResultError"
+        diag = json.loads(out.read_text())
+        assert diag["error"] == "IncompleteResultError"
+        # the message names the grid time asked for, not its reparametrized
+        # time (9.17431192661e-16)
+        assert "t=1e-15" in diag["message"]
+        assert "e-16" not in diag["message"]
 
     def test_verification_failure_is_1_report_written(self, tmp_path):
         # an absurd tolerance fails verification but still writes a report

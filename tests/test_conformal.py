@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confmech.dual as dual
-from confmech import models
+from confmech import conformal, models
 from confmech.conformal import (
     build_system,
     casimir_I,
@@ -14,7 +14,9 @@ from confmech.conformal import (
     sample_states,
     verify_algebra,
 )
-from confmech.errors import ConfmechError, IncompleteResultError
+from confmech.errors import ConfmechError, IncompleteResultError, \
+    NonFiniteError
+from confmech.lobachevsky import canonicity_report
 from confmech.phase import Observable, PhaseState, brackets, grad, \
     integrate_verlet
 from confmech.reduction import chart_observable, spherical_energy, \
@@ -277,3 +279,88 @@ class TestGoldenAlgebra:
         rep = verify_algebra(sys_, samples=100, tol=1e-8, seed=0)
         got = tuple(v.hex() for v in rep.residuals.values())
         assert got == ("0x1.fe849b52136a7p-2", _ZERO, _ZERO)
+
+
+class TestRaisingPredicate:
+    @staticmethod
+    def _outside(Q):
+        return np.linalg.norm(Q, axis=-1) > 1.5
+
+    def test_raising_rows_rejected_like_a_mask(self):
+        # a batch with any row outside the ball raises; sample_states
+        # settles it row by row and drops exactly those rows
+        def raising(Q, P):
+            if self._outside(Q).any():
+                raise NonFiniteError("outside")
+            return np.ones(len(Q), dtype=bool)
+
+        def mask(Q, P):
+            return ~self._outside(Q)
+
+        for d, seed in ((1, 0), (2, 3), (3, 7)):
+            got, want = (sample_states(d, 40, np.random.default_rng(seed),
+                                       predicate=pred)
+                         for pred in (raising, mask))
+            assert len(got) == len(want) == 40
+            for a, b in zip(got, want):
+                assert a.q.tobytes() == b.q.tobytes()
+                assert a.p.tobytes() == b.p.tobytes()
+
+    def test_other_errors_propagate(self):
+        def broken(Q, P):
+            raise ValueError("not a library error")
+
+        with pytest.raises(ValueError, match="not a library error"):
+            sample_states(2, 5, np.random.default_rng(0), predicate=broken)
+
+
+class TestOneSampler:
+    """Every seeded report draws its states through one call of the
+    module-level ``confmech.conformal.sample_states``, the name the
+    benchmark tracer wraps."""
+
+    @pytest.mark.parametrize("report", ["homogeneity", "algebra",
+                                        "canonicity"])
+    def test_one_call_per_report(self, monkeypatch, report):
+        calls = []
+        draw = conformal.sample_states
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(conformal, "sample_states", counting)
+        sys_ = models.build(models.spec("calogero", n=3, g=1.0))
+        if report == "homogeneity":
+            check_homogeneity(sys_.V, sys_.d, samples=30, seed=2,
+                              singular_distance=sys_.singular_distance)
+        elif report == "algebra":
+            verify_algebra(sys_, samples=30, seed=2)
+        else:
+            canonicity_report(sys_, samples=30, seed=2)
+        assert calls == [(sys_.d, 30)]
+
+
+# check_homogeneity's max_residual as float.hex, per models.catalog() index,
+# at 200 samples and seed 0
+_GOLDEN_HOMOGENEITY = (
+    _ZERO,
+    "0x1.1215d792527a6p-51",
+    "0x1.0000000000000p-51",
+    "0x1.36a229c2f89e6p-51",
+    "0x1.a6ce4cd73384fp-45",
+    "0x1.2363a918aa472p-51",
+    "0x1.39d25ea49ba05p-46",
+    "0x1.7190152d3a709p-43",
+)
+
+
+class TestGoldenHomogeneity:
+    @pytest.mark.parametrize("index", range(len(_GOLDEN_HOMOGENEITY)),
+                             ids=lambda k: _CATALOG[k][0].label)
+    def test_catalog(self, index):
+        sys_ = _CATALOG[index][1]
+        rep = check_homogeneity(sys_.V, sys_.d, samples=200, seed=0,
+                                singular_distance=sys_.singular_distance)
+        assert rep.passed
+        assert rep.max_residual.hex() == _GOLDEN_HOMOGENEITY[index]
