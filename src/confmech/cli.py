@@ -28,6 +28,7 @@ and embed the tool version, the seed, and the parsed config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,6 +46,8 @@ from .reduction import from_hyperspherical, to_hyperspherical
 
 COMMANDS = ("simulate", "reconstruct", "verify-algebra", "verify-decoupling",
             "reduce", "exact", "models")
+# the commands that can write CSV; the others write JSON only
+_CSV_COMMANDS = ("simulate", "reconstruct", "exact")
 
 
 def _flag(default=None, **argparse_kwargs):
@@ -101,7 +104,9 @@ _FLAG_TYPES = {f.name: {"str": str, "int": int, "float": _finite_float}[f.type]
                for f in _FLAGS}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process (parsing leaves it unchanged)."""
     p = _Parser(prog="confmech", description="conformal mechanics toolkit")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="flat key = value file; flags win")
@@ -178,6 +183,9 @@ def _validate(cfg: RunConfig):
         raise UsageError("--tol must be positive")
     if cfg.num < 2:
         raise UsageError("--num must be >= 2")
+    if cfg.format == "csv" and cfg.command not in _CSV_COMMANDS:
+        raise UsageError(f"{cfg.command} writes JSON only; --format csv "
+                         "is for " + ", ".join(_CSV_COMMANDS))
     if cfg.command == "verify-decoupling" and cfg.model is None:
         # bare --dim N checks the plain inverse-square system (g = 1)
         cfg.model = "inverse-square"

@@ -13,7 +13,7 @@ and the combination ``I = (4HK - D^2)/2`` is then a constant of motion
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,14 +33,13 @@ class ConformalSystem:
     K: Observable
     casimir: Observable
     name: str = ""
-    params: dict = field(default_factory=dict)
     singular_distance: Optional[Callable] = None
 
     def monitors(self) -> dict:
         return {"H": self.H, "D": self.D, "K": self.K, "I": self.casimir}
 
 
-def build_system(V: Observable, d: int, name: str = "", params: dict = None,
+def build_system(V: Observable, d: int, name: str = "",
                  singular_distance: Callable = None) -> ConformalSystem:
     """Assemble H, D, K (and the Casimir observable) over a potential.
 
@@ -105,7 +104,6 @@ def build_system(V: Observable, d: int, name: str = "", params: dict = None,
     K = Observable(d, k_fn, grad_fn=k_grad, name="K", vectorized=True)
     I = Observable(d, i_fn, grad_fn=i_grad, name="I", vectorized=True)
     return ConformalSystem(d=d, V=V, H=H, D=Dg, K=K, casimir=I, name=name,
-                           params=dict(params or {}),
                            singular_distance=singular_distance)
 
 
@@ -121,19 +119,19 @@ def _casimir(h, k, dd):
     return 0.5 * (4.0 * h * k - np.float_power(dd, 2))
 
 
-def sample_states(d: int, n: int, rng: np.random.Generator, box: float = 2.0,
-                  singular_distance: Callable = None, exclusion: float = 1e-3,
+def sample_states(d: int, n: int, rng: np.random.Generator,
+                  singular_distance: Callable = None,
                   predicate: Callable = None):
     """Reproducible random phase points, resampled away from singular sets.
 
-    Components are uniform in [-box, box]; draws within ``exclusion`` of the
-    singular set or rejected by ``predicate(Q, P)`` (a bool per row of
-    ``(k, d)`` arrays of q and p) are discarded, up to ``100 * n``
-    attempts; then :class:`IncompleteResultError`. A predicate that raises
-    a :class:`ConfmechError` on a batch is asked again row by row (as
-    ``(1, d)`` arrays), and a row that raises is rejected; any other
-    exception propagates. This is the one rejection sampler behind every
-    seeded report.
+    Components are uniform in [-2, 2]; draws within 1e-3 of the singular
+    set or rejected by ``predicate(Q, P)`` (a bool per row of ``(k, d)``
+    arrays of q and p) are discarded, up to ``100 * n`` attempts; then
+    :class:`IncompleteResultError`. A wider margin from the singular set is
+    a predicate's test. A predicate that raises a :class:`ConfmechError`
+    on a batch is asked again row by row (as ``(1, d)`` arrays), and a row
+    that raises is rejected; any other exception propagates. This is the
+    one rejection sampler behind every seeded report.
 
     Candidates are drawn ``n - accepted`` at a time as one ``(k, 2, d)``
     array of q and p rows, which takes the generator's stream exactly as
@@ -158,9 +156,9 @@ def sample_states(d: int, n: int, rng: np.random.Generator, box: float = 2.0,
                 "state sampler exhausted its attempt budget; the "
                 "admissible region is too small")
         attempts += k
-        X = rng.uniform(-box, box, size=(k, 2, d))
+        X = rng.uniform(-2.0, 2.0, size=(k, 2, d))
         if singular_distance is not None:
-            X = X[[not singular_distance(q) < exclusion for q in X[:, 0]]]
+            X = X[[not singular_distance(q) < 1e-3 for q in X[:, 0]]]
         if predicate is not None and len(X):
             X = X[admits(X[:, 0], X[:, 1])]
         out.extend(PhaseState(q, p) for q, p in X)

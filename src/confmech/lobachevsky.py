@@ -283,7 +283,6 @@ class BracketTable:
     ww_numeric: complex
     ww_formula: complex
     mixed: list
-    notes: tuple = SIGN_NOTES
 
     @property
     def ww_residual(self) -> float:
@@ -377,7 +376,12 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     {H, D} = 2H). In d = 1 that is the whole story and the verdict is
     canonical. In d > 1 the transformed radial coordinates fail to commute
     with the angular chart: residuals like {r~, phi} sit at O(1), far above
-    any bracket tolerance, at the majority of sampled states.
+    any bracket tolerance.
+
+    The verdict is "canonical" exactly when the largest residual of
+    {p~, r~} - 1 and of every mixed bracket {r~ or p~, phi_a or pi_a} over
+    the sampled states is below ``tol`` (a NaN residual fails); the
+    {w, wbar} check is reported but does not enter the verdict.
 
     The admissibility screen, the bracket tables and the residuals each
     run once over all sampled rows, and every number in the report is the
@@ -421,17 +425,13 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     columns = {"{p~,r~}-1": np.abs(B[:, 0, 1] - 1.0),
                **{name: np.abs(B[:, j, k]) for name, j, k in mixed},
                "{w,wbar}-formula": np.array(ww)}
-    table = {name: {"max_residual": float(max(0.0, v.max())),
+    table = {name: {"max_residual": float(v.max()),
                     "exceed_count": int(np.sum(v > tol))}
              for name, v in columns.items()}
 
     canonical = all(entry["max_residual"] < tol
                     for name, entry in table.items()
                     if name != "{w,wbar}-formula")
-    if d > 1:
-        worst = np.max([columns[name] for name, _, _ in mixed], axis=0)
-        if np.sum(worst > 10.0 * tol) > samples // 2:
-            canonical = False
     return CanonicityReport(
         dimension=d, brackets=table, samples=samples, tol=tol, seed=seed,
         verdict="canonical" if canonical else "non-canonical")
@@ -504,9 +504,10 @@ def kahler_potential(w: complex, g: float) -> float:
     return g * math.log(2.0 * w.imag)
 
 
-def _wirtinger(fn, w: complex, h: float = 1e-6) -> tuple:
+def _wirtinger(fn, w: complex) -> tuple:
     """(df/dw, df/dwbar) of a complex-valued fn of (w, conj w) by central
-    differences in the real and imaginary directions."""
+    differences of step 1e-6 in the real and imaginary directions."""
+    h = 1e-6
     fx = (fn(w + h) - fn(w - h)) / (2.0 * h)
     fy = (fn(w + 1j * h) - fn(w - 1j * h)) / (2.0 * h)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)

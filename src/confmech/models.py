@@ -73,7 +73,10 @@ def spec(name: str, d: int = None, **params) -> ModelSpec:
         raise ValueError(f"unknown model {name!r}; choose from "
                          f"{sorted(set(_ALIASES))}") from None
     if canonical == "calogero_relative":
-        n = params.get("n", params.pop("particles", 0))
+        n = params.pop("particles", params.get("n", 0))
+        if params.get("n", n) != n:
+            raise ValueError(f"calogero_relative got n={params['n']!r} and "
+                             f"particles={n!r}; give one of them")
         if n != int(n):
             raise ValueError("calogero_relative needs a whole number of "
                              f"particles, got {n!r}")
@@ -144,7 +147,6 @@ def singular_distance_fn(model: ModelSpec) -> Callable:
 def build(model: ModelSpec) -> ConformalSystem:
     """ModelSpec -> ConformalSystem with generators and singular guard."""
     return build_system(potential(model), model.d, name=model.label,
-                        params=dict(model.params),
                         singular_distance=singular_distance_fn(model))
 
 
@@ -189,10 +191,7 @@ class SphericalPotentialForm:
     """Closed-form angular potential U(angles) of a catalog model; ``U``
     takes the first polar angle theta."""
 
-    model: str
-    formula: str
-    params: dict
-    U: Callable = field(default=None, repr=False, compare=False)
+    U: Callable
 
     def evaluate(self, phi) -> float:
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -292,7 +291,7 @@ def _free(d: int, params: dict) -> _Entry:
         lambda q, p: (np.zeros(q.shape), np.zeros(q.shape)),
         lambda q: np.inf,
         lambda: PhaseState(np.linspace(1.0, 0.4, d), np.linspace(0.3, 1.0, d)),
-        SphericalPotentialForm("free", "0", {}, lambda t: 0.0))
+        SphericalPotentialForm(lambda t: 0.0))
 
 
 def _inverse_square(d: int, params: dict) -> _Entry:
@@ -324,9 +323,7 @@ def _inverse_square(d: int, params: dict) -> _Entry:
 
     return _Entry("inverse_square", V, dV,
                   lambda q: math.sqrt(np.dot(q, q)), reference,
-                  SphericalPotentialForm("inverse_square", "kappa",
-                                         {"kappa": params["kappa"]},
-                                         lambda t: kappa))
+                  SphericalPotentialForm(lambda t: kappa))
 
 
 def _conformal_higgs(d: int, params: dict) -> _Entry:
@@ -359,8 +356,6 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
                   lambda q: float(min(math.sqrt(np.dot(q, q)), abs(q[d - 1]))),
                   reference,
                   SphericalPotentialForm(
-                      "conformal_higgs", "omega^2 tan(theta)^2 / 2 + omega^2",
-                      {"omega": params["omega"]},
                       lambda t: 0.5 * w2 * np.tan(t) ** 2 + w2))
 
 
@@ -406,10 +401,7 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
         return PhaseState(q, p)
 
     return _Entry("conformal_coulomb", V, dV, sdist, reference,
-                  SphericalPotentialForm("conformal_coulomb",
-                                         "gamma cot(theta)",
-                                         {"gamma": params["gamma"]},
-                                         lambda t: gamma / np.tan(t)))
+                  SphericalPotentialForm(lambda t: gamma / np.tan(t)))
 
 
 def _calogero_relative(d: int, params: dict) -> _Entry:

@@ -318,7 +318,7 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     n_steps = verlet_steps(dt, t_end)
     V = system.V
     sdist = system.singular_distance
-    if sdist is not None and sdist(s0.q) <= 1e-8:
+    if sdist is not None and sdist(s0.q) < _SINGULAR_GUARD:
         raise SingularityApproachError(
             "initial state is inside the singular exclusion zone",
             last_good_time=0.0, state=s0)

@@ -34,18 +34,19 @@ def chart_interior(s, margin=1e-2):
     return True
 
 
-def model_states(sys_, n, seed, predicate=None, box=2.0):
-    """Seeded off-singularity states for one system."""
+def model_states(sys_, n, seed, predicate=None):
+    """Seeded states at least 5e-2 off the singular set for one system."""
     rng = np.random.default_rng(seed)
+    sdist = sys_.singular_distance
 
     def ok(s):
+        if sdist is not None and sdist(s.q) < 5e-2:
+            return False
         if sys_.d == 1 and s.q[0] <= 1e-2:
             return False
         return predicate(s) if predicate is not None else True
 
-    return sample_states(sys_.d, n, rng, box=box,
-                         singular_distance=sys_.singular_distance,
-                         exclusion=5e-2,
+    return sample_states(sys_.d, n, rng, singular_distance=sdist,
                          predicate=lambda Q, P: np.array(
                              [ok(PhaseState(q, p)) for q, p in zip(Q, P)],
                              dtype=bool))

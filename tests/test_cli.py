@@ -69,6 +69,17 @@ class TestParseConfig:
             parse_config(["simulate", "--model", "free", "--dim", "2",
                           "--config", str(cfg_file)])
 
+    def test_flags_do_not_leak_between_calls(self):
+        first = parse_config(["verify-algebra", "--model", "inverse-square",
+                              "--kappa", "2", "--dim", "3", "--seed", "7",
+                              "--samples", "9", "--format", "json"])
+        assert (first.seed, first.samples, first.kappa) == (7, 9, 2.0)
+        second = parse_config(["simulate", "--model", "free", "--dim", "2"])
+        assert second.seed == 0 and second.samples == 200
+        assert second.kappa is None and second.format == "csv"
+        assert second.echo == {"command": "simulate", "model": "free",
+                               "dim": 2}
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
@@ -102,6 +113,19 @@ class TestExitCodes:
         diag = json.loads(out.read_text())
         assert diag["error"] == "SingularityApproachError"
         assert diag["last_good_time"] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["models"],
+        ["verify-algebra", "--model", "free", "--dim", "2"],
+        ["verify-decoupling", "--dim", "2"],
+        ["reduce", "--model", "free", "--dim", "2", "--state", "1,0,0,1"],
+    ])
+    def test_csv_on_a_json_only_command_is_2(self, argv, capsys):
+        assert main([*argv, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "writes JSON only" in captured.err
+        assert main([*argv, "--format", "json"]) == 0
 
     def test_unwritable_output_is_3(self):
         code = main(["verify-algebra", "--model", "free", "--dim", "2",

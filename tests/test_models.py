@@ -84,6 +84,14 @@ class TestModelSpec:
         ms = models.spec("calogero", particles=4, g=1.0)
         assert ms.d == 3 and ms.params["n"] == 4
 
+    def test_calogero_sizes_must_agree(self):
+        with pytest.raises(ValueError) as err:
+            models.spec("calogero", n=3, particles=5)
+        assert str(err.value) == ("calogero_relative got n=3 and "
+                                  "particles=5; give one of them")
+        ms = models.spec("calogero", n=3, particles=3)
+        assert ms.d == 2 and ms.params == {"n": 3, "g": 1.0}
+
 
 class TestPotentialValues:
     def test_inverse_square(self):

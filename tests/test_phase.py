@@ -325,6 +325,16 @@ class TestVerlet:
                              1e-3, 1.0)
         assert err.value.last_good_time == 0.0
 
+    def test_start_inside_the_guard_is_refused(self):
+        # 5e-7 from the singular point, inside the 1e-6 guard that the
+        # step loop applies: the run must not start
+        weak = models.build(models.spec("inverse-square", d=2, kappa=1e-30))
+        with pytest.raises(SingularityApproachError,
+                           match="initial state") as err:
+            integrate_verlet(weak, PhaseState([5e-7, 0.0], [1.0, 0.0]),
+                             1e-6, 1e-5)
+        assert err.value.last_good_time == 0.0
+
     def test_approach_reports_last_good_time(self):
         # radially infalling inverse-square with attractive coupling
         attractive = models.build(models.spec("inverse-square", d=1,
@@ -474,7 +484,7 @@ class TestDenseOutput:
         checked = 0
         for ms in specs:
             sys_ = models.build(ms)
-            for s0 in model_states(sys_, 2, seed=11, box=2.0):
+            for s0 in model_states(sys_, 2, seed=11):
                 try:
                     runs = [integrate_adaptive(
                         sys_.H, s0, tol, 20.0, t_eval=grid,
