@@ -413,7 +413,8 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
     t = 1 with rtol 1e-10. Near a singularity the step size collapses and
     :class:`StepUnderflowError` reports how far the integration got (as it
     does after 1,000,000 steps); an optional ``singular_distance(q)`` guard
-    reports the same diagnostic earlier and more cheaply, at 1e-6.
+    reports the same diagnostic earlier and more cheaply, at 1e-6, and
+    refuses an initial state inside it (``t_reached = 0``).
     """
     if not (1e-13 <= rtol <= 1e-3):
         raise ValueError("rtol must lie in [1e-13, 1e-3]")
@@ -425,6 +426,11 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
         raise ValueError("t_eval must be nonempty and strictly increasing")
     if targets[0] < 0 or targets[-1] > t_end + 1e-12:
         raise ValueError("t_eval must lie within [0, t_end]")
+    if singular_distance is not None and \
+            singular_distance(s0.q) < _SINGULAR_GUARD:
+        raise StepUnderflowError(
+            "initial state is inside the singular exclusion zone",
+            t_reached=0.0, state=s0)
     d = s0.d
     rhs = _hamilton_rhs(H)
     y = np.concatenate([s0.q, s0.p])

@@ -32,7 +32,7 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_demo_output(name):
-    # run in this process, not as `python demos/...`, so scipy and
+    # run in this process, not as `python demos/...`, so numpy and
     # confmech are imported once for all five; a RuntimeWarning fails the
     # demo, as `python -W error::RuntimeWarning` does
     out = io.StringIO()

@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -59,6 +61,19 @@ def test_benchmark_reconstruct_outputs_pass_their_checks(tmp_path):
     for cmd in wl.commands:
         assert cli.main(cmd.argv) == 0, cmd.label
         assert cmd.check(cmd.output) is None, cmd.label
+
+
+def test_cli_import_leaves_scipy_out():
+    # every reparam_time branch is closed form, so no command pays for
+    # importing scipy; a fresh interpreter shows it, as start-up sees it
+    src = str(Path(confmech.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, confmech.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_sources_parse_at_the_python_floor():

@@ -394,6 +394,18 @@ class TestAdaptive:
                                singular_distance=attractive.singular_distance)
         assert 0.0 < err.value.t_reached < 5.0
 
+    def test_start_inside_the_guard_is_refused(self):
+        # 5e-7 from the singular point, inside the 1e-6 guard that the
+        # step loop applies: the run must not start, as in integrate_verlet
+        weak = models.build(models.spec("inverse-square", d=2, kappa=1e-20))
+        s0 = PhaseState([5e-7, 0.0], [1.0, 0.0])
+        with pytest.raises(StepUnderflowError,
+                           match="initial state") as err:
+            integrate_adaptive(weak.H, s0, 1e-10, 2e-3, t_eval=[2e-3],
+                               singular_distance=weak.singular_distance)
+        assert err.value.t_reached == 0.0
+        assert err.value.state is s0
+
     def test_monitors_recorded(self, eq1):
         # the monitors evaluated on the rows of a grid
         traj = integrate_adaptive(eq1.H, PhaseState([1.0], [0.5]), 1e-10,

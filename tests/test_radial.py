@@ -109,12 +109,14 @@ class TestReparamTime:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("D0", [0.5, -3.0], ids=["atan2", "quad"])
     def test_non_finite_or_negative_time_rejected(self, D0, t):
-        # I0 > 0 takes the atan2 branch, I0 < 0 the quadrature
+        # I0 > 0 takes the atan2 branch, I0 < 0 the log1p one (the "quad"
+        # id names the quadrature it replaced)
         with pytest.raises(ValueError, match="finite t >= 0"):
             reparam_time(RadialData(E=1.0, D0=D0, r0sq=1.0), t)
 
     def test_log_case_by_quadrature(self):
-        # E=0, D0=2, r0^2=1: integral of 1/(4s+1) = ln(5)/4
+        # E=0, D0=2, r0^2=1: integral of 1/(4s+1) = ln(5)/4 (the I0 < 0
+        # closed form, once quadrature)
         rd = RadialData(E=0.0, D0=2.0, r0sq=1.0)
         assert rd.I0 == pytest.approx(-2.0)
         assert reparam_time(rd, 1.0) == pytest.approx(math.log(5.0) / 4.0,
@@ -172,6 +174,62 @@ class TestReparamTime:
                                      + 2.0 * rd.I0)
         num, _ = quad(inv_r2, 0.0, t, epsabs=1e-13, epsrel=1e-13)
         assert abs(got - num) <= 1e-12 * max(1.0, abs(got))
+
+    def test_zero_invariant_is_exact(self):
+        # I0 = 0 exactly: r^2 = (r0^2 + D0 t)^2 / r0^2, so T = t / (1 + t)
+        # for E = 1/2, D0 = r0^2 = 1, and t / (1 - t) up to the double root
+        # at t = 1 for D0 = -1
+        rd = RadialData(E=0.5, D0=1.0, r0sq=1.0)
+        assert rd.I0 == 0.0
+        assert [reparam_time(rd, t) for t in (1.0, 3.0)] == [0.5, 0.75]
+        rd = RadialData(E=0.5, D0=-1.0, r0sq=1.0)
+        assert rd.I0 == 0.0 and fall_time(rd) == 1.0
+        assert [reparam_time(rd, t) for t in (0.5, 0.75)] == [1.0, 3.0]
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(r0sq=st.floats(0.1, 4.0), d0=st.floats(-2.0, 2.0),
+           mag=st.floats(1e-6, 2.0), tiny=st.booleans(),
+           gap=st.floats(-8.0, -1.0))
+    def test_matches_quadrature_near_the_fall_time(self, r0sq, d0, mag, tiny,
+                                                   gap):
+        # I0 < 0 and t = (1 - 10^gap) fall_time, 1e-8 to 1e-1 (relative)
+        # short of the collapse. A tiny E < 0 with D0 > 0 falls only at
+        # t ~ D0/|E|: there atanh(s t / (r0^2 + D0 t)) / s is 1e-2 off or
+        # leaves its domain, and half of these draws fail it
+        E = -1e-12 * mag if tiny else (d0 * d0 - 2.0 * mag) / (2.0 * r0sq)
+        rd = RadialData(E=E, D0=d0, r0sq=r0sq)
+        tf = fall_time(rd)
+        assume(rd.I0 < 0.0 and tf is not None)
+        t = tf * (1.0 - 10.0 ** gap)
+        got = reparam_time(rd, t)
+        # the oracle takes the vertex -D0/(2E), where r^2 turns, as a
+        # breakpoint; near the fall time quad warns that rounding keeps it
+        # from its requested 1e-13, hence the filter
+        vertex = -rd.D0 / (2.0 * rd.E) if rd.E else math.inf
+        num, _ = quad(lambda u: 1.0 / radial_squared(rd, u), 0.0, t,
+                      points=[vertex] if 0.0 < vertex < t else None,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        # the problem's own condition number: cond = t / (r^2(t) T) for a
+        # rounding of t, plus amp = (2|E|t^2 + 2|D0|t + r0^2) / r^2(t) for
+        # roundings of E, D0 and r0^2, which move the fall time. amp
+        # dominates when |I0| << D0^2 (a nearly double root): there the
+        # error reaches 330 eps cond, but never 0.2 eps (cond + amp) on
+        # 6,000 seeded draws of these ranges
+        r2 = radial_squared(rd, t)
+        cond = t / (r2 * got)
+        amp = (2.0 * abs(rd.E) * t * t + 2.0 * abs(rd.D0) * t + rd.r0sq) / r2
+        eps = np.finfo(float).eps
+        assert abs(got - num) <= 2.0 * eps * (cond + amp) * got
+
+    def test_rounding_onto_the_fall_time_is_a_collapse(self):
+        # one ulp below the fall time the factor r0^2 + (D0 - s) t rounds
+        # to 0, so r^2 vanishes there as far as floats can tell
+        rd = RadialData(E=-1.249, D0=-0.43, r0sq=1.004)
+        tf = fall_time(rd)
+        with pytest.raises(CollapseOnPathError) as err:
+            reparam_time(rd, math.nextafter(tf, 0.0))
+        assert err.value.collapse_time == tf
 
     def test_small_positive_invariant_does_not_cancel(self):
         # I0 ~ 1e-14: the arctan difference this replaced returned
