@@ -41,7 +41,7 @@ from .conformal import verify_algebra
 from .errors import ConfmechError, UsageError
 from .lobachevsky import canonicity_report
 from .phase import PhaseState, Trajectory, integrate_verlet, verlet_steps
-from .radial import RadialData, fall_time, radial_squared, reparam_time
+from .radial import RadialData, fall_time
 from .reduction import from_hyperspherical, to_hyperspherical
 
 COMMANDS = ("simulate", "reconstruct", "verify-algebra", "verify-decoupling",
@@ -354,17 +354,16 @@ def run(cfg: RunConfig) -> int:
         if t_fall is not None:
             t_max = min(t_max, 0.999 * t_fall)
         grid = np.linspace(0.0, t_max, cfg.num)
-        rows = [{"t": float(t),
-                 "r_squared": radial_squared(rd, float(t)),
-                 "T": reparam_time(rd, float(t))} for t in grid]
-        payload = {"E": rd.E, "D0": rd.D0, "r0sq": rd.r0sq, "I0": rd.I0,
-                   "fall_time": t_fall, "samples": rows}
+        T, r2 = radial._radial_rows(rd, grid)
+        keys = ("t", "r_squared", "T")
         if cfg.format == "csv":
-            keys = ("t", "r_squared", "T")
-            emit(_csv(keys, [[r[k] for r in rows] for k in keys]), "csv",
-                 cfg.output)
+            emit(_csv(keys, [grid, r2, T]), "csv", cfg.output)
         else:
-            emit(_json_doc(cfg, payload), "json", cfg.output)
+            rows = [dict(zip(keys, row)) for row
+                    in zip(grid.tolist(), r2.tolist(), T.tolist())]
+            emit(_json_doc(cfg, {"E": rd.E, "D0": rd.D0, "r0sq": rd.r0sq,
+                                 "I0": rd.I0, "fall_time": t_fall,
+                                 "samples": rows}), "json", cfg.output)
         return 0
 
     raise UsageError(f"unknown command {cfg.command!r}")

@@ -13,7 +13,7 @@ and the combination ``I = (4HK - D^2)/2`` is then a constant of motion
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -191,13 +191,9 @@ class HomogeneityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "samples": self.samples,
-            "tol": self.tol,
-            "seed": self.seed,
-            "pass": self.passed,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 def check_homogeneity(V: Observable, d: int, samples: int = 100,
@@ -246,14 +242,9 @@ class AlgebraReport:
         return [k for k, v in self.residuals.items() if v >= self.tol]
 
     def to_dict(self) -> dict:
-        return {
-            "relations": self.relations,
-            "residuals": {k: self.residuals[k] for k in self.residuals},
-            "samples": self.samples,
-            "tol": self.tol,
-            "seed": self.seed,
-            "pass": self.passed,
-        }
+        doc = {"relations": self.relations, **asdict(self)}
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 def verify_algebra(sys: ConformalSystem, samples: int = 200,

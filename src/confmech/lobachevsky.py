@@ -35,7 +35,7 @@ acquire nonzero brackets with the angular ones through I(u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -353,18 +353,9 @@ class CanonicityReport:
     tol: float
     seed: int
     verdict: str
-    sign_notes: tuple = SIGN_NOTES
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "brackets": {k: dict(v) for k, v in self.brackets.items()},
-            "samples": self.samples,
-            "tol": self.tol,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "sign_notes": list(self.sign_notes),
-        }
+        return {**asdict(self), "sign_notes": list(SIGN_NOTES)}
 
 
 def canonicity_report(model: Union[ModelSpec, ConformalSystem],

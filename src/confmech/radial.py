@@ -27,44 +27,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ConformalSystem, casimir_I
-from .errors import CollapseOnPathError, IncompleteResultError
+from .conformal import ConformalSystem
+from .errors import CollapseOnPathError, IncompleteResultError, NonFiniteError
 from .phase import PhaseState, Trajectory, integrate_adaptive, _monitor_rows
 
 
 @dataclass(frozen=True)
 class RadialData:
-    """Constants of the radial motion: energy E, initial dilatation D0,
-    initial r^2, and the angular invariant I0.
-
-    The four are not independent: 2 E r0^2 - D0^2 = 2 I0 (the Casimir
-    identity at t = 0). Omit ``I0`` to have it filled in; pass all four and
-    the constraint is checked to 1e-10.
-    """
+    """Constants of the radial motion: energy E, initial dilatation D0 and
+    initial r^2. They fix the angular invariant I0 through the Casimir
+    identity at t = 0, 2 E r0^2 - D0^2 = 2 I0."""
 
     E: float
     D0: float
     r0sq: float
-    I0: float = None
 
     def __post_init__(self):
         if self.r0sq < 0:
             raise ValueError("r0sq must be nonnegative")
-        implied = 0.5 * (2.0 * self.E * self.r0sq - self.D0 ** 2)
-        if self.I0 is None:
-            object.__setattr__(self, "I0", implied)
-            return
-        scale = max(1.0, abs(2.0 * self.E * self.r0sq), self.D0 ** 2,
-                    abs(2.0 * self.I0))
-        if abs(2.0 * self.I0 - 2.0 * implied) > 1e-10 * scale:
-            raise ValueError(
-                "inconsistent radial data: 2*E*r0sq - D0^2 != 2*I0 "
-                f"({2 * implied:.17g} vs {2 * self.I0:.17g})")
+
+    @property
+    def I0(self) -> float:
+        return 0.5 * (2.0 * self.E * self.r0sq - self.D0 ** 2)
 
     @classmethod
     def from_state(cls, sys: ConformalSystem, s: PhaseState) -> "RadialData":
-        return cls(E=sys.H(s), D0=sys.D(s), r0sq=2.0 * sys.K(s),
-                   I0=casimir_I(sys, s))
+        return cls(E=sys.H(s), D0=sys.D(s), r0sq=2.0 * sys.K(s))
 
 
 def radial_squared(rd: RadialData, t):
@@ -103,19 +91,7 @@ def fall_time(rd: RadialData):
     return min(positive) if positive else None
 
 
-def _check_collapse_free(rd: RadialData, t: float):
-    if rd.r0sq == 0.0:
-        raise CollapseOnPathError("r^2(0) = 0: the reparametrized time "
-                                  "diverges at the left endpoint",
-                                  collapse_time=0.0)
-    tf = fall_time(rd)
-    if tf is not None and tf <= t:
-        raise CollapseOnPathError(
-            f"r^2 vanishes at t = {tf:.12g} inside [0, {t:g}]",
-            collapse_time=tf)
-
-
-def reparam_time(rd: RadialData, t: float) -> float:
+def reparam_time(rd: RadialData, t):
     """T(t) = integral_0^t ds / r^2(s), with T(0) = 0, in closed form for
     every sign of I0 (Gradshteyn & Ryzhik 2.172):
 
@@ -127,21 +103,34 @@ def reparam_time(rd: RadialData, t: float) -> float:
       from the stable pair of :func:`fall_time`. Unlike
       atanh(s t / (r0^2 + D0 t)) / s it does not cancel near the fall time.
 
-    Raises :class:`CollapseOnPathError` if r^2 vanishes on [0, t], also
-    when t rounds onto the fall time, and ValueError unless t is finite and
-    nonnegative.
+    ``t`` is a float or an array; an array gives the bits of the per-entry
+    float calls. Raises ValueError unless every t is finite and
+    nonnegative, and :class:`CollapseOnPathError` if r^2 vanishes on
+    [0, max t], also when a t rounds onto the fall time.
     """
-    if not 0.0 <= t < math.inf:
+    ts = np.asarray(t, dtype=float)
+    if not np.all((ts >= 0.0) & (ts < math.inf)):
         raise ValueError("reparam_time expects a finite t >= 0")
-    if t == 0.0:
-        return 0.0
-    _check_collapse_free(rd, t)
-    return _reparam(rd, t)
+    t_max = float(ts.max(initial=0.0))
+    if t_max > 0.0:
+        if rd.r0sq == 0.0:
+            raise CollapseOnPathError("r^2(0) = 0: the reparametrized time "
+                                      "diverges at the left endpoint",
+                                      collapse_time=0.0)
+        tf = fall_time(rd)
+        if tf is not None and tf <= t_max:
+            raise CollapseOnPathError(
+                f"r^2 vanishes at t = {tf:.12g} inside [0, {t_max:g}]",
+                collapse_time=tf)
+    T = [_reparam(rd, x) for x in ts.ravel().tolist()]
+    return T[0] if ts.ndim == 0 else np.reshape(T, ts.shape)
 
 
 def _reparam(rd: RadialData, t: float) -> float:
     """:func:`reparam_time` at a t >= 0 already known to lie in a
     collapse-free interval."""
+    if t == 0.0:
+        return 0.0
     if rd.I0 > 0.0:
         s = math.sqrt(2.0 * rd.I0)
         return math.atan2(s * t, rd.r0sq + rd.D0 * t) / s
@@ -166,6 +155,17 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _radial_rows(rd: RadialData, t_grid: np.ndarray):
+    """T(t) and r^2(t) on a nonempty grid. After :func:`reparam_time`'s
+    checks, one float check that r^2 is finite at the grid's end comes
+    before the array arithmetic that would overflow."""
+    T = reparam_time(rd, t_grid)
+    t_max = float(t_grid.max())
+    if not math.isfinite(radial_squared(rd, t_max)):
+        raise NonFiniteError(f"r^2 overflows at t = {t_max:.12g}")
+    return T, radial_squared(rd, t_grid)
+
+
 def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
                 rtol: float = 1e-10) -> Trajectory:
     """Rebuild the full trajectory from the radial closed form plus the
@@ -181,17 +181,14 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
         raise ValueError("t_grid must be nonempty, nonnegative and strictly "
                          "increasing")
     rd = RadialData.from_state(sys, s0)
+    T_grid, r2 = _radial_rows(rd, t_grid)
     t_max = float(t_grid[-1])
-    if t_max > 0:
-        _check_collapse_free(rd, t_max)
 
     d = s0.d
     r0 = math.sqrt(rd.r0sq)
     n0 = s0.q / r0
     p_r0 = float(s0.p @ n0)
     ell0 = r0 * (s0.p - p_r0 * n0)
-
-    T_grid = np.array([_reparam(rd, t) for t in t_grid.tolist()])
 
     if d == 1 or t_max == 0.0:
         # no angular motion: n is constant (straight radial rays); for
@@ -200,10 +197,13 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
         ns = np.tile(n0, (len(t_grid), 1))
         ells = np.tile(ell0, (len(t_grid), 1))
     else:
+        # far out T(t) nears its limit and neighbouring t may share a T:
+        # the flow runs once per distinct T, and the rows are indexed back
+        T_eval, rows = np.unique(T_grid, return_inverse=True)
         try:
             ang = integrate_adaptive(sys.casimir, PhaseState(n0, ell0),
-                                     rtol=rtol, t_end=float(T_grid[-1]),
-                                     t_eval=T_grid,
+                                     rtol=rtol, t_end=float(T_eval[-1]),
+                                     t_eval=T_eval,
                                      singular_distance=sys.singular_distance)
         except IncompleteResultError as err:
             # the integrator names reparametrized times; the grid's end is
@@ -213,10 +213,11 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
                 f"t={t_max:.12g}") from err
         # project back to the sphere and its tangent space, row by row
         # (np.vecdot gives each row's dot product, as np.dot does)
-        ns = ang.qs / np.sqrt(np.vecdot(ang.qs, ang.qs))[:, None]
-        ells = ang.ps - np.vecdot(ang.ps, ns)[:, None] * ns
+        ns, ells = ang.qs[rows], ang.ps[rows]
+        ns = ns / np.sqrt(np.vecdot(ns, ns))[:, None]
+        ells = ells - np.vecdot(ells, ns)[:, None] * ns
 
-    rs = np.sqrt(radial_squared(rd, t_grid))
+    rs = np.sqrt(r2)
     prs = radial_momentum(rd, t_grid)
     qs = rs[:, None] * ns
     ps = prs[:, None] * ns + ells / rs[:, None]

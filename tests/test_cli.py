@@ -19,6 +19,11 @@ from confmech.errors import UsageError
 from confmech.phase import Trajectory
 
 
+def _reject_constant(name):
+    """json.loads hook: Infinity, -Infinity and NaN are not strict JSON."""
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 class TestParseConfig:
     def test_verify_algebra_flags(self):
         cfg = parse_config(["verify-algebra", "--model", "inverse-square",
@@ -214,6 +219,30 @@ class TestExitCodes:
         # time (9.17431192661e-16)
         assert "t=1e-15" in diag["message"]
         assert "e-16" not in diag["message"]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "exact"])
+    def test_far_grid_is_0_with_finite_rows(self, tmp_path, command):
+        # at t = 1e14 neighbouring grid times share one reparametrized time
+        out = tmp_path / "out.json"
+        code = main([command, "--model", "inverse-square", "--dim", "3",
+                     "--kappa", "1", "--t-end", "1e14", "--num", "101",
+                     "--format", "json", "--output", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+        rows = doc["times"] if command == "reconstruct" else doc["samples"]
+        assert len(rows) == 101
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["reconstruct", "exact"])
+    def test_overflowing_radius_is_3(self, tmp_path, command, fmt):
+        # r^2 overflows at t = 1e200; it was once written out as Infinity
+        out = tmp_path / "out"
+        code = main([command, "--model", "inverse-square", "--dim", "3",
+                     "--kappa", "1", "--t-end", "1e200", "--num", "3",
+                     "--format", fmt, "--output", str(out)])
+        assert code == 3
+        diag = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert diag["error"] == "NonFiniteError"
 
     def test_verification_failure_is_1_report_written(self, tmp_path):
         # an absurd tolerance fails verification but still writes a report

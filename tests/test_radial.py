@@ -1,5 +1,6 @@
 """Closed-form radial dynamics, reparametrized time, and reconstruction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from confmech import models
-from confmech.errors import CollapseOnPathError, StepUnderflowError
+from confmech.conformal import casimir_I
+from confmech.errors import (
+    CollapseOnPathError,
+    NonFiniteError,
+    StepUnderflowError,
+)
 from confmech.phase import PhaseState, integrate_adaptive, integrate_verlet
 from confmech.radial import (
     RadialData,
@@ -73,7 +79,8 @@ class TestRadialSquared:
             assert radial_momentum(rd, t) == pytest.approx(
                 0.5 * radial_squared_rate(rd, t) / r, abs=1e-14)
         # a float in gives a float out, an array gives the same bits per entry
-        for fn in (radial_squared, radial_squared_rate, radial_momentum):
+        for fn in (radial_squared, radial_squared_rate, radial_momentum,
+                   reparam_time):
             values = [fn(rd, t) for t in ts]
             assert all(isinstance(v, float) for v in values), fn.__name__
             out = fn(rd, np.array(ts))
@@ -81,11 +88,19 @@ class TestRadialSquared:
             assert np.array_equal(out.view(np.uint64),
                                   np.array(values).view(np.uint64))
 
-    def test_consistency_validation(self):
-        with pytest.raises(ValueError):
-            RadialData(E=1.0, D0=0.0, r0sq=1.0, I0=5.0)
-        rd = RadialData(E=1.0, D0=0.0, r0sq=1.0, I0=1.0)
-        assert rd.I0 == 1.0
+    def test_three_fields_imply_I0(self, catalog_systems):
+        # I0 is the Casimir identity 2 E r0^2 - D0^2 = 2 I0, not a datum
+        assert [f.name for f in dataclasses.fields(RadialData)] == [
+            "E", "D0", "r0sq"]
+        assert RadialData(E=1.0, D0=-3.0, r0sq=1.0).I0 == -3.5
+        with pytest.raises(TypeError):
+            RadialData(E=1.0, D0=0.0, r0sq=1.0, I0=1.0)
+        # from a state, the bits of (4HK - D^2)/2
+        from conftest import model_states
+        for ms, sys_ in catalog_systems:
+            for s in model_states(sys_, 5, seed=23):
+                rd = RadialData.from_state(sys_, s)
+                assert rd.I0 == casimir_I(sys_, s), ms.label
 
     def test_from_state_satisfies_constraint(self, catalog_systems):
         from conftest import model_states
@@ -111,8 +126,12 @@ class TestReparamTime:
     def test_non_finite_or_negative_time_rejected(self, D0, t):
         # I0 > 0 takes the atan2 branch, I0 < 0 the log1p one (the "quad"
         # id names the quadrature it replaced)
+        rd = RadialData(E=1.0, D0=D0, r0sq=1.0)
         with pytest.raises(ValueError, match="finite t >= 0"):
-            reparam_time(RadialData(E=1.0, D0=D0, r0sq=1.0), t)
+            reparam_time(rd, t)
+        # in an array, also behind valid times
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            reparam_time(rd, np.array([0.0, 0.1, t]))
 
     def test_log_case_by_quadrature(self):
         # E=0, D0=2, r0^2=1: integral of 1/(4s+1) = ln(5)/4 (the I0 < 0
@@ -126,6 +145,16 @@ class TestReparamTime:
         rd = RadialData(E=0.0, D0=2.0, r0sq=0.0)
         with pytest.raises(CollapseOnPathError):
             reparam_time(rd, 1.0)
+
+    @pytest.mark.parametrize("D0", [2.0, 0.0])
+    def test_r0_zero_at_zero_time(self, D0):
+        # the divergence starts after t = 0: T(0) = 0 still
+        rd = RadialData(E=0.0, D0=D0, r0sq=0.0)
+        assert reparam_time(rd, 0.0) == 0.0
+        out = reparam_time(rd, [0.0])
+        assert isinstance(out, np.ndarray) and out.tolist() == [0.0]
+        with pytest.raises(CollapseOnPathError):
+            reparam_time(rd, [0.0, 1.0])
 
     def test_closed_form_matches_quadrature(self):
         rng = np.random.default_rng(3)
@@ -151,8 +180,8 @@ class TestReparamTime:
         # I0 > 0, I0 < 0 and I0 = 0 (D0 >= 0 puts the double root at t < 0)
         if sign == 0.0:
             d0 = abs(d0)
-            rd = RadialData(E=d0 * d0 / (2.0 * r0sq), D0=d0, r0sq=r0sq,
-                            I0=0.0)
+            rd = RadialData(E=d0 * d0, D0=d0, r0sq=0.5)
+            assert rd.I0 == 0.0
         else:
             rd = RadialData(E=(d0 * d0 + 2.0 * sign * mag) / (2.0 * r0sq),
                             D0=d0, r0sq=r0sq)
@@ -164,15 +193,22 @@ class TestReparamTime:
         # at a near-collapse pass (0 < I0 << D0^2) the expanded quadratic
         # cancels, and quad of it misses the 50-digit T by 5.5e-9 at
         # E = 2.000001, D0 = -2, r0^2 = 1, t = 1 (the atan2 form: 1e-13);
-        # a tiny |E| has no pass and would underflow the vertex form
+        # a tiny |E| has no pass and would underflow the vertex form. The
+        # vertex -D0/(2E) is a breakpoint: without it quad misses the peak
+        # of 1/r^2 at E = 8.41, D0 = -1.296875, r0^2 = 0.1, I0 = 1e-6,
+        # t = 3.5 (14.87 against T = 2220.65)
+        vertex = math.inf
         if abs(rd.E) < 1e-8:
             def inv_r2(u):
                 return 1.0 / radial_squared(rd, u)
         else:
+            vertex = -rd.D0 / (2.0 * rd.E)
+
             def inv_r2(u):
                 return 2.0 * rd.E / ((2.0 * rd.E * u + rd.D0) ** 2
                                      + 2.0 * rd.I0)
-        num, _ = quad(inv_r2, 0.0, t, epsabs=1e-13, epsrel=1e-13)
+        num, _ = quad(inv_r2, 0.0, t, epsabs=1e-13, epsrel=1e-13,
+                      points=[vertex] if 0.0 < vertex < t else None)
         assert abs(got - num) <= 1e-12 * max(1.0, abs(got))
 
     def test_zero_invariant_is_exact(self):
@@ -254,6 +290,12 @@ class TestReparamTime:
             reparam_time(rd, 1.0)
         assert err.value.collapse_time == pytest.approx(
             (math.sqrt(6.0) - 2.0) / 2.0, abs=1e-12)
+        # an array is checked at its largest t, wherever that entry sits
+        with pytest.raises(CollapseOnPathError) as arr:
+            reparam_time(rd, np.array([0.0, 1.0, 0.1]))
+        assert arr.value.collapse_time == err.value.collapse_time
+        assert reparam_time(rd, np.array([0.1, 0.2])).tolist() == [
+            reparam_time(rd, 0.1), reparam_time(rd, 0.2)]
 
 
 class TestFallTime:
@@ -488,6 +530,38 @@ class TestReconstruct:
         s0 = PhaseState([1.0], [-1.0])
         with pytest.raises(CollapseOnPathError):
             reconstruct(att, s0, np.linspace(0.0, 5.0, 6))
+
+    def test_grid_times_sharing_one_T(self):
+        # far out T(t) is at its limit, and neighbouring grid times round
+        # to the same T; the angular flow once ran on that grid and raised
+        ms = models.spec("inverse-square", d=3, kappa=1.0)
+        sys_ = models.build(ms)
+        s0 = models.reference_state(ms)
+        grid = np.linspace(0.0, 1e14, 101)
+        T = reparam_time(RadialData.from_state(sys_, s0), grid)
+        assert len(np.unique(T)) < len(T)
+        traj = reconstruct(sys_, s0, grid)
+        assert np.all(np.isfinite(traj.qs)) and np.all(np.isfinite(traj.ps))
+        r = np.sqrt(np.vecdot(traj.qs, traj.qs))
+        assert np.all(np.diff(r) > 0)
+        # rows of one T share their direction, up to the rounding of q / r
+        for i in np.flatnonzero(np.diff(T) == 0.0):
+            npt.assert_allclose(traj.qs[i] / r[i], traj.qs[i + 1] / r[i + 1],
+                                rtol=0, atol=4e-16)
+        H = traj.monitors["H"]
+        assert np.max(np.abs(H - H[0])) < 1e-12 * abs(H[0])
+
+    def test_non_finite_rows_rejected(self):
+        ms = models.spec("inverse-square", d=3, kappa=1.0)
+        sys_ = models.build(ms)
+        s0 = models.reference_state(ms)
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            reconstruct(sys_, s0, [0.0, np.inf])
+        # r^2 overflows at 1e200, though T stays finite there
+        assert math.isfinite(reparam_time(RadialData.from_state(sys_, s0),
+                                          1e200))
+        with pytest.raises(NonFiniteError, match="overflows"):
+            reconstruct(sys_, s0, [0.0, 1e200])
 
 
 def _norms(a):
