@@ -1,11 +1,16 @@
 """Bracket engine, gradients, and reference integrators."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import confmech.dual as dual
 from confmech import models
+from confmech.cli import trajectory_csv
+from confmech.conformal import build_system
 from confmech.errors import (
     IncompleteResultError,
     NonFiniteError,
@@ -43,6 +48,31 @@ def momentum_observable(i: int, d: int) -> Observable:
         dp[_i] = 1.0
         return np.zeros(_d), dp
     return Observable(d, lambda q, p: p[i], grad_fn=gfn, name=f"p{i}")
+
+
+# the guard's systems: attractive and repulsive inverse-square in d = 1..3
+# and every other model with a singular set
+GUARD_MODELS = ([("inverse-square", dict(d=d, kappa=k))
+                 for d in (1, 2, 3) for k in (-0.5, 0.5)]
+                + [("higgs", dict(d=3, omega=1.0)),
+                   ("coulomb", dict(d=3, gamma=1.0)),
+                   ("calogero", dict(n=3, g=1.0)),
+                   ("calogero", dict(n=4, g=1.0))])
+
+
+def infalling_states(sys_, n, seed):
+    """Seeded states 5e-2 or more off the singular set, moving toward the
+    origin at speed 0.5 to 3 with a small sideways kick."""
+    rng = np.random.default_rng(seed)
+    states = []
+    while len(states) < n:
+        q = rng.normal(size=sys_.d)
+        if sys_.singular_distance(q) < 0.05:
+            continue
+        speed = rng.uniform(0.5, 3.0)
+        p = -speed * q / np.sqrt(q @ q) + 0.2 * rng.normal(size=sys_.d)
+        states.append(PhaseState(q, p))
+    return states
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +373,57 @@ class TestVerlet:
             integrate_verlet(attractive, PhaseState([1.0], [-1.5]),
                              1e-4, 2.0)
         assert 0.0 < err.value.last_good_time < 2.0
+
+    def test_guard_outcomes_pinned(self):
+        # every guard decision on infalling runs, pinned: the error, its
+        # last good time and state bits, or the CSV of a run that finishes
+        # (27 of the 60 runs stop at the guard)
+        h = hashlib.sha256()
+        for name, kwargs in GUARD_MODELS:
+            sys_ = models.build(models.spec(name, **kwargs))
+            for s0 in infalling_states(sys_, 3, seed=7):
+                for dt in (1e-3, 0.05):
+                    try:
+                        traj = integrate_verlet(sys_, s0, dt, 1.0)
+                    except SingularityApproachError as err:
+                        h.update(f"{type(err).__name__}: {err}\n"
+                                 f"{err.last_good_time!r}\n".encode())
+                        h.update(err.state.q.tobytes()
+                                 + err.state.p.tobytes())
+                    else:
+                        h.update(trajectory_csv(traj).encode())
+        assert h.hexdigest() == ("016a512db1f639979dbff265388d4146"
+                                 "c9237907df1ed55af3bc0b939ce15afa")
+
+    def test_error_state_is_the_last_good_row(self):
+        # the state a guard stop reports is, bit for bit, the last row of
+        # the run cut at its last good time
+        stops = 0
+        for name, kwargs in GUARD_MODELS:
+            sys_ = models.build(models.spec(name, **kwargs))
+            for s0, dt in itertools.product(
+                    infalling_states(sys_, 3, seed=7), (1e-3, 0.05)):
+                try:
+                    integrate_verlet(sys_, s0, dt, 1.0)
+                except SingularityApproachError as err:
+                    stops += 1
+                    t = err.last_good_time
+                    last = (integrate_verlet(sys_, s0, dt, t).state(-1) if t
+                            else s0)
+                    assert err.state.q.tobytes() == last.q.tobytes(), name
+                    assert err.state.p.tobytes() == last.p.tobytes(), name
+        assert stops == 27
+
+    def test_overflowing_gradient_without_a_guard(self):
+        # no singular_distance, and a gradient that overflows to -inf
+        # (numpy's overflow warning silenced): the position check raises
+        V = models.potential(models.spec("inverse-square", d=1,
+                                         kappa=1e300))
+        unguarded = build_system(V, 1)
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="position became non-finite"):
+            integrate_verlet(unguarded, PhaseState([1e-3], [0.0]),
+                             1e-3, 1.0)
 
     def test_bad_dt(self, eq1):
         with pytest.raises(ValueError):
