@@ -322,7 +322,7 @@ def _inverse_square(d: int, params: dict) -> _Entry:
         return PhaseState(q, p)
 
     return _Entry("inverse_square", V, dV,
-                  lambda q: math.sqrt(np.dot(q, q)), reference,
+                  lambda q: math.sqrt(q.dot(q)), reference,
                   SphericalPotentialForm(lambda t: kappa))
 
 
@@ -353,7 +353,7 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
         return PhaseState(q, p)
 
     return _Entry("conformal_higgs", V, dV,
-                  lambda q: float(min(math.sqrt(np.dot(q, q)), abs(q[d - 1]))),
+                  lambda q: float(min(math.sqrt(q.dot(q)), abs(q[d - 1]))),
                   reference,
                   SphericalPotentialForm(
                       lambda t: 0.5 * w2 * np.tan(t) ** 2 + w2))
@@ -389,7 +389,7 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
 
     def sdist(q):
         r2 = float(q @ q)
-        return float(np.sqrt(max(r2 - float(q[d - 1]) ** 2, 0.0)))
+        return math.sqrt(max(r2 - float(q[d - 1]) ** 2, 0.0))
 
     def reference():
         q = np.zeros(d)
@@ -415,7 +415,7 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
     g2 = float(params["g"]) ** 2
     axes = pair_axes(n)
     force_axes = -2.0 * g2 * axes
-    root2 = np.sqrt(2.0)
+    root2 = math.sqrt(2.0)
 
     def V(q, p):
         # project on every pair axis at once, then sum pair by pair in
@@ -434,7 +434,8 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
                 np.zeros(q.shape))
 
     def sdist(q):
-        return float(np.min(np.abs(axes @ q)) / root2)
+        # ndarray.min propagates NaN, as np.min does and Python's min not
+        return float(np.abs(axes @ q).min()) / root2
 
     def reference():
         # particles spread in decreasing order (keeps the n=2 relative

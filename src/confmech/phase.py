@@ -310,10 +310,12 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     ``system`` is a :class:`~confmech.conformal.ConformalSystem`; every
     step is recorded, with its ``monitors()`` evaluated on each. The
     integrator stops with :class:`SingularityApproachError` (reporting the
-    last good time) when the configuration comes within 1e-6 of the
-    system's ``singular_distance`` (if set); this is the finite-time-collapse
-    diagnostic. ``t_end`` must be a whole multiple of ``dt`` (see
-    :func:`verlet_steps`).
+    last good time and a copy of the last good state) when the
+    configuration comes within 1e-6 of the system's ``singular_distance``
+    (if set); this is the finite-time-collapse diagnostic. ``t_end`` must
+    be a whole multiple of ``dt`` (see :func:`verlet_steps`). Each step is
+    written in place into its output row, which then serves as the state
+    the next step starts from.
     """
     n_steps = verlet_steps(dt, t_end)
     V = system.V
@@ -323,20 +325,23 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
             "initial state is inside the singular exclusion zone",
             last_good_time=0.0, state=s0)
 
-    q = s0.q.copy()
-    p = s0.p.copy()
-    # g = dV/dq; p - c * g is p + c * (-g) bit for bit (negation is exact)
-    g = _grad_arrays(V, q, p)[0]
     ts = dt * np.arange(n_steps + 1)
     qs = np.empty((n_steps + 1, s0.d))
     ps = np.empty((n_steps + 1, s0.d))
-    qs[0] = q
-    ps[0] = p
+    qs[0] = s0.q
+    ps[0] = s0.p
+    q = qs[0]
+    p = ps[0]
+    # g = dV/dq; p - c * g is p + c * (-g) bit for bit (negation is exact)
+    g = _grad_arrays(V, q, p)[0]
     half_dt = 0.5 * dt
     t = 0.0
+    # without a guard the step length is never taken, and the full
+    # finiteness test runs on every step
+    step = math.nan
     for k in range(1, n_steps + 1):
         p_half = p - half_dt * g
-        q_new = q + dt * p_half
+        q_new = np.add(q, dt * p_half, out=qs[k])
         if sdist is not None:
             dist = sdist(q_new)
             # a step comparable to the singular distance cannot resolve
@@ -347,16 +352,17 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
                 raise SingularityApproachError(
                     "trajectory entered the singular exclusion zone near "
                     f"t={t:.6g}", last_good_time=t,
-                    state=PhaseState(q, p))
-        q = q_new
-        if not np.isfinite(q).all():
+                    state=PhaseState(q.copy(), p.copy()))
+        # a finite q and q_new give a finite step unless move.dot(move)
+        # overflows; only then, or without a guard, are q_new's entries
+        # tested one by one
+        if not math.isfinite(step) and not np.isfinite(q_new).all():
             raise NonFiniteError("position became non-finite during Verlet "
                                  f"integration near t={t:.6g}")
+        q = q_new
         g = _grad_arrays(V, q, p_half)[0]
-        p = p_half - half_dt * g
+        p = np.subtract(p_half, half_dt * g, out=ps[k])
         t = k * dt
-        qs[k] = q
-        ps[k] = p
     return Trajectory(ts, qs, ps, _monitor_rows(system.monitors(), ts, qs, ps))
 
 

@@ -397,7 +397,8 @@ class TestVerlet:
 
     def test_error_state_is_the_last_good_row(self):
         # the state a guard stop reports is, bit for bit, the last row of
-        # the run cut at its last good time
+        # the run cut at its last good time, and a copy that holds no
+        # output buffer alive
         stops = 0
         for name, kwargs in GUARD_MODELS:
             sys_ = models.build(models.spec(name, **kwargs))
@@ -412,6 +413,8 @@ class TestVerlet:
                             else s0)
                     assert err.state.q.tobytes() == last.q.tobytes(), name
                     assert err.state.p.tobytes() == last.p.tobytes(), name
+                    assert err.state.q.base is None, name
+                    assert err.state.p.base is None, name
         assert stops == 27
 
     def test_overflowing_gradient_without_a_guard(self):
