@@ -48,7 +48,7 @@ class RadialData:
 
     @property
     def I0(self) -> float:
-        return 0.5 * (2.0 * self.E * self.r0sq - self.D0 ** 2)
+        return 0.5 * (2.0 * self.E * self.r0sq - self.D0 * self.D0)
 
     @classmethod
     def from_state(cls, sys: ConformalSystem, s: PhaseState) -> "RadialData":
@@ -80,7 +80,7 @@ def fall_time(rd: RadialData):
         if rd.D0 < 0.0 and rd.r0sq > 0.0:
             return -rd.r0sq / (2.0 * rd.D0)
         return None
-    disc = rd.D0 ** 2 - 2.0 * rd.E * rd.r0sq  # = -2 I0
+    disc = rd.D0 * rd.D0 - 2.0 * rd.E * rd.r0sq  # = -2 I0
     if disc < 0.0:
         return None
     q = -(rd.D0 + math.copysign(math.sqrt(disc), rd.D0))
@@ -113,10 +113,7 @@ def reparam_time(rd: RadialData, t):
         raise ValueError("reparam_time expects a finite t >= 0")
     t_max = float(ts.max(initial=0.0))
     if t_max > 0.0:
-        if rd.r0sq == 0.0:
-            raise CollapseOnPathError("r^2(0) = 0: the reparametrized time "
-                                      "diverges at the left endpoint",
-                                      collapse_time=0.0)
+        _check_off_center(rd)
         tf = fall_time(rd)
         if tf is not None and tf <= t_max:
             raise CollapseOnPathError(
@@ -124,6 +121,13 @@ def reparam_time(rd: RadialData, t):
                 collapse_time=tf)
     T = [_reparam(rd, x) for x in ts.ravel().tolist()]
     return T[0] if ts.ndim == 0 else np.reshape(T, ts.shape)
+
+
+def _check_off_center(rd: RadialData):
+    if rd.r0sq == 0.0:
+        raise CollapseOnPathError("r^2(0) = 0: the reparametrized time "
+                                  "diverges at the left endpoint",
+                                  collapse_time=0.0)
 
 
 def _reparam(rd: RadialData, t: float) -> float:
@@ -182,6 +186,8 @@ def reconstruct(sys: ConformalSystem, s0: PhaseState, t_grid,
                          "increasing")
     rd = RadialData.from_state(sys, s0)
     T_grid, r2 = _radial_rows(rd, t_grid)
+    # a start at the center has no direction n0, even on the grid [0]
+    _check_off_center(rd)
     t_max = float(t_grid[-1])
 
     d = s0.d

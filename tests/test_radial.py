@@ -531,6 +531,15 @@ class TestReconstruct:
         with pytest.raises(CollapseOnPathError):
             reconstruct(att, s0, np.linspace(0.0, 5.0, 6))
 
+    @pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0]])
+    def test_start_at_the_center_rejected(self, grid):
+        # r0 = 0 leaves no direction n0 = q0 / r0: the grid [0] once gave
+        # NaN rows and two RuntimeWarnings, [0, 1] the same error as here
+        free2 = models.build(models.spec("free", d=2))
+        with pytest.raises(CollapseOnPathError, match=r"r\^2\(0\) = 0") as err:
+            reconstruct(free2, PhaseState([0.0, 0.0], [1.0, 0.0]), grid)
+        assert err.value.collapse_time == 0.0
+
     def test_grid_times_sharing_one_T(self):
         # far out T(t) is at its limit, and neighbouring grid times round
         # to the same T; the angular flow once ran on that grid and raised
