@@ -234,9 +234,11 @@ def _csv(header: list, columns: list) -> str:
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(header)]
+    # one format string per block of rows: a single % call fills it
     for start in range(0, len(table), _CSV_CHUNK):
-        lines += [row % tuple(values) for values
-                  in table[start:start + _CSV_CHUNK].tolist()]
+        block = table[start:start + _CSV_CHUNK]
+        lines.append("\n".join([row] * len(block))
+                     % tuple(block.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
