@@ -328,10 +328,8 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     ts = dt * np.arange(n_steps + 1)
     qs = np.empty((n_steps + 1, s0.d))
     ps = np.empty((n_steps + 1, s0.d))
-    qs[0] = s0.q
-    ps[0] = s0.p
-    q = qs[0]
-    p = ps[0]
+    qs[0], ps[0] = s0.q, s0.p
+    q, p = qs[0], ps[0]
     # g = dV/dq; p - c * g is p + c * (-g) bit for bit (negation is exact)
     g = _grad_arrays(V, q, p)[0]
     half_dt = 0.5 * dt
