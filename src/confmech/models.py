@@ -434,7 +434,7 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
                 np.zeros(q.shape))
 
     def sdist(q):
-        # ndarray.min propagates NaN, as np.min does and Python's min not
+        # ndarray.min propagates NaN, as np.min does; Python's min drops it
         return float(np.abs(axes @ q).min()) / root2
 
     def reference():

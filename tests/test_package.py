@@ -63,6 +63,18 @@ def test_benchmark_reconstruct_outputs_pass_their_checks(tmp_path):
         assert cmd.check(cmd.output) is None, cmd.label
 
 
+def test_benchmark_trajectory_outputs_pass_their_checks(tmp_path):
+    # the trajectory workload's checks read each CSV back and hold its row
+    # count and the drift of H and I under 1e-6, so a change to the Verlet
+    # loop or the CSV writer that breaks them fails here
+    workloads = _load_perfbench("workloads")
+    wl = workloads.build("trajectory", seed=0, out=tmp_path)
+    assert len(wl.commands) == len(workloads.SIMULATE_MODELS)
+    for cmd in wl.commands:
+        assert cli.main(cmd.argv) == 0, cmd.label
+        assert cmd.check(cmd.output) is None, cmd.label
+
+
 def test_cli_import_leaves_scipy_out():
     # every reparam_time branch is closed form, so no command pays for
     # importing scipy; a fresh interpreter shows it, as start-up sees it
