@@ -334,8 +334,8 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     g = _grad_arrays(V, q, p)[0]
     half_dt = 0.5 * dt
     t = 0.0
-    # without a guard the step length is never taken, and the full
-    # finiteness test runs on every step
+    # without a guard no step length is taken (its dot product would warn
+    # on overflow), so the full finiteness test runs on every step
     step = math.nan
     for k in range(1, n_steps + 1):
         p_half = p - half_dt * g
