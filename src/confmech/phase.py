@@ -330,15 +330,16 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     ps = np.empty((n_steps + 1, s0.d))
     qs[0], ps[0] = s0.q, s0.p
     q, p = qs[0], ps[0]
-    # g = dV/dq; p - c * g is p + c * (-g) bit for bit (negation is exact)
-    g = _grad_arrays(V, q, p)[0]
+    # kick = half_dt * dV/dq, and p - kick is p + half_dt * (-dV/dq) bit
+    # for bit (negation is exact); the kick closing a step opens the next
     half_dt = 0.5 * dt
+    kick = half_dt * _grad_arrays(V, q, p)[0]
     t = 0.0
     # without a guard no step length is taken (its dot product would warn
     # on overflow), so the full finiteness test runs on every step
     step = math.nan
     for k in range(1, n_steps + 1):
-        p_half = p - half_dt * g
+        p_half = p - kick
         q_new = np.add(q, dt * p_half, out=qs[k])
         if sdist is not None:
             dist = sdist(q_new)
@@ -358,8 +359,8 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
             raise NonFiniteError("position became non-finite during Verlet "
                                  f"integration near t={t:.6g}")
         q = q_new
-        g = _grad_arrays(V, q, p_half)[0]
-        p = np.subtract(p_half, half_dt * g, out=ps[k])
+        kick = half_dt * _grad_arrays(V, q, p_half)[0]
+        p = np.subtract(p_half, kick, out=ps[k])
         t = k * dt
     return Trajectory(ts, qs, ps, _monitor_rows(system.monitors(), ts, qs, ps))
 
