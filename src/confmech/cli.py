@@ -234,7 +234,6 @@ def _csv(header: list, columns: list) -> str:
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(header)]
-    # one format string per block of rows: a single % call fills it
     for start in range(0, len(table), _CSV_CHUNK):
         block = table[start:start + _CSV_CHUNK]
         lines.append("\n".join([row] * len(block))
