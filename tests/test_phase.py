@@ -2,10 +2,14 @@
 
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import confmech.dual as dual
 from confmech import models
@@ -89,6 +93,62 @@ class TestPhaseState:
             PhaseState([1.0], [1.0, 2.0])
         with pytest.raises(NonFiniteError):
             PhaseState([np.nan], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("side", ["q", "p"])
+    def test_nonfinite_entry_raises(self, bad, side):
+        q, p = [1.0, -2.0, 0.5], [0.25, 3.0, -1.0]
+        (q if side == "q" else p)[1] = bad
+        with pytest.raises(NonFiniteError,
+                           match="phase state has non-finite entries"):
+            PhaseState(q, p)
+
+    @pytest.mark.parametrize("q, p", [
+        ([1.0], [1.0, 2.0]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0]),
+        ([], []),
+        ([[1.0, 2.0]], [[3.0, 4.0]]),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        ([1.0, 2.0], [[1.0, 2.0]]),
+    ], ids=["1-vs-2", "3-vs-2", "empty", "2d-row", "2d-square", "1d-vs-2d"])
+    def test_bad_shape_raises(self, q, p):
+        with pytest.raises(ValueError, match=r"^q and p must be equal-length "
+                                             r"vectors, d >= 1$"):
+            PhaseState(q, p)
+
+    def test_scalar_is_one_dimensional(self):
+        for q, p in [(1.5, -2.0), (np.float64(1.5), np.array(-2.0))]:
+            s = PhaseState(q, p)
+            assert s.d == 1
+            assert s.q.shape == s.p.shape == (1,)
+            assert s.q.tolist() == [1.5] and s.p.tolist() == [-2.0]
+
+    def test_int_entries_become_float64(self):
+        s = PhaseState([1, -2], np.array([3, 4], dtype=np.int32))
+        assert s.q.dtype == s.p.dtype == np.float64
+        assert s.q.tolist() == [1.0, -2.0] and s.p.tolist() == [3.0, 4.0]
+
+    def test_float64_vector_is_stored_uncopied(self):
+        q, p = np.array([1.0, 2.0]), np.array([0.5, -1.0])
+        s = PhaseState(q, p)
+        assert s.q is q and s.p is p
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+        *[hnp.arrays(np.float64, d, elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([1e308, -1e308, 5e-324, -5e-324, -0.0,
+                             np.finfo(float).max])))] * 2)))
+    def test_finite_vectors_are_stored_bit_for_bit(self, qp):
+        # q arrives as a list (converted), p as a float64 array (kept)
+        q, p = qp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = PhaseState(q.tolist(), p)
+        assert s.d == len(q)
+        assert s.q.tobytes() == q.tobytes()
+        assert s.p is p
 
     def test_trajectory_invariants(self):
         with pytest.raises(ValueError):
