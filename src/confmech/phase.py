@@ -50,11 +50,19 @@ class PhaseState:
     p: np.ndarray
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape or q.size < 1:
+        # a float64 vector is kept as passed, not copied
+        q = np.asarray(self.q, dtype=float)
+        p = np.asarray(self.p, dtype=float)
+        if q.ndim == 0:
+            q = q.reshape(1)
+        if p.ndim == 0:
+            p = p.reshape(1)
+        if q.ndim != 1 or q.shape != p.shape or q.size < 1:
             raise ValueError("q and p must be equal-length vectors, d >= 1")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        # exact per entry, and cheaper than np.isfinite on a short vector;
+        # a sum or dot product would overflow to inf on finite entries
+        if not (all(map(math.isfinite, q.tolist()))
+                and all(map(math.isfinite, p.tolist()))):
             raise NonFiniteError("phase state has non-finite entries")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
@@ -419,7 +427,10 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
     :class:`StepUnderflowError` reports how far the integration got (as it
     does after 1,000,000 steps); an optional ``singular_distance(q)`` guard
     reports the same diagnostic earlier and more cheaply, at 1e-6, and
-    refuses an initial state inside it (``t_reached = 0``).
+    refuses an initial state inside it (``t_reached = 0``). With the guard
+    set, a step whose position move exceeds 0.9 of the guard's value at
+    the step's start is retried at a quarter of its size, so no step
+    jumps across the singular set.
     """
     if not (1e-13 <= rtol <= 1e-3):
         raise ValueError("rtol must lie in [1e-13, 1e-3]")
@@ -431,11 +442,14 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
         raise ValueError("t_eval must be nonempty and strictly increasing")
     if targets[0] < 0 or targets[-1] > t_end + 1e-12:
         raise ValueError("t_eval must lie within [0, t_end]")
-    if singular_distance is not None and \
-            singular_distance(s0.q) < _SINGULAR_GUARD:
-        raise StepUnderflowError(
-            "initial state is inside the singular exclusion zone",
-            t_reached=0.0, state=s0)
+    # the guard's value at the last accepted state
+    dist = math.inf
+    if singular_distance is not None:
+        dist = singular_distance(s0.q)
+        if dist < _SINGULAR_GUARD:
+            raise StepUnderflowError(
+                "initial state is inside the singular exclusion zone",
+                t_reached=0.0, state=s0)
     d = s0.d
     rhs = _hamilton_rhs(H)
     y = np.concatenate([s0.q, s0.p])
@@ -490,6 +504,13 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
             h *= 0.25
             continue
         y_new = y + h * (_DP_B5 @ k)
+        if singular_distance is not None:
+            # without a guard no move length is taken (its dot product
+            # would warn on overflow)
+            move = y_new[:d] - y[:d]
+            if math.sqrt(move.dot(move)) > 0.9 * dist:
+                h *= 0.25
+                continue
         err_vec = h * (_DP_ERR @ k)
         scale = rtol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.mean((err_vec / scale) ** 2))
@@ -509,11 +530,13 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
             t = t + h
             y = y_new
             k[0] = k[6]  # first-same-as-last
-            if singular_distance is not None and \
-                    singular_distance(y[:d]) < _SINGULAR_GUARD:
-                raise StepUnderflowError(
-                    "trajectory entered the singular exclusion zone at "
-                    f"t={t:.12g}", t_reached=t, state=PhaseState(y[:d], y[d:]))
+            if singular_distance is not None:
+                dist = singular_distance(y[:d])
+                if dist < _SINGULAR_GUARD:
+                    raise StepUnderflowError(
+                        "trajectory entered the singular exclusion zone at "
+                        f"t={t:.12g}", t_reached=t,
+                        state=PhaseState(y[:d], y[d:]))
         if err == 0.0:
             h *= 5.0
         else:

@@ -75,6 +75,20 @@ def test_benchmark_trajectory_outputs_pass_their_checks(tmp_path):
         assert cmd.check(cmd.output) is None, cmd.label
 
 
+def test_benchmark_verification_outputs_pass_their_checks(tmp_path):
+    # the verification workload's checks hold each report's seed, sample
+    # count and verdict or pass flag, and the workload draws states through
+    # sample_states itself, so a change to the reports or the sampler that
+    # breaks them fails here
+    workloads = _load_perfbench("workloads")
+    wl = workloads.build("verification", seed=0, out=tmp_path)
+    assert len(wl.commands) == (len(workloads.DECOUPLING_MODELS)
+                                + len(workloads.ALGEBRA_MODELS))
+    for cmd in wl.commands:
+        assert cli.main(cmd.argv) == 0, cmd.label
+        assert cmd.check(cmd.output) is None, cmd.label
+
+
 def test_cli_import_leaves_scipy_out():
     # every reparam_time branch is closed form, so no command pays for
     # importing scipy; a fresh interpreter shows it, as start-up sees it

@@ -2,12 +2,13 @@
 
 import hashlib
 import itertools
+import math
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -548,6 +549,41 @@ class TestAdaptive:
                                singular_distance=weak.singular_distance)
         assert err.value.t_reached == 0.0
         assert err.value.state is s0
+
+    def test_no_step_jumps_the_singular_set(self):
+        # the exact path turns back at r = 1.4e-10, inside the 1e-6 guard;
+        # one step from r = 1e-3 must not land on the far side at -1e-3
+        weak = models.build(models.spec("inverse-square", d=2, kappa=1e-20))
+        with pytest.raises(StepUnderflowError, match="exclusion zone") as err:
+            integrate_adaptive(weak.H, PhaseState([1e-3, 0.0], [-1.0, 0.0]),
+                               1e-10, 2e-3, t_eval=[2e-3],
+                               singular_distance=weak.singular_distance)
+        assert err.value.state.q[0] > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+               st.floats(-1.0, 1.0), min_size=d, max_size=d)),
+           st.floats(1e-3, 1.0), st.floats(0.5, 3.0),
+           st.floats(-20.0, -14.0), st.sampled_from([1e-10, 1e-8, 1e-6]))
+    def test_guarded_run_at_the_origin_never_crosses(self, n, r0, speed,
+                                                      log_kappa, rtol):
+        # aimed straight at the origin, the exact path turns back inside the
+        # guard, so a row past the origin (q . q0 < 0) is a jumped step
+        n = np.array(n)
+        norm = math.sqrt(n.dot(n))
+        assume(norm > 0.1)
+        n /= norm
+        sys_ = models.build(models.spec("inverse-square", d=len(n),
+                                        kappa=10.0 ** log_kappa))
+        q0 = r0 * n
+        t_eval = np.linspace(0.0, 2.0 * r0 / speed, 21)[1:]
+        try:
+            traj = integrate_adaptive(
+                sys_.H, PhaseState(q0, -speed * n), rtol, t_eval[-1],
+                t_eval=t_eval, singular_distance=sys_.singular_distance)
+        except StepUnderflowError:
+            return
+        assert np.all(traj.qs @ q0 > 0.0)
 
     def test_monitors_recorded(self, eq1):
         # the monitors evaluated on the rows of a grid
