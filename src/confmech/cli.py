@@ -102,6 +102,9 @@ _FLAGS = [f for f in fields(RunConfig) if f.name not in ("command", "echo")]
 # the annotations are strings (postponed evaluation)
 _FLAG_TYPES = {f.name: {"str": str, "int": int, "float": _finite_float}[f.type]
                for f in _FLAGS}
+# a config-file value must meet its flag's choices too
+_FLAG_CHOICES = {f.name: f.metadata["choices"] for f in _FLAGS
+                 if "choices" in f.metadata}
 
 
 @functools.cache
@@ -132,6 +135,8 @@ def _read_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
                     out[key] = _FLAG_TYPES[key](val.strip())
+                    if out[key] not in _FLAG_CHOICES.get(key, (out[key],)):
+                        raise ValueError(out[key])
                 except ValueError:
                     raise UsageError(
                         f"{path}:{lineno}: bad value for {key!r}") from None
@@ -177,6 +182,8 @@ def _validate(cfg: RunConfig):
                 "--t-end must be a whole multiple of --dt") from None
     if not (1e-13 <= cfg.rtol <= 1e-3):
         raise UsageError("--rtol must lie in [1e-13, 1e-3]")
+    if cfg.seed < 0:
+        raise UsageError("--seed must be >= 0")
     if cfg.samples < 1:
         raise UsageError("--samples must be >= 1")
     if cfg.tol <= 0:

@@ -141,17 +141,6 @@ def to_klein(source: Union[ReducedState, PhaseState, tuple],
     return KleinPoint(NEGATIVE_I, a + s / r ** 2, a - s / r ** 2, s)
 
 
-def from_klein(kp: KleinPoint) -> tuple:
-    """Inverse map: (r, p_r). Requires w - wbar != 0."""
-    diff = kp.w - kp.wbar
-    r2 = (2.0 * kp.sigma / diff).real  # = r^2, real for both branches
-    if r2 <= 0:
-        raise ValueError("the point does not come from a radial state")
-    a = (0.5 * (kp.w + kp.wbar)).real
-    r = math.sqrt(r2)
-    return r, a * r
-
-
 def killing_forms(kp: KleinPoint) -> tuple:
     """(H, D, K) evaluated from the half-plane coordinate alone:
 
@@ -197,13 +186,6 @@ def tilde_map(rs: Union[ReducedState, PhaseState, tuple], I: float) -> tuple:
     return p_tilde, (p_r * r) / p_tilde
 
 
-def tilde_point(rs, I: float) -> KleinPoint:
-    """w~ assembled from the tilde variables (equals invert(to_klein)):
-    the half-plane point of the radial pair (r, p_r) = (p~, -r~)."""
-    p_t, r_t = tilde_map(rs, I)
-    return to_klein((p_t, -r_t), I)
-
-
 # ---------------------------------------------------------------------------
 # Observables on the full Cartesian phase space (for numeric brackets)
 # ---------------------------------------------------------------------------
@@ -213,9 +195,9 @@ def halfplane_observable(sphere: SphericalSystem) -> Observable:
     observable: (Re w, s, I) with Re w = p.q / q.q, s = sqrt(|2I|) / q.q,
     I = (q.q p.p - (q.p)^2)/2 + U(angles), so w = Re w + sigma^ s with
     sigma^ = i for I > 0 and 1 for I < 0 (the sign of I picks the branch);
-    for d > 1 the :func:`~confmech.reduction.chart_observable` components
-    follow, from the one chart evaluation whose angles I takes (d = 1 has
-    no chart, so x < 0 is in its domain)."""
+    for d > 1 the chart components (r, p_r, phi..., pi...) of one
+    :func:`~confmech.reduction.hyperspherical_rows` call follow, which
+    also gives I its angles (d = 1 has no chart, so x < 0 is in its domain)."""
     d = sphere.d
 
     def fn(q, p):
@@ -477,38 +459,3 @@ def assemble_omega(rs: Union[ReducedState, PhaseState, tuple],
         for a in range(d - 1):
             omega[2 + a, 2 + (d - 1) + a] = 1.0
     return omega - omega.T
-
-
-# ---------------------------------------------------------------------------
-# 1D half-plane geometry helpers (hyperbolic metric, Kahler potential,
-# and the bracket induced on functions of w)
-# ---------------------------------------------------------------------------
-
-def metric_coefficient(w: complex, g: float) -> float:
-    """Coefficient of dw dwbar in the hyperbolic metric -g/(wbar-w)^2
-    (real and positive on the upper half-plane)."""
-    return (-g / (w.conjugate() - w) ** 2).real
-
-
-def kahler_potential(w: complex, g: float) -> float:
-    """g log( i (wbar - w) ) = g log(2 Im w), real on the half-plane."""
-    return g * math.log(2.0 * w.imag)
-
-
-def _wirtinger(fn, w: complex) -> tuple:
-    """(df/dw, df/dwbar) of a complex-valued fn of (w, conj w) by central
-    differences of step 1e-6 in the real and imaginary directions."""
-    h = 1e-6
-    fx = (fn(w + h) - fn(w - h)) / (2.0 * h)
-    fy = (fn(w + 1j * h) - fn(w - 1j * h)) / (2.0 * h)
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-
-def halfplane_bracket(F, G, w: complex, g: float) -> complex:
-    """Bracket of two functions of (w, wbar) induced by {w, wbar} =
-    :func:`formula_ww` at sqrt(2I) = g > 0 as the only nonzero bracket."""
-    ww = formula_ww(KleinPoint(POSITIVE_I, w, w.conjugate(), g))
-    Fw, Fwb = _wirtinger(F, w)
-    Gw, Gwb = _wirtinger(G, w)
-    return (Fw * Gwb - Fwb * Gw) * ww
-

@@ -457,8 +457,6 @@ _CATALOG = {
     "calogero_relative": (_calogero_relative, ("n", "g")),
 }
 
-MODEL_NAMES = tuple(_CATALOG)
-
 # every canonical name, its hyphenated spelling, and three short forms
 _ALIASES = {alias: name for name in _CATALOG
             for alias in (name, name.replace("_", "-"))}

@@ -278,11 +278,11 @@ class Trajectory:
             raise ValueError("times/states length mismatch")
         if n > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
+        self.monitors = {k: np.asarray(v, dtype=float)
+                         for k, v in self.monitors.items()}
         for k, v in self.monitors.items():
-            v = np.asarray(v, dtype=float)
             if v.shape[0] != n:
                 raise ValueError(f"monitor {k!r} length mismatch")
-            self.monitors[k] = v
 
     def __len__(self):
         return self.times.shape[0]

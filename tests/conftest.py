@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from confmech import models
+from confmech import dual, models
 from confmech.conformal import sample_states
-from confmech.phase import PhaseState
-from confmech.reduction import to_hyperspherical
+from confmech.phase import Observable, PhaseState
+from confmech.reduction import (
+    _chart_components,
+    hyperspherical_rows,
+    to_hyperspherical,
+)
 
 # HYPOTHESIS_PROFILE=ci draws every property's examples from a fixed
 # sequence, so a CI run cannot flake on a newly drawn example
@@ -32,6 +36,17 @@ def chart_interior(s, margin=1e-2):
     except Exception:
         return False
     return True
+
+
+def chart_observable(d):
+    """The chart map as one observable on the Cartesian phase space, with
+    the ``2d`` components ``(r, p_r, phi_0, ..., phi_{d-2}, pi_0, ...,
+    pi_{d-2})`` of one ``hyperspherical_rows`` call, so a bracket table
+    differentiates the chart map once. Like the chart it raises
+    ``ChartSingularError`` outside it, at d = 1 wherever x <= 0."""
+    return Observable(d, lambda q, p: dual.stack(
+        _chart_components(*hyperspherical_rows(q, p))),
+        name="chart", vectorized=True)
 
 
 def model_states(sys_, n, seed, predicate=None):

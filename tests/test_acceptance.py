@@ -28,8 +28,8 @@ from confmech.lobachevsky import (
     formula_ww,
     invert,
     killing_forms,
+    tilde_map,
     tilde_observables,
-    tilde_point,
     to_klein,
 )
 from confmech.phase import (
@@ -42,13 +42,12 @@ from confmech.radial import RadialData, fall_time, radial_squared, reconstruct
 from confmech.reduction import (
     ReducedState,
     angular_potential,
-    chart_observable,
     spherical_energy,
     spherical_system_from,
     to_hyperspherical,
 )
 
-from conftest import chart_interior, model_states
+from conftest import chart_interior, chart_observable, model_states
 
 
 def _report(criterion, detail):
@@ -224,7 +223,9 @@ def test_c06_decoupling_transport(catalog_systems):
                       abs(dd2 + dd) / max(1.0, abs(dd)))
             assert err < 1e-12, ms.label
             worst_t = max(worst_t, err)
-            wt = tilde_point(rs, i_val)
+            # w~: the half-plane point of the radial pair (p~, -r~)
+            p_t, r_t = tilde_map(rs, i_val)
+            wt = to_klein((p_t, -r_t), i_val)
             errw = abs(wt.w - invert(kp).w) / max(1.0, abs(kp.w))
             assert errw < 1e-12, ms.label
             worst_w = max(worst_w, errw)

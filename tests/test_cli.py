@@ -192,6 +192,41 @@ class TestExitCodes:
         assert captured.err.startswith("usage error: ")
         assert flag in captured.err
 
+    def test_config_file_value_outside_choices_is_2(self, tmp_path, capsys):
+        # a config-file value meets the same choices as its flag
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# formats\nformat = xml\n")
+        out = tmp_path / "out"
+        argv = ["verify-algebra", "--model", "free", "--dim", "2",
+                "--samples", "5", "--output", str(out)]
+        assert main([*argv, "--config", str(cfg_file)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: {cfg_file}:2: bad value for "
+                                "'format'\n")
+        assert main([*argv, "--format", "xml"]) == 2
+        cfg_file.write_text("format = json\n")
+        assert main([*argv, "--config", str(cfg_file)]) == 0
+
+    @pytest.mark.parametrize("command", ["verify-algebra",
+                                         "verify-decoupling"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_2(self, tmp_path, capsys, command, source):
+        argv = [command, "--model", "free", "--dim", "2", "--samples", "5"]
+        if source == "flag":
+            argv.append("--seed=-1")
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text("seed = -1\n")
+            argv += ["--config", str(cfg_file)]
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --seed must be >= 0\n"
+
     @pytest.mark.parametrize("flags", [
         ["--model", "free", "--dim", "1"],  # I = 0 everywhere
         ["--model", "inverse-square", "--dim", "1", "--kappa", "-1"],  # I < 0

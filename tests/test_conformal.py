@@ -19,10 +19,10 @@ from confmech.errors import ConfmechError, IncompleteResultError, \
 from confmech.lobachevsky import canonicity_report
 from confmech.phase import Observable, PhaseState, brackets, grad, \
     integrate_verlet
-from confmech.reduction import chart_observable, spherical_energy, \
-    spherical_system_from, to_hyperspherical
+from confmech.reduction import spherical_energy, spherical_system_from, \
+    to_hyperspherical
 
-from conftest import chart_interior, model_states
+from conftest import chart_interior, chart_observable, model_states
 
 
 def _cubic_potential(d):

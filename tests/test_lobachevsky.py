@@ -27,27 +27,21 @@ from confmech.lobachevsky import (
     canonicity_report,
     expected_brackets,
     formula_ww,
-    from_klein,
-    halfplane_bracket,
     halfplane_observable,
     invert,
-    kahler_potential,
     killing_forms,
-    metric_coefficient,
     tilde_map,
     tilde_observables,
-    tilde_point,
     to_klein,
 )
 from confmech.phase import Observable, PhaseState, brackets, poisson_bracket
 from confmech.reduction import (
     angles_from_unit,
-    chart_observable,
     spherical_system_from,
     to_hyperspherical,
 )
 
-from conftest import chart_interior, model_states
+from conftest import chart_interior, chart_observable, model_states
 
 
 def _positive_I_states(sys_, n, seed, i_floor=5e-2):
@@ -84,9 +78,12 @@ class TestToKlein:
         for r, p_r, i_val in ((1.3, -0.4, 0.8), (0.5, 2.0, 2.5),
                               (2.0, 0.3, -0.7)):
             kp = to_klein((r, p_r), i_val)
-            r2, pr2 = from_klein(kp)
-            assert r2 == pytest.approx(r, abs=1e-12)
-            assert pr2 == pytest.approx(p_r, abs=1e-12)
+            # back from the half-plane: r^2 = Re(2 sigma / (w - wbar)) on
+            # both branches, and p_r / r = Re (w + wbar) / 2
+            r_back = math.sqrt((2.0 * kp.sigma / (kp.w - kp.wbar)).real)
+            pr_back = (0.5 * (kp.w + kp.wbar)).real * r_back
+            assert r_back == pytest.approx(r, abs=1e-12)
+            assert pr_back == pytest.approx(p_r, abs=1e-12)
 
     def test_from_phase_state(self):
         kp = to_klein(PhaseState([2.0], [1.0]), 0.5)
@@ -235,7 +232,7 @@ class TestTildeMap:
         p_t, r_t = tilde_map((1.0, 0.0), 0.5)
         assert p_t == pytest.approx(1.0)
         assert r_t == pytest.approx(0.0)
-        kp = tilde_point((1.0, 0.0), 0.5)
+        kp = to_klein((p_t, -r_t), 0.5)  # w~: the point of (p~, -r~)
         assert kp.w.real == pytest.approx(0.0)  # imaginary axis
 
     def test_nonpositive_energy_rejected(self):
@@ -248,7 +245,8 @@ class TestTildeMap:
             for s in _positive_I_states(sys_, 15, seed=47):
                 i_val = casimir_I(sys_, s)
                 rs = to_hyperspherical(s)
-                wt = tilde_point(rs, i_val)
+                p_t, r_t = tilde_map(rs, i_val)
+                wt = to_klein((p_t, -r_t), i_val)
                 wi = invert(to_klein(rs, i_val))
                 assert abs(wt.w - wi.w) < 1e-12 * max(1.0, abs(wi.w))
 
@@ -757,6 +755,35 @@ class TestOmega:
                 B = bracket_matrix(sphere, s)
                 npt.assert_allclose(omega @ B, np.eye(2 * sys_.d),
                                     atol=1e-8)
+
+
+def metric_coefficient(w: complex, g: float) -> float:
+    """Coefficient of dw dwbar in the hyperbolic metric -g/(wbar-w)^2
+    (real and positive on the upper half-plane)."""
+    return (-g / (w.conjugate() - w) ** 2).real
+
+
+def kahler_potential(w: complex, g: float) -> float:
+    """g log( i (wbar - w) ) = g log(2 Im w), real on the half-plane."""
+    return g * math.log(2.0 * w.imag)
+
+
+def _wirtinger(fn, w: complex) -> tuple:
+    """(df/dw, df/dwbar) of a complex-valued fn of (w, conj w) by central
+    differences of step 1e-6 in the real and imaginary directions."""
+    h = 1e-6
+    fx = (fn(w + h) - fn(w - h)) / (2.0 * h)
+    fy = (fn(w + 1j * h) - fn(w - 1j * h)) / (2.0 * h)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+
+def halfplane_bracket(F, G, w: complex, g: float) -> complex:
+    """Bracket of two functions of (w, wbar) induced by {w, wbar} =
+    ``formula_ww`` at sqrt(2I) = g > 0 as the only nonzero bracket."""
+    ww = formula_ww(KleinPoint(POSITIVE_I, w, w.conjugate(), g))
+    Fw, Fwb = _wirtinger(F, w)
+    Gw, Gwb = _wirtinger(G, w)
+    return (Fw * Gwb - Fwb * Gw) * ww
 
 
 def kahler_hessian_fd(w: complex, g: float) -> float:

@@ -36,7 +36,7 @@ class TestModelSpec:
             models.spec("inverse-square", d=2)  # kappa missing
 
     def test_name_surface(self):
-        assert models.MODEL_NAMES == (
+        assert tuple(models._CATALOG) == (
             "free", "inverse_square", "conformal_higgs", "conformal_coulomb",
             "calogero_relative")
         assert models._ALIASES == {

@@ -21,6 +21,77 @@ def test_all_holds_no_modules():
     assert "phase" not in confmech.__all__
 
 
+def _references(tree) -> set:
+    """Every name a syntax tree mentions: as a name, an attribute, an
+    imported name or a whole string constant."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def _public_definitions(tree):
+    """(name, statement) of each public module-level function, class and
+    constant of a module."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            names = [node.id for target in targets
+                     for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        yield from ((name, stmt) for name in names
+                    if not name.startswith("_"))
+
+
+def _unused_imports(tree) -> list:
+    """The names a module imports and never uses."""
+    bound = [alias.asname or alias.name.partition(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_src_holds_only_what_the_package_reaches():
+    # a public name in src/confmech must be exported, or be reached from
+    # src/, demos/ or perfbench/, so a test-only helper lives in tests/;
+    # and no module but __init__ imports a name it does not use
+    root = Path(__file__).resolve().parents[1]
+    trees = {f: ast.parse(f.read_text(), filename=str(f))
+             for d in ("src", "demos", "perfbench")
+             for f in sorted((root / d).rglob("*.py"))}
+    modules = sorted((root / "src" / "confmech").glob("*.py"))
+    assert len(modules) > 5
+    stray = []
+    for path in modules:
+        tree = trees[path]
+        elsewhere = set().union(*(_references(t) for f, t in trees.items()
+                                  if f != path))
+        for name, stmt in _public_definitions(tree):
+            own = set().union(*(_references(s) for s in tree.body
+                                if s is not stmt))
+            if name not in confmech.__all__ and name not in elsewhere | own:
+                stray.append(f"{path.stem}.{name}")
+        if path.name != "__init__.py":
+            stray += [f"{path.stem}: unused import {name}"
+                      for name in _unused_imports(tree)]
+    assert not stray, ", ".join(stray)
+
+
 def _load_perfbench(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"_{name}", path)

@@ -160,6 +160,16 @@ class TestPhaseState:
                         {"H": [1.0, 1.0]})
         assert len(tr) == 2 and tr.state(1).d == 1
 
+    def test_trajectory_leaves_the_callers_monitors(self):
+        m = {"H": [1.0, 1.0], "I": (0.5, 0.5)}
+        tr = Trajectory([0.0, 1.0], np.zeros((2, 1)), np.zeros((2, 1)), m)
+        assert tr.monitors is not m
+        assert m == {"H": [1.0, 1.0], "I": (0.5, 0.5)}
+        assert type(m["H"]) is list and type(m["I"]) is tuple
+        assert all(type(v) is np.ndarray and v.dtype == float
+                   for v in tr.monitors.values())
+        npt.assert_array_equal(tr.monitors["H"], [1.0, 1.0])
+
 
 class TestGrad:
     def test_eq1_hamiltonian(self, eq1):

@@ -13,7 +13,6 @@ from confmech.phase import PhaseState, brackets, grad, integrate_adaptive
 from confmech.reduction import (
     ReducedState,
     angular_potential,
-    chart_observable,
     from_hyperspherical,
     hyperspherical_rows,
     sphere_metric_inverse,
@@ -22,7 +21,7 @@ from confmech.reduction import (
     to_hyperspherical,
 )
 
-from conftest import chart_interior, model_states
+from conftest import chart_interior, chart_observable, model_states
 
 
 class TestChart:
