@@ -158,10 +158,12 @@ def sample_states(d: int, n: int, rng: np.random.Generator,
         attempts += k
         X = rng.uniform(-2.0, 2.0, size=(k, 2, d))
         if singular_distance is not None:
-            X = X[[not singular_distance(q) < 1e-3 for q in X[:, 0]]]
+            # a NaN distance fails the comparison and keeps its row
+            X = X[~(np.fromiter(map(singular_distance, X[:, 0]), float, k)
+                    < 1e-3)]
         if predicate is not None and len(X):
             X = X[admits(X[:, 0], X[:, 1])]
-        out.extend(PhaseState(q, p) for q, p in X)
+        out.extend(map(PhaseState, X[:, 0], X[:, 1]))
     return out
 
 

@@ -17,6 +17,9 @@ products and sums follow the same order, dot products add their products
 left to right, transcendental functions come from :mod:`math` one entry at
 a time (numpy's own arccos or arctan2 loops can differ in the last bit),
 and square roots, correctly rounded everywhere, from ``np.sqrt``.
+Each map costs one Python call per entry, so :func:`sincos` gives the
+sine and cosine jets of an angle from one map of each, and the chart maps
+of :mod:`confmech.reduction` take every factor of an angle from it once.
 A jet's value therefore matches the float call bit for bit except where
 the float call goes through a BLAS dot product, which may fuse
 multiply-adds.
@@ -163,9 +166,11 @@ def _map(fn, *args):
         return fn(*args)
     if fn is math.sqrt:
         return np.sqrt(*args)
-    args = np.broadcast_arrays(*args)
-    flat = [fn(*v) for v in zip(*(a.ravel().tolist() for a in args))]
-    return np.array(flat, dtype=float).reshape(args[0].shape)
+    if len(args) > 1:
+        args = np.broadcast_arrays(*args)
+    shape, size = args[0].shape, args[0].size
+    return np.fromiter(map(fn, *(a.ravel().tolist() for a in args)), float,
+                       size).reshape(shape)
 
 
 def col(x):
@@ -217,6 +222,17 @@ def _elementary(name):
 
 sqrt, exp, log, sin, cos, tan, arcsin, arccos, arctan = map(_elementary,
                                                             _ELEMENTARY)
+
+
+def sincos(x):
+    """``(sin(x), cos(x))`` of a float, a float array or a jet, bit for
+    bit :func:`sin` and :func:`cos`, with math.sin and math.cos mapped over
+    the entries once each: the value of each is the other's derivative."""
+    if not isinstance(x, Dual):
+        return _map(math.sin, x), _map(math.cos, x)
+    s = _map(math.sin, x.val)
+    c = _map(math.cos, x.val)
+    return Dual(s, col(c) * x.eps), Dual(c, col(-s) * x.eps)
 
 
 def arctan2(y, x):

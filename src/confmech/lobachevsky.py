@@ -210,7 +210,7 @@ def halfplane_observable(sphere: SphericalSystem) -> Observable:
         pp = np.vecdot(p, p)
         qp = np.vecdot(q, p)
         i = 0.5 * (qq * pp - qp * qp) + sphere.U(phi)
-        return dual.stack([np.vecdot(p, q) / qq,
+        return dual.stack([qp / qq,
                            dual.sqrt(abs(2.0 * i)) / qq, i, *chart])
 
     return Observable(d, fn, name="half-plane", vectorized=True)
@@ -340,6 +340,19 @@ class CanonicityReport:
         return {**asdict(self), "sign_notes": list(SIGN_NOTES)}
 
 
+def _ww_residual_rows(b, r, i_val):
+    """|_ww(b) - formula_ww(to_klein((r, p_r), I))| per row, I > 0, with
+    the bits of the complex arithmetic: Re w - Re wbar is exactly 0, so
+    only Im(w - wbar) = s/r^2 + s/r^2 = y enters, and the residual is
+    |-2b - (s / (2 I)) y^2| with s = sqrt(2I) and I = 0.5 s^2, as
+    :class:`KleinPoint` rounds it (float_power squares as float ** does)."""
+    s = np.sqrt(2.0 * i_val)
+    y = s / np.float_power(r, 2)
+    y = y + y
+    i_klein = 0.5 * np.float_power(s, 2)
+    return np.abs(-2.0 * b - s / (2.0 * i_klein) * (y * y))
+
+
 def canonicity_report(model: Union[ModelSpec, ConformalSystem],
                       samples: int = 100, tol: float = 1e-8,
                       seed: int = 0) -> CanonicityReport:
@@ -388,16 +401,11 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), 7 + k * (d - 1) + a)
              for a in range(d - 1) for t in "rp"
              for k, u in enumerate(("phi", "pi"))]
-    r, p_r, _, _ = hyperspherical_rows(Q, P)
-    i_val = _casimir(sys.H.fn(Q, P), sys.K.fn(Q, P), sys.D.fn(Q, P))
-    # the scalar {w,wbar} check of each state: I > 0 puts it on the
-    # positive branch
-    ww = [abs(_ww(b, POSITIVE_I) - formula_ww(to_klein((r_k, p_k), i_k)))
-          for b, r_k, p_k, i_k in zip(B[:, 2, 3].tolist(), r.tolist(),
-                                      p_r.tolist(), i_val.tolist())]
     columns = {"{p~,r~}-1": np.abs(B[:, 0, 1] - 1.0),
                **{name: np.abs(B[:, j, k]) for name, j, k in mixed},
-               "{w,wbar}-formula": np.array(ww)}
+               "{w,wbar}-formula": _ww_residual_rows(
+                   B[:, 2, 3], hyperspherical_rows(Q, P)[0],
+                   _casimir(sys.H.fn(Q, P), sys.K.fn(Q, P), sys.D.fn(Q, P)))}
     table = {name: {"max_residual": float(v.max()),
                     "exceed_count": int(np.sum(v > tol))}
              for name, v in columns.items()}

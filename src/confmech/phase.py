@@ -234,19 +234,20 @@ def brackets(observables, state, P: np.ndarray = None) -> np.ndarray:
     to +0.0, where ``np.dot`` of two vectors returns it as it is."""
     Q, P = (state.q, state.p) if P is None else (state, P)
     lead = Q.shape[:-1]
-    dot = np.vecdot if lead else np.dot
     grads = [_grad_rows(A, Q, P) for A in observables]
     # the gradients of every entry along axis -2: one for a scalar's
     # (..., d) pair, m for a vector's (..., m, d) pair
     dQ, dP = (np.concatenate([np.reshape(g[i], lead + (-1, g[i].shape[-1]))
                               for g in grads], axis=-2) for i in (0, 1))
     m = dQ.shape[-2]
-    B = np.zeros(lead + (m, m))
-    for j in range(m):
-        for k in range(m):
-            if j != k:
-                B[..., j, k] = (dot(dP[..., j, :], dQ[..., k, :])
-                                - dot(dQ[..., j, :], dP[..., k, :]))
+    # X[j, k] = dP_j . dQ_k, each product once: {A_j, A_k} = X[j, k] -
+    # X[k, j], since a dot product is the same bits with its factors swapped
+    if lead:
+        X = np.vecdot(dP[..., :, None, :], dQ[..., None, :, :])
+    else:
+        X = np.array([[np.dot(a, b) for b in dQ] for a in dP])
+    B = X - np.swapaxes(X, -1, -2)
+    B[..., range(m), range(m)] = 0.0
     return B
 
 

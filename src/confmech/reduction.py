@@ -78,24 +78,31 @@ def _factor_lists(d: int):
     return comps
 
 
-def _factor(phi, idx, kind):
-    return dual.sin(phi[..., idx]) if kind == "s" else dual.cos(phi[..., idx])
+def _sincos_table(phi, d: int) -> dict:
+    """``{(a, "s"): sin phi_a, (a, "c"): cos phi_a}`` over the d-1 angles,
+    one :func:`~confmech.dual.sincos` per angle."""
+    table = {}
+    for a in range(d - 1):
+        table[a, "s"], table[a, "c"] = dual.sincos(phi[..., a])
+    return table
 
 
 def unit_from_angles(phi, d: int):
     """Unit vectors on the (d-1)-sphere from ``(..., d-1)`` angles; floats
     or jets."""
+    table = _sincos_table(phi, d)
     out = []
     for factors in _factor_lists(d):
         v = 1.0
-        for idx, kind in factors:
-            v = v * _factor(phi, idx, kind)
+        for factor in factors:
+            v = v * table[factor]
         out.append(v)
     return dual.stack(out)
 
 
 def unit_tangents(phi, d: int):
     """``(..., d, d-1)`` tangent vectors du/dt_a (floats or jets)."""
+    table = _sincos_table(phi, d)
     out = []
     for factors in _factor_lists(d):
         row = [0.0] * (d - 1)
@@ -103,10 +110,10 @@ def unit_tangents(phi, d: int):
             v = 1.0
             for pos, (idx, kind) in enumerate(factors):
                 if pos == which:
-                    f = (dual.cos(phi[..., idx]) if kind == "s"
-                         else -dual.sin(phi[..., idx]))
+                    f = (table[idx, "c"] if kind == "s"
+                         else -table[idx, "s"])
                 else:
-                    f = _factor(phi, idx, kind)
+                    f = table[idx, kind]
                 v = v * f
             row[didx] = row[didx] + v
         out.append(dual.stack(row))

@@ -14,7 +14,9 @@ from confmech.reduction import (
 )
 
 # HYPOTHESIS_PROFILE=ci draws every property's examples from a fixed
-# sequence, so a CI run cannot flake on a newly drawn example
+# sequence, so a CI run cannot flake on a newly drawn example; a local run
+# draws new examples and prints a failure's @reproduce_failure blob
+settings.register_profile("default", print_blob=True)
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

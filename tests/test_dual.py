@@ -167,3 +167,58 @@ class TestGradientDriver:
             got, want = np.vecdot(x, y), np.dot(x, y)
             assert got.val == want.val
             assert np.array_equal(got.eps, want.eps)
+
+
+def _map_broadcast(fn, *args):
+    """The entry-by-entry map over broadcast arguments as a list, the
+    reference for ``_map``."""
+    args = np.broadcast_arrays(*args)
+    flat = [fn(*v) for v in zip(*(a.ravel().tolist() for a in args))]
+    return np.array(flat, dtype=float).reshape(args[0].shape)
+
+
+def _bits(x):
+    """Type, shape and bytes of a float, an array or a jet."""
+    if isinstance(x, Dual):
+        return "jet", _bits(x.val), _bits(x.eps)
+    return type(x), np.shape(x), np.asarray(x, dtype=float).tobytes()
+
+
+# angles with a signed zero, a subnormal, a huge argument and a NaN
+_ANGLES = np.array([0.0, -0.0, 5e-324, 0.7, -2.9, 3.141592653589793,
+                    1e300, np.nan])
+_FLOAT_FORMS = [0.7, -0.0, np.float64(2.3), np.array(0.7), _ANGLES,
+                _ANGLES.reshape(2, 4), np.zeros((0, 3))]
+
+
+class TestSincos:
+    @pytest.mark.parametrize("x", _FLOAT_FORMS)
+    @pytest.mark.parametrize("fn", [math.sin, math.cos, math.tan,
+                                    math.atan])
+    def test_one_argument_map_matches_the_broadcast_map(self, fn, x):
+        want = _map_broadcast(fn, x) if isinstance(x, np.ndarray) else fn(x)
+        assert _bits(dual._map(fn, x)) == _bits(want)
+
+    @pytest.mark.parametrize("y,x", [(_ANGLES, 0.5), (-1.5, _ANGLES),
+                                     (_ANGLES.reshape(2, 4), _ANGLES[:4])])
+    def test_broadcast_map_of_two_arguments(self, y, x):
+        assert (_bits(dual._map(math.atan2, y, x))
+                == _bits(_map_broadcast(math.atan2, y, x)))
+
+    @pytest.mark.parametrize("x", _FLOAT_FORMS)
+    def test_floats_match_sin_and_cos(self, x):
+        s, c = dual.sincos(x)
+        assert _bits(s) == _bits(dual.sin(x))
+        assert _bits(c) == _bits(dual.cos(x))
+
+    def test_jets_match_sin_and_cos(self):
+        # a jet at a point, and the jets of (n,) and (n, m) rows
+        rng = np.random.default_rng(2)
+        jets = [dual.seed([0.7, -2.9], 3, 1)[0],
+                dual.seed(rng.uniform(-4, 4, (5, 2)), 2, 0)[..., 1],
+                dual.seed(rng.uniform(-4, 4, (4, 3, 2)), 4, 2)[..., 0]]
+        for x in jets:
+            s, c = dual.sincos(x)
+            assert _bits(s) == _bits(dual.sin(x))
+            assert _bits(c) == _bits(dual.cos(x))
+            assert s.shape == c.shape == x.shape

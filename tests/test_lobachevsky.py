@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmech import dual, models, phase
-from confmech.conformal import build_system, casimir_I
+from confmech import dual, lobachevsky, models, phase
+from confmech.conformal import _casimir, build_system, casimir_I
 from confmech.errors import (
     NonPositiveEnergyError,
     ZeroAngularEnergyError,
@@ -21,6 +21,7 @@ from confmech.lobachevsky import (
     NEGATIVE_I,
     POSITIVE_I,
     KleinPoint,
+    _ww,
     assemble_omega,
     bracket_matrix,
     bracket_ww,
@@ -37,6 +38,7 @@ from confmech.lobachevsky import (
 from confmech.phase import Observable, PhaseState, brackets, poisson_bracket
 from confmech.reduction import (
     angles_from_unit,
+    hyperspherical_rows,
     spherical_system_from,
     to_hyperspherical,
 )
@@ -393,6 +395,47 @@ class TestCanonicity:
         sys_ = build_system(V, ms.d, singular_distance=cat.singular_distance)
         got = canonicity_report(sys_, samples=100, seed=4).to_dict()
         assert got == canonicity_report(ms, samples=100, seed=4).to_dict()
+
+    @pytest.mark.parametrize("ms", [
+        *(models.spec("inverse-square", d=d, kappa=0.5) for d in (1, 2, 3)),
+        models.spec("calogero", n=4),
+        models.spec("coulomb", d=3, gamma=1.0),
+        models.spec("higgs", d=3, omega=1.0),
+    ], ids=lambda ms: ms.label)
+    def test_ww_column_is_the_per_state_loop(self, ms, monkeypatch):
+        # the {w,wbar} column, array arithmetic over the rows, against the
+        # scalar _ww / to_klein / formula_ww check state by state (its
+        # form before the column was vectorized), bit for bit
+        seen = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                seen.append(fn(*args))
+                return seen[-1]
+            return wrapper
+
+        for name in ("_seeded_rows", "_ww_residual_rows"):
+            monkeypatch.setattr(lobachevsky, name,
+                                recorded(getattr(lobachevsky, name)))
+        sys_ = models.build(ms)
+        hp = halfplane_observable(spherical_system_from(sys_.V, ms.d))
+        for seed in (0, 1, 7):
+            seen.clear()
+            entry = canonicity_report(sys_, samples=200, seed=seed).brackets[
+                "{w,wbar}-formula"]
+            (Q, P), got = seen
+            b = brackets([hp], Q, P)[:, 0, 1]
+            r, p_r, _, _ = hyperspherical_rows(Q, P)
+            i_val = _casimir(sys_.H.fn(Q, P), sys_.K.fn(Q, P),
+                             sys_.D.fn(Q, P))
+            want = np.array([
+                abs(_ww(b_k, POSITIVE_I)
+                    - formula_ww(to_klein((r_k, p_k), i_k)))
+                for b_k, r_k, p_k, i_k in zip(b.tolist(), r.tolist(),
+                                              p_r.tolist(), i_val.tolist())])
+            assert got.tobytes() == want.tobytes()
+            assert entry == {"max_residual": float(want.max()),
+                             "exceed_count": int(np.sum(want > 1e-8))}
 
     def test_report_dict(self):
         rep = canonicity_report(models.spec("free", d=2), samples=10,

@@ -26,6 +26,7 @@ from confmech.phase import (
     Observable,
     PhaseState,
     Trajectory,
+    _grad_rows,
     brackets,
     grad,
     grad_finite_difference,
@@ -372,6 +373,34 @@ class TestPoissonBracket:
             rhs = (poisson_bracket(A, B, s) * C(s)
                    + B(s) * poisson_bracket(A, C, s))
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("ms", [
+        models.spec("inverse-square", d=2, kappa=1.0),
+        models.spec("coulomb", d=3, gamma=1.0),
+        models.spec("calogero", n=4),
+    ], ids=lambda ms: ms.label)
+    def test_table_is_the_pair_loop(self, ms):
+        # the table takes each dot product once, {A_j, A_k} = X[j, k] -
+        # X[k, j] with X[j, k] = dA_j/dp . dA_k/dq; the reference is the
+        # pair-by-pair loop with both dot products of every entry, equal
+        # bit for bit (the sign of an exact zero too) at points and on rows
+        sys_ = models.build(ms)
+        d = sys_.d
+        obs = [sys_.H, sys_.D, sys_.K, sys_.casimir,
+               position_observable(0, d), momentum_observable(d - 1, d)]
+        states = model_states(sys_, 12, seed=5)
+        Q = np.array([s.q for s in states])
+        P = np.array([s.p for s in states])
+        for args in [(Q, P), *((s,) for s in states)]:
+            Qs, Ps = (args[0].q, args[0].p) if len(args) == 1 else args
+            dot = np.vecdot if Qs.ndim == 2 else np.dot
+            grads = [_grad_rows(A, Qs, Ps) for A in obs]
+            want = np.zeros(Qs.shape[:-1] + (len(obs), len(obs)))
+            for (j, (dqj, dpj)), (k, (dqk, dpk)) in itertools.product(
+                    enumerate(grads), repeat=2):
+                if j != k:
+                    want[..., j, k] = dot(dpj, dqk) - dot(dqj, dpk)
+            assert brackets(obs, *args).tobytes() == want.tobytes()
 
     def test_vector_observable_rejected(self):
         # a two-component observable would fill the one entry read here

@@ -1,12 +1,14 @@
 """Hyperspherical chart: round trips, canonicity, metric, angular data."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from confmech import models
+from confmech import dual, models
 from confmech.conformal import casimir_I
 from confmech.errors import ChartSingularError, NotHomogeneousError
 from confmech.phase import PhaseState, brackets, grad, integrate_adaptive
@@ -147,6 +149,39 @@ class TestChartObservables:
             for (name, value), entry in zip(want.items(), got):
                 assert (np.float64(entry).tobytes()
                         == np.float64(value).tobytes()), (name, s)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_jet_evaluation_maps_each_angle_once(self, d, monkeypatch):
+        # every sine and cosine factor of an angle comes from one sincos per
+        # table, which maps math.sin and math.cos once each: the chart takes
+        # one table (its tangents), the angular potential U another
+        sincos, map_ = dual.sincos, dual._map
+        calls, maps = [], []
+
+        def counting_sincos(x):
+            calls.append(x)
+            return sincos(x)
+
+        def counting_map(fn, *args):
+            if fn in (math.sin, math.cos):
+                maps.append(fn)
+            return map_(fn, *args)
+
+        monkeypatch.setattr(dual, "sincos", counting_sincos)
+        monkeypatch.setattr(dual, "_map", counting_map)
+        sys_ = models.build(models.spec("inverse-square", d=d, kappa=0.5))
+        states = model_states(sys_, 5, d, predicate=chart_interior)
+        Q = np.array([s.q for s in states])
+        P = np.array([s.p for s in states])
+        U = spherical_system_from(sys_.V, d).U
+        for fn, tables in ((chart_observable(d).fn, 1),
+                           (lambda q, p: U(hyperspherical_rows(q, p)[2]), 2)):
+            calls.clear()
+            maps.clear()
+            dual.gradient(fn, Q, P)
+            assert len(calls) == tables * (d - 1)
+            assert all(x.shape == (5,) for x in calls)
+            assert len(maps) == 2 * tables * (d - 1)
 
 
 class TestMetric:
