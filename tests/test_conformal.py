@@ -1,5 +1,7 @@
 """Algebra closure, homogeneity checks, and the Casimir invariant."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,6 +314,43 @@ class TestRaisingPredicate:
 
         with pytest.raises(ValueError, match="not a library error"):
             sample_states(2, 5, np.random.default_rng(0), predicate=broken)
+
+
+def test_sampled_draws_pinned():
+    # the states sample_states draws, their order and the attempts they
+    # take (the generator's next value moves with the attempt count), over
+    # catalog distances, none, a one-point distance, a rows predicate and a
+    # predicate that raises on a batch and is settled row by row
+    def not_infalling(Q, P):
+        return np.vecdot(Q, P) > -0.5
+
+    def raising(Q, P):
+        if (np.linalg.norm(Q, axis=-1) > 2.5).any():
+            raise NonFiniteError("outside")
+        return np.ones(len(Q), dtype=bool)
+
+    h = hashlib.sha256()
+    for ms in models.catalog() + [
+            models.spec("inverse-square", d=1, kappa=1.0),
+            models.spec("calogero", n=5, g=1.0),
+            models.spec("calogero", n=6, g=1.0)]:
+        sys_ = models.build(ms)
+        for sdist, predicate, seed in (
+                (sys_.singular_distance, None, 0),
+                (sys_.singular_distance, None, 7),
+                (None, None, 3),
+                (sys_.singular_distance, not_infalling, 11),
+                (sys_.singular_distance, raising, 19),
+                (lambda q: float(np.linalg.norm(q)) - 1.0, None, 23)):
+            rng = np.random.default_rng(seed)
+            states = sample_states(ms.d, 60, rng, singular_distance=sdist,
+                                   predicate=predicate)
+            h.update(f"{ms.label} {seed} {len(states)}\n".encode())
+            for s in states:
+                h.update(s.q.tobytes() + s.p.tobytes())
+            h.update(np.float64(rng.random()).tobytes())
+    assert h.hexdigest() == ("4e807ea1ac3da4961e47dabce6e45f7a"
+                             "9b03974ad0792acf86741809377431f6")
 
 
 class TestOneSampler:
