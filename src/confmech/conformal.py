@@ -13,6 +13,7 @@ and the combination ``I = (4HK - D^2)/2`` is then a constant of motion
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -40,7 +41,8 @@ class ConformalSystem:
 
 
 def build_system(V: Observable, d: int, name: str = "",
-                 singular_distance: Callable = None) -> ConformalSystem:
+                 singular_distance: Callable = None,
+                 vectorized_distance: bool = False) -> ConformalSystem:
     """Assemble H, D, K (and the Casimir observable) over a potential.
 
     Homogeneity of V is *not* checked here; use :func:`check_homogeneity`.
@@ -49,9 +51,18 @@ def build_system(V: Observable, d: int, name: str = "",
     (``vectorized``); V's ``fn`` and ``grad_fn`` take rows as every
     observable's do, lifted by :class:`~confmech.phase.Observable` when V
     is written for one point.
+
+    ``singular_distance(q)`` is called at one point (the integrators'
+    guard). ``vectorized_distance=True`` declares that it also takes the
+    ``(N, d)`` rows of many points, one value per row and each bit for bit
+    its one-point call, as the catalog distances do; the declaration is
+    set on the function as ``vectorized = True``, and
+    :func:`sample_states` then screens each chunk of draws in one call.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if vectorized_distance and singular_distance is not None:
+        singular_distance.vectorized = True
     vfn = V.fn
     vg = V.grad_fn
 
@@ -119,9 +130,38 @@ def _casimir(h, k, dd):
     return 0.5 * (4.0 * h * k - np.float_power(dd, 2))
 
 
+class StateRows(Sequence):
+    """The states :func:`sample_states` accepted, held as read-only
+    ``(n, d)`` rows of q (``Q``) and p (``P``).
+
+    It reads as a sequence of :class:`~confmech.phase.PhaseState` (``len``,
+    iteration, int and negative indexing; a slice is a ``StateRows`` over
+    the same rows), each built and validated when it is read; a report
+    takes ``Q`` and ``P`` and builds none.
+    """
+
+    __slots__ = ("Q", "P")
+
+    def __init__(self, Q: np.ndarray, P: np.ndarray):
+        Q.flags.writeable = P.flags.writeable = False
+        self.Q = Q
+        self.P = P
+
+    def __len__(self):
+        return len(self.Q)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return StateRows(self.Q[i], self.P[i])
+        return PhaseState(self.Q[i], self.P[i])
+
+    def __iter__(self):
+        return map(PhaseState, self.Q, self.P)
+
+
 def sample_states(d: int, n: int, rng: np.random.Generator,
                   singular_distance: Callable = None,
-                  predicate: Callable = None):
+                  predicate: Callable = None) -> StateRows:
     """Reproducible random phase points, resampled away from singular sets.
 
     Components are uniform in [-2, 2]; draws within 1e-3 of the singular
@@ -136,8 +176,18 @@ def sample_states(d: int, n: int, rng: np.random.Generator,
     Candidates are drawn ``n - accepted`` at a time as one ``(k, 2, d)``
     array of q and p rows, which takes the generator's stream exactly as
     drawing q and then p for each attempt would, so the states, their order
-    and the attempt count do not depend on the chunking.
+    and the attempt count do not depend on the chunking. A distance
+    declared ``vectorized`` (see :func:`build_system`) screens a chunk in
+    one call on its ``(k, d)`` q rows; any other distance is called once
+    per row, as a one-point function.
+
+    Returns the accepted draws as a :class:`StateRows` of ``n`` states,
+    each chunk's rows written once into the ``(n, d)`` arrays behind it.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    vectorized = getattr(singular_distance, "vectorized", False)
+
     def admits(Q, P):
         try:
             return predicate(Q, P)
@@ -147,10 +197,11 @@ def sample_states(d: int, n: int, rng: np.random.Generator,
             return np.concatenate([admits(Q[i:i + 1], P[i:i + 1])
                                    for i in range(len(Q))])
 
-    out = []
-    attempts = 0
-    while len(out) < n:
-        k = min(n - len(out), 100 * n - attempts)
+    Q = np.empty((n, d))
+    P = np.empty((n, d))
+    got = attempts = 0
+    while got < n:
+        k = min(n - got, 100 * n - attempts)
         if k <= 0:
             raise IncompleteResultError(
                 "state sampler exhausted its attempt budget; the "
@@ -158,20 +209,24 @@ def sample_states(d: int, n: int, rng: np.random.Generator,
         attempts += k
         X = rng.uniform(-2.0, 2.0, size=(k, 2, d))
         if singular_distance is not None:
+            dist = (singular_distance(X[:, 0]) if vectorized else
+                    np.fromiter(map(singular_distance, X[:, 0]), float, k))
             # a NaN distance fails the comparison and keeps its row
-            X = X[~(np.fromiter(map(singular_distance, X[:, 0]), float, k)
-                    < 1e-3)]
+            X = X[~(dist < 1e-3)]
         if predicate is not None and len(X):
             X = X[admits(X[:, 0], X[:, 1])]
-        out.extend(map(PhaseState, X[:, 0], X[:, 1]))
-    return out
+        Q[got:got + len(X)] = X[:, 0]
+        P[got:got + len(X)] = X[:, 1]
+        got += len(X)
+    return StateRows(Q, P)
 
 
 def _seeded_rows(d: int, samples: int, tol: float, seed: int,
                  singular_distance: Optional[Callable],
                  predicate: Callable = None):
     """The ``(samples, d)`` rows of q and of p that a seeded report checks:
-    one :func:`sample_states` call on ``default_rng(seed)``, after the
+    the ``Q`` and ``P`` of one :func:`sample_states` call on
+    ``default_rng(seed)`` (read-only, and no state is built), after the
     checks every report makes of its sample count and tolerance."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -180,8 +235,7 @@ def _seeded_rows(d: int, samples: int, tol: float, seed: int,
     states = sample_states(d, samples, np.random.default_rng(seed),
                            singular_distance=singular_distance,
                            predicate=predicate)
-    return (np.array([s.q for s in states]),
-            np.array([s.p for s in states]))
+    return states.Q, states.P
 
 
 @dataclass

@@ -145,9 +145,11 @@ def singular_distance_fn(model: ModelSpec) -> Callable:
 
 
 def build(model: ModelSpec) -> ConformalSystem:
-    """ModelSpec -> ConformalSystem with generators and singular guard."""
+    """ModelSpec -> ConformalSystem with generators and singular guard
+    (declared vectorized: every catalog distance takes rows)."""
     return build_system(potential(model), model.d, name=model.label,
-                        singular_distance=singular_distance_fn(model))
+                        singular_distance=singular_distance_fn(model),
+                        vectorized_distance=True)
 
 
 def calogero_relative(n: int, g: float = 1.0) -> ConformalSystem:
@@ -247,7 +249,12 @@ class _Entry:
     the value of that row alone); it raises DomainError if the point, or
     any row, is on the singular set. ``dV(q, p) -> (dV/dq, 0)`` is one body
     over float ``(..., d)`` arrays, a point or rows, with the same bits per
-    row; the potential observable is named ``V[tag]``."""
+    row; the potential observable is named ``V[tag]``.
+    ``singular_distance(q)`` is one body over float ``(..., d)`` arrays too:
+    a float at one point, in the scalar form the Verlet guard calls once
+    per step, and one value per row of ``(N, d)`` rows, each bit for bit
+    that row's point value (0.0 on the singular set), so the sampler
+    screens a chunk of draws in one call (``build`` declares it)."""
 
     tag: str
     V: Callable
@@ -289,7 +296,7 @@ def _free(d: int, params: dict) -> _Entry:
     return _Entry(
         "free", lambda q, p: np.zeros(q.shape[:-1])[()],
         lambda q, p: (np.zeros(q.shape), np.zeros(q.shape)),
-        lambda q: np.inf,
+        lambda q: np.inf if q.ndim == 1 else np.full(q.shape[:-1], np.inf),
         lambda: PhaseState(np.linspace(1.0, 0.4, d), np.linspace(0.3, 1.0, d)),
         SphericalPotentialForm(lambda t: 0.0))
 
@@ -309,6 +316,11 @@ def _inverse_square(d: int, params: dict) -> _Entry:
         dot, power = _ops(q)
         return (-2.0 * kappa * q.T / power(dot(q, q), 2)).T, np.zeros(q.shape)
 
+    def sdist(q):
+        if q.ndim == 1:
+            return math.sqrt(q.dot(q))
+        return np.sqrt(np.vecdot(q, q))
+
     def reference():
         if d == 1:
             raise ValueError("inverse_square has no reference state at "
@@ -321,8 +333,7 @@ def _inverse_square(d: int, params: dict) -> _Entry:
         p[1] = 1.0
         return PhaseState(q, p)
 
-    return _Entry("inverse_square", V, dV,
-                  lambda q: math.sqrt(q.dot(q)), reference,
+    return _Entry("inverse_square", V, dV, sdist, reference,
                   SphericalPotentialForm(lambda t: kappa))
 
 
@@ -345,6 +356,12 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
         dq[d - 1] += -w2 / power(qT[d - 1], 3)
         return dq.T, np.zeros(q.shape)
 
+    def sdist(q):
+        if q.ndim == 1:
+            return float(min(math.sqrt(q.dot(q)), abs(q[d - 1])))
+        # a NaN row is NaN in both forms: its r is NaN and comes first
+        return np.minimum(np.sqrt(np.vecdot(q, q)), np.abs(q[..., d - 1]))
+
     def reference():
         q = np.full(d, 0.4)
         q[d - 1] = 1.0
@@ -352,9 +369,7 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
         p[0] = -0.2
         return PhaseState(q, p)
 
-    return _Entry("conformal_higgs", V, dV,
-                  lambda q: float(min(math.sqrt(q.dot(q)), abs(q[d - 1]))),
-                  reference,
+    return _Entry("conformal_higgs", V, dV, sdist, reference,
                   SphericalPotentialForm(
                       lambda t: 0.5 * w2 * np.tan(t) ** 2 + w2))
 
@@ -388,8 +403,11 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
         return dq.T, np.zeros(q.shape)
 
     def sdist(q):
-        r2 = float(q @ q)
-        return math.sqrt(max(r2 - float(q[d - 1]) ** 2, 0.0))
+        if q.ndim == 1:
+            r2 = float(q @ q)
+            return math.sqrt(max(r2 - float(q[d - 1]) ** 2, 0.0))
+        return np.sqrt(np.maximum(
+            np.vecdot(q, q) - np.float_power(q[..., d - 1], 2), 0.0))
 
     def reference():
         q = np.zeros(d)
@@ -435,7 +453,12 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
 
     def sdist(q):
         # ndarray.min propagates NaN, as np.min does; Python's min drops it
-        return float(np.abs(axes @ q).min()) / root2
+        if q.ndim == 1:
+            return float(np.abs(axes @ q).min()) / root2
+        # axes @ q on each row with its bits; Q @ axes.T and np.vecdot
+        # round differently on most rows
+        return (np.abs(np.matmul(axes, q[..., None])[..., 0]).min(axis=-1)
+                / root2)
 
     def reference():
         # particles spread in decreasing order (keeps the n=2 relative

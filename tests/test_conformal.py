@@ -316,6 +316,77 @@ class TestRaisingPredicate:
             sample_states(2, 5, np.random.default_rng(0), predicate=broken)
 
 
+class TestStateRows:
+    """sample_states returns a read-only sequence over its (n, d) rows."""
+
+    def test_zero_states(self):
+        states = sample_states(3, 0, np.random.default_rng(0))
+        assert len(states) == 0 and list(states) == []
+        assert states.Q.shape == states.P.shape == (0, 3)
+        with pytest.raises(IndexError):
+            states[0]
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="n must be"):
+            sample_states(2, -1, np.random.default_rng(0))
+
+    def test_sequence_contract(self):
+        sys_ = models.build(models.spec("calogero", n=4, g=1.0))
+        states = sample_states(3, 7, np.random.default_rng(4),
+                               singular_distance=sys_.singular_distance)
+        assert len(states) == 7
+        listed = list(states)
+        assert all(isinstance(s, PhaseState) for s in listed)
+        for k, s in enumerate(listed):
+            assert s.q.tobytes() == states.Q[k].tobytes()
+            assert s.p.tobytes() == states.P[k].tobytes()
+            assert states[k].q.tobytes() == s.q.tobytes()
+        assert states[-1].q.tobytes() == listed[-1].q.tobytes()
+        assert states[-7].p.tobytes() == listed[0].p.tobytes()
+        for i in (7, -8):
+            with pytest.raises(IndexError):
+                states[i]
+        part = states[1:6:2]
+        assert len(part) == 3
+        assert [s.q.tobytes() for s in part] == [
+            s.q.tobytes() for s in listed[1:6:2]]
+        assert len(states[5:]) == 2 and len(states[9:]) == 0
+        (one,) = sample_states(3, 1, np.random.default_rng(4),
+                               singular_distance=sys_.singular_distance)
+        assert one.q.tobytes() == listed[0].q.tobytes()
+
+    def test_rows_are_read_only(self):
+        states = sample_states(2, 3, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="read-only"):
+            states.Q[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            states[0].p[0] = 1.0
+
+    def test_declared_distance_screens_a_chunk(self):
+        # a distance declared at build_system takes each chunk's q rows in
+        # one call; the same function undeclared is called once per row,
+        # and both keep the same draws
+        calls = []
+
+        def radius(q):
+            calls.append(q.shape)
+            return np.sqrt(np.vecdot(q, q)) - 1.0
+
+        sys_ = build_system(models.potential(
+            models.spec("inverse-square", d=2, kappa=1.0)), 2,
+            singular_distance=radius, vectorized_distance=True)
+        assert sys_.singular_distance is radius and radius.vectorized
+        rows = sample_states(2, 50, np.random.default_rng(9),
+                             singular_distance=radius)
+        assert calls and all(len(shape) == 2 for shape in calls)
+        chunks = len(calls)
+        point = sample_states(2, 50, np.random.default_rng(9),
+                              singular_distance=lambda q: radius(q))
+        assert all(shape == (2,) for shape in calls[chunks:])
+        assert rows.Q.tobytes() == point.Q.tobytes()
+        assert rows.P.tobytes() == point.P.tobytes()
+
+
 def test_sampled_draws_pinned():
     # the states sample_states draws, their order and the attempts they
     # take (the generator's next value moves with the attempt count), over

@@ -343,6 +343,28 @@ def _state_rows(sys_, n, seed):
     return (np.array([s.q for s in states]), np.array([s.p for s in states]))
 
 
+def _singular_rows(ms):
+    """Points exactly on the singular set of a catalog model (none for the
+    free particle)."""
+    d = ms.d
+    if ms.name == "inverse_square":
+        return np.zeros((1, d))
+    if ms.name == "conformal_higgs":  # the origin and the plane x_d = 0
+        return np.array([np.zeros(d), [0.7] * (d - 1) + [0.0],
+                         [-1.3] * (d - 1) + [-0.0]])
+    if ms.name == "conformal_coulomb":  # the x_d axis
+        return np.array([[0.0] * (d - 1) + [z] for z in (0.0, 1.5, -0.2)])
+    if ms.name == "calogero_relative":
+        # the origin, and for each pair axis a point in the span of the
+        # Jacobi coordinates a does not involve (a . q is then a sum of
+        # exact zeros, however it is summed)
+        c = np.linspace(0.7, -1.3, d)
+        return np.array([np.zeros(d)] + [np.where(a == 0.0, c, 0.0)
+                                         for a in models.pair_axes(d + 1)
+                                         if (a == 0.0).any()])
+    return np.zeros((0, d))
+
+
 _ARRAY_SPECS = models.catalog() + [models.spec("calogero", n=5, g=1.0)]
 
 
@@ -395,6 +417,28 @@ class TestArrayForms:
             V.fn(Q[1], Q[1])
         with pytest.raises(DomainError):
             V.fn(Q, Q)
+
+    @pytest.mark.parametrize("ms", [
+        models.spec("free", d=3),
+        *(models.spec("inverse-square", d=d, kappa=1.0) for d in (1, 2, 3, 4)),
+        *(models.spec("higgs", d=d, omega=1.0) for d in (1, 2, 3)),
+        *(models.spec("coulomb", d=d, gamma=1.0) for d in (2, 3, 4)),
+        *(models.spec("calogero", n=n, g=1.0) for n in (2, 3, 4, 5, 6))],
+        ids=lambda ms: ms.label)
+    def test_singular_distance_rows_match_points(self, ms):
+        # 20,000 seeded rows, contiguous and as the sampler's strided q
+        # slice of its (k, 2, d) draws, and rows exactly on the singular
+        # set: the rows call is each row's point call, bit for bit
+        sdist = models.singular_distance_fn(ms)
+        X = np.random.default_rng(ms.d).uniform(-2.0, 2.0,
+                                                size=(20_000, 2, ms.d))
+        on_set = _singular_rows(ms)
+        for Q in (X[:, 0], np.ascontiguousarray(X[:, 1]), on_set):
+            rows = sdist(Q)
+            assert _same_bits(rows, [sdist(q) for q in Q]), ms.label
+        if ms.name != "free":
+            assert len(on_set) and _same_bits(sdist(on_set),
+                                              np.zeros(len(on_set)))
 
     def test_monitors_without_array_form(self):
         # a potential not declared vectorized: its fn and grad_fn are
