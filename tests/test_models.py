@@ -434,8 +434,7 @@ class TestArrayForms:
                                                 size=(20_000, 2, ms.d))
         on_set = _singular_rows(ms)
         for Q in (X[:, 0], np.ascontiguousarray(X[:, 1]), on_set):
-            rows = sdist(Q)
-            assert _same_bits(rows, [sdist(q) for q in Q]), ms.label
+            assert _same_bits(sdist(Q), [sdist(q) for q in Q]), ms.label
         if ms.name != "free":
             assert len(on_set) and _same_bits(sdist(on_set),
                                               np.zeros(len(on_set)))
