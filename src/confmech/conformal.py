@@ -41,8 +41,7 @@ class ConformalSystem:
 
 
 def build_system(V: Observable, d: int, name: str = "",
-                 singular_distance: Callable = None,
-                 vectorized_distance: bool = False) -> ConformalSystem:
+                 singular_distance: Callable = None) -> ConformalSystem:
     """Assemble H, D, K (and the Casimir observable) over a potential.
 
     Homogeneity of V is *not* checked here; use :func:`check_homogeneity`.
@@ -51,18 +50,9 @@ def build_system(V: Observable, d: int, name: str = "",
     (``vectorized``); V's ``fn`` and ``grad_fn`` take rows as every
     observable's do, lifted by :class:`~confmech.phase.Observable` when V
     is written for one point.
-
-    ``singular_distance(q)`` is called at one point (the integrators'
-    guard). ``vectorized_distance=True`` declares that it also takes the
-    ``(N, d)`` rows of many points, one value per row and each bit for bit
-    its one-point call, as the catalog distances do; the declaration is
-    set on the function as ``vectorized = True``, and
-    :func:`sample_states` then screens each chunk of draws in one call.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if vectorized_distance and singular_distance is not None:
-        singular_distance.vectorized = True
     vfn = V.fn
     vg = V.grad_fn
 
@@ -136,8 +126,9 @@ class StateRows(Sequence):
 
     It reads as a sequence of :class:`~confmech.phase.PhaseState` (``len``,
     iteration, int and negative indexing; a slice is a ``StateRows`` over
-    the same rows), each built and validated when it is read; a report
-    takes ``Q`` and ``P`` and builds none.
+    the same rows), each built and validated when it is read, its q and p
+    read-only views of a row of ``Q`` and ``P``; a report takes ``Q`` and
+    ``P`` and builds none.
     """
 
     __slots__ = ("Q", "P")
@@ -176,17 +167,18 @@ def sample_states(d: int, n: int, rng: np.random.Generator,
     Candidates are drawn ``n - accepted`` at a time as one ``(k, 2, d)``
     array of q and p rows, which takes the generator's stream exactly as
     drawing q and then p for each attempt would, so the states, their order
-    and the attempt count do not depend on the chunking. A distance
-    declared ``vectorized`` (see :func:`build_system`) screens a chunk in
-    one call on its ``(k, d)`` q rows; any other distance is called once
-    per row, as a one-point function.
+    and the attempt count do not depend on the chunking. A distance that
+    carries a rows form ``singular_distance.rows(Q)`` (one value per row,
+    each bit for bit its one-point call, as every catalog distance has)
+    screens a chunk in one call of it on the ``(k, d)`` q rows; any other
+    distance is called once per row, as a one-point function.
 
     Returns the accepted draws as a :class:`StateRows` of ``n`` states,
     each chunk's rows written once into the ``(n, d)`` arrays behind it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    vectorized = getattr(singular_distance, "vectorized", False)
+    distance_rows = getattr(singular_distance, "rows", None)
 
     def admits(Q, P):
         try:
@@ -209,7 +201,7 @@ def sample_states(d: int, n: int, rng: np.random.Generator,
         attempts += k
         X = rng.uniform(-2.0, 2.0, size=(k, 2, d))
         if singular_distance is not None:
-            dist = (singular_distance(X[:, 0]) if vectorized else
+            dist = (distance_rows(X[:, 0]) if distance_rows is not None else
                     np.fromiter(map(singular_distance, X[:, 0]), float, k))
             # a NaN distance fails the comparison and keeps its row
             X = X[~(dist < 1e-3)]

@@ -140,16 +140,15 @@ def potential(model: ModelSpec) -> Observable:
 
 
 def singular_distance_fn(model: ModelSpec) -> Callable:
-    """Distance from a configuration to the potential's singular set."""
+    """Distance from a configuration to the potential's singular set: a
+    fresh function of one point, with its rows form as ``rows``."""
     return _entry(model).singular_distance
 
 
 def build(model: ModelSpec) -> ConformalSystem:
-    """ModelSpec -> ConformalSystem with generators and singular guard
-    (declared vectorized: every catalog distance takes rows)."""
+    """ModelSpec -> ConformalSystem with generators and singular guard."""
     return build_system(potential(model), model.d, name=model.label,
-                        singular_distance=singular_distance_fn(model),
-                        vectorized_distance=True)
+                        singular_distance=singular_distance_fn(model))
 
 
 def calogero_relative(n: int, g: float = 1.0) -> ConformalSystem:
@@ -250,11 +249,12 @@ class _Entry:
     any row, is on the singular set. ``dV(q, p) -> (dV/dq, 0)`` is one body
     over float ``(..., d)`` arrays, a point or rows, with the same bits per
     row; the potential observable is named ``V[tag]``.
-    ``singular_distance(q)`` is one body over float ``(..., d)`` arrays too:
-    a float at one point, in the scalar form the Verlet guard calls once
-    per step, and one value per row of ``(N, d)`` rows, each bit for bit
-    that row's point value (0.0 on the singular set), so the sampler
-    screens a chunk of draws in one call (``build`` declares it)."""
+    ``singular_distance(q)`` is a float at one point, in the scalar form
+    the Verlet guard calls once per step; it is made by :func:`_distance`,
+    which declares it rows-capable: its ``rows(Q)`` gives one value per row
+    of float ``(N, d)`` rows, each bit for bit that row's point value (0.0
+    on the singular set), and :func:`~confmech.conformal.sample_states`
+    screens a chunk of draws in one such call."""
 
     tag: str
     V: Callable
@@ -266,6 +266,13 @@ class _Entry:
 
 def _entry(model: ModelSpec) -> _Entry:
     return _CATALOG[model.name][0](model.d, model.params)
+
+
+def _distance(point: Callable, rows: Callable) -> Callable:
+    """The singular distance ``point(q)`` with its body over ``(N, d)``
+    rows attached as ``point.rows``, which declares it rows-capable."""
+    point.rows = rows
+    return point
 
 
 def _singular(cond) -> bool:
@@ -296,7 +303,7 @@ def _free(d: int, params: dict) -> _Entry:
     return _Entry(
         "free", lambda q, p: np.zeros(q.shape[:-1])[()],
         lambda q, p: (np.zeros(q.shape), np.zeros(q.shape)),
-        lambda q: np.inf if q.ndim == 1 else np.full(q.shape[:-1], np.inf),
+        _distance(lambda q: np.inf, lambda Q: np.full(Q.shape[:-1], np.inf)),
         lambda: PhaseState(np.linspace(1.0, 0.4, d), np.linspace(0.3, 1.0, d)),
         SphericalPotentialForm(lambda t: 0.0))
 
@@ -316,11 +323,6 @@ def _inverse_square(d: int, params: dict) -> _Entry:
         dot, power = _ops(q)
         return (-2.0 * kappa * q.T / power(dot(q, q), 2)).T, np.zeros(q.shape)
 
-    def sdist(q):
-        if q.ndim == 1:
-            return math.sqrt(q.dot(q))
-        return np.sqrt(np.vecdot(q, q))
-
     def reference():
         if d == 1:
             raise ValueError("inverse_square has no reference state at "
@@ -333,7 +335,10 @@ def _inverse_square(d: int, params: dict) -> _Entry:
         p[1] = 1.0
         return PhaseState(q, p)
 
-    return _Entry("inverse_square", V, dV, sdist, reference,
+    return _Entry("inverse_square", V, dV,
+                  _distance(lambda q: math.sqrt(q.dot(q)),
+                            lambda Q: np.sqrt(np.vecdot(Q, Q))),
+                  reference,
                   SphericalPotentialForm(lambda t: kappa))
 
 
@@ -357,10 +362,11 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
         return dq.T, np.zeros(q.shape)
 
     def sdist(q):
-        if q.ndim == 1:
-            return float(min(math.sqrt(q.dot(q)), abs(q[d - 1])))
+        return float(min(math.sqrt(q.dot(q)), abs(q[d - 1])))
+
+    def sdist_rows(Q):
         # a NaN row is NaN in both forms: its r is NaN and comes first
-        return np.minimum(np.sqrt(np.vecdot(q, q)), np.abs(q[..., d - 1]))
+        return np.minimum(np.sqrt(np.vecdot(Q, Q)), np.abs(Q[..., d - 1]))
 
     def reference():
         q = np.full(d, 0.4)
@@ -369,7 +375,8 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
         p[0] = -0.2
         return PhaseState(q, p)
 
-    return _Entry("conformal_higgs", V, dV, sdist, reference,
+    return _Entry("conformal_higgs", V, dV, _distance(sdist, sdist_rows),
+                  reference,
                   SphericalPotentialForm(
                       lambda t: 0.5 * w2 * np.tan(t) ** 2 + w2))
 
@@ -403,11 +410,12 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
         return dq.T, np.zeros(q.shape)
 
     def sdist(q):
-        if q.ndim == 1:
-            r2 = float(q @ q)
-            return math.sqrt(max(r2 - float(q[d - 1]) ** 2, 0.0))
+        r2 = float(q @ q)
+        return math.sqrt(max(r2 - float(q[d - 1]) ** 2, 0.0))
+
+    def sdist_rows(Q):
         return np.sqrt(np.maximum(
-            np.vecdot(q, q) - np.float_power(q[..., d - 1], 2), 0.0))
+            np.vecdot(Q, Q) - np.float_power(Q[..., d - 1], 2), 0.0))
 
     def reference():
         q = np.zeros(d)
@@ -418,7 +426,8 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
         p[d - 1] = 0.2
         return PhaseState(q, p)
 
-    return _Entry("conformal_coulomb", V, dV, sdist, reference,
+    return _Entry("conformal_coulomb", V, dV, _distance(sdist, sdist_rows),
+                  reference,
                   SphericalPotentialForm(lambda t: gamma / np.tan(t)))
 
 
@@ -453,11 +462,12 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
 
     def sdist(q):
         # ndarray.min propagates NaN, as np.min does; Python's min drops it
-        if q.ndim == 1:
-            return float(np.abs(axes @ q).min()) / root2
+        return float(np.abs(axes @ q).min()) / root2
+
+    def sdist_rows(Q):
         # axes @ q on each row with its bits; Q @ axes.T and np.vecdot
         # round differently on most rows
-        return (np.abs(np.matmul(axes, q[..., None])[..., 0]).min(axis=-1)
+        return (np.abs(np.matmul(axes, Q[..., None])[..., 0]).min(axis=-1)
                 / root2)
 
     def reference():
@@ -468,7 +478,8 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
         px -= px.mean()
         return reduce_calogero_state(x, px)
 
-    return _Entry("calogero", V, dV, sdist, reference, None)
+    return _Entry("calogero", V, dV, _distance(sdist, sdist_rows), reference,
+                  None)
 
 
 # name -> (constructor, the parameter names it takes)

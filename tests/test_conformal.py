@@ -362,26 +362,26 @@ class TestStateRows:
         with pytest.raises(ValueError, match="read-only"):
             states[0].p[0] = 1.0
 
-    def test_declared_distance_screens_a_chunk(self):
-        # a distance declared at build_system takes each chunk's q rows in
-        # one call; the same function undeclared is called once per row,
-        # and both keep the same draws
+    def test_rows_distance_screens_a_chunk(self):
+        # a distance with a rows form takes each chunk's q rows in one call
+        # of it; the same point function without one is called once per
+        # row, and both keep the same draws
         calls = []
 
         def radius(q):
             calls.append(q.shape)
             return np.sqrt(np.vecdot(q, q)) - 1.0
 
-        sys_ = build_system(models.potential(
-            models.spec("inverse-square", d=2, kappa=1.0)), 2,
-            singular_distance=radius, vectorized_distance=True)
-        assert sys_.singular_distance is radius and radius.vectorized
+        def declared(q):
+            raise AssertionError("the point form screened a chunk")
+
+        declared.rows = radius
         rows = sample_states(2, 50, np.random.default_rng(9),
-                             singular_distance=radius)
+                             singular_distance=declared)
         assert calls and all(len(shape) == 2 for shape in calls)
         chunks = len(calls)
         point = sample_states(2, 50, np.random.default_rng(9),
-                              singular_distance=lambda q: radius(q))
+                              singular_distance=radius)
         assert all(shape == (2,) for shape in calls[chunks:])
         assert rows.Q.tobytes() == point.Q.tobytes()
         assert rows.P.tobytes() == point.P.tobytes()

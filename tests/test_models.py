@@ -340,7 +340,7 @@ def _same_bits(a, b):
 def _state_rows(sys_, n, seed):
     states = sample_states(sys_.d, n, np.random.default_rng(seed),
                            singular_distance=sys_.singular_distance)
-    return (np.array([s.q for s in states]), np.array([s.p for s in states]))
+    return states.Q, states.P
 
 
 def _singular_rows(ms):
@@ -428,15 +428,15 @@ class TestArrayForms:
     def test_singular_distance_rows_match_points(self, ms):
         # 20,000 seeded rows, contiguous and as the sampler's strided q
         # slice of its (k, 2, d) draws, and rows exactly on the singular
-        # set: the rows call is each row's point call, bit for bit
+        # set: the rows form is each row's point call, bit for bit
         sdist = models.singular_distance_fn(ms)
         X = np.random.default_rng(ms.d).uniform(-2.0, 2.0,
                                                 size=(20_000, 2, ms.d))
         on_set = _singular_rows(ms)
         for Q in (X[:, 0], np.ascontiguousarray(X[:, 1]), on_set):
-            assert _same_bits(sdist(Q), [sdist(q) for q in Q]), ms.label
+            assert _same_bits(sdist.rows(Q), [sdist(q) for q in Q]), ms.label
         if ms.name != "free":
-            assert len(on_set) and _same_bits(sdist(on_set),
+            assert len(on_set) and _same_bits(sdist.rows(on_set),
                                               np.zeros(len(on_set)))
 
     def test_monitors_without_array_form(self):
