@@ -223,9 +223,9 @@ def _initial_state(cfg: RunConfig, ms: models.ModelSpec) -> PhaseState:
         except ValueError as err:
             raise UsageError(str(err)) from None
     try:
-        vals = [float(x) for x in cfg.state.replace(",", " ").split()]
+        vals = list(map(_finite_float, cfg.state.replace(",", " ").split()))
     except ValueError:
-        raise UsageError("--state must be a list of numbers") from None
+        raise UsageError("--state must be a list of finite numbers") from None
     if len(vals) != 2 * ms.d:
         raise UsageError(f"--state needs {2 * ms.d} numbers for d={ms.d}")
     return PhaseState(vals[:ms.d], vals[ms.d:])

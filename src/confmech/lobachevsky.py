@@ -309,19 +309,14 @@ def expected_brackets(kp: KleinPoint, sphere: SphericalSystem,
 # Canonicity of the tilde map
 # ---------------------------------------------------------------------------
 
-def tilde_observables(sys: ConformalSystem) -> dict:
-    """p~ and r~ as observables on the original Cartesian phase space."""
-    hfn = sys.H.fn
-    dfn = sys.D.fn
+def tilde_observable(sys: ConformalSystem) -> Observable:
+    """(p~, r~) as one observable on the original Cartesian phase space,
+    with H evaluated once."""
+    def fn(q, p):
+        pt = dual.sqrt(2.0 * sys.H.fn(q, p))
+        return dual.stack([pt, sys.D.fn(q, p) / pt])
 
-    def pt_fn(q, p):
-        return dual.sqrt(2.0 * hfn(q, p))
-
-    def rt_fn(q, p):
-        return dfn(q, p) / dual.sqrt(2.0 * hfn(q, p))
-
-    return {"p_tilde": Observable(sys.d, pt_fn, name="p~", vectorized=True),
-            "r_tilde": Observable(sys.d, rt_fn, name="r~", vectorized=True)}
+    return Observable(sys.d, fn, name="(p~, r~)", vectorized=True)
 
 
 @dataclass
@@ -377,11 +372,14 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     sys = build(model) if isinstance(model, ModelSpec) else model
     d = sys.d
 
+    def h_and_i(Q, P):
+        h = sys.H.fn(Q, P)
+        return h, _casimir(h, sys.K.fn(Q, P), sys.D.fn(Q, P))
+
     def admissible(Q, P):
         # H > 1e-2, I > 1e-2, and x > 1e-2 (d = 1) or the chart's 1e-3
         # pole margin (d > 1); sample_states rejects a row that raises
-        h = sys.H.fn(Q, P)
-        i_val = _casimir(h, sys.K.fn(Q, P), sys.D.fn(Q, P))
+        h, i_val = h_and_i(Q, P)
         ok = np.isfinite(h) & (h > 1e-2) & (i_val > 1e-2)
         if d == 1:
             return ok & (Q[:, 0] > 1e-2)
@@ -391,10 +389,9 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
     Q, P = _seeded_rows(d, samples, tol, seed, sys.singular_distance,
                         admissible)
 
-    tobs = tilde_observables(sys)
-    # every state's bracket table over p~, r~ and the half-plane
+    # every state's bracket table over (p~, r~) and the half-plane
     # observable (Re w, s, I, r, p_r, phi_0, ..., pi_0, ...)
-    B = brackets([tobs["p_tilde"], tobs["r_tilde"],
+    B = brackets([tilde_observable(sys),
                   halfplane_observable(spherical_system_from(sys.V, d))],
                  Q, P)
     # (table name, tilde row, chart column) of each mixed bracket
@@ -403,9 +400,9 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
              for k, u in enumerate(("phi", "pi"))]
     columns = {"{p~,r~}-1": np.abs(B[:, 0, 1] - 1.0),
                **{name: np.abs(B[:, j, k]) for name, j, k in mixed},
+               # r as hyperspherical_rows takes it
                "{w,wbar}-formula": _ww_residual_rows(
-                   B[:, 2, 3], hyperspherical_rows(Q, P)[0],
-                   _casimir(sys.H.fn(Q, P), sys.K.fn(Q, P), sys.D.fn(Q, P)))}
+                   B[:, 2, 3], np.sqrt(np.vecdot(Q, Q)), h_and_i(Q, P)[1])}
     table = {name: {"max_residual": float(v.max()),
                     "exceed_count": int(np.sum(v > tol))}
              for name, v in columns.items()}

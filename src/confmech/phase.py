@@ -301,10 +301,12 @@ def _monitor_rows(monitors, ts, qs, ps):
 
 def verlet_steps(dt: float, t_end: float) -> int:
     """Number of fixed steps of size ``dt`` that end at ``t_end``; raises
-    ValueError unless dt > 0 and t_end is a nonnegative whole multiple of
-    dt (to 1e-9 relative), so a fixed-step run never stops short of t_end."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    ValueError unless 0 < dt < inf and t_end is a finite, nonnegative whole
+    multiple of dt (to 1e-9 relative), so a fixed-step run never stops
+    short of t_end."""
+    if not (0 < dt < math.inf and math.isfinite(t_end)):
+        raise ValueError(f"need a finite dt > 0 and a finite t_end, got "
+                         f"dt = {dt:g}, t_end = {t_end:g}")
     n_steps = int(round(t_end / dt))
     if t_end < 0 or abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end = {t_end:g} is not a nonnegative whole "

@@ -29,7 +29,7 @@ from confmech.lobachevsky import (
     invert,
     killing_forms,
     tilde_map,
-    tilde_observables,
+    tilde_observable,
     to_klein,
 )
 from confmech.phase import (
@@ -252,9 +252,9 @@ def test_c07_canonicity_verdicts():
 
     free2 = models.build(models.spec("free", d=2))
     s = PhaseState([1.0, 0.0], [1.0, 1.0])
-    # phi_0 is component 2 of the chart, column 3 of the table
-    witness = brackets((tilde_observables(free2)["r_tilde"],
-                        chart_observable(2)), s)[0, 3]
+    # r~ is row 1; phi_0 is component 2 of the chart, column 4
+    witness = brackets((tilde_observable(free2),
+                        chart_observable(2)), s)[1, 4]
     assert abs(witness - (-0.3535533905932738)) < 1e-8
     _report("7 canonicity verdicts",
             f"d=1 canonical, d=2/d=3 non-canonical, witness "

@@ -176,8 +176,10 @@ class TestExitCodes:
          None, "--omega"),
         (["exact", "--model", "free", "--dim", "3"], "t_end = inf\n",
          "'t_end'"),
+        (["simulate", "--model", "free", "--dim", "3",
+          "--state", "nan,1,1,1,1,1"], None, "--state"),
     ], ids=["reconstruct-nan", "reconstruct-inf", "exact-inf", "tol-nan",
-            "omega-nan", "omega-minus-inf", "config-file-inf"])
+            "omega-nan", "omega-minus-inf", "config-file-inf", "state-nan"])
     def test_non_finite_float_is_2(self, tmp_path, capsys, argv, config,
                                    flag):
         if config is not None:

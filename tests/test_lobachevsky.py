@@ -33,10 +33,10 @@ from confmech.lobachevsky import (
     invert,
     killing_forms,
     tilde_map,
-    tilde_observables,
+    tilde_observable,
     to_klein,
 )
-from confmech.phase import Observable, PhaseState, brackets, poisson_bracket
+from confmech.phase import Observable, PhaseState, brackets
 from confmech.reduction import (
     angles_from_unit,
     hyperspherical_rows,
@@ -212,12 +212,12 @@ class TestBranchProperties:
         sys_ = _BRANCH_SYSTEMS[ms.label]
         states = _branch_states(sys_, 5, seed, sign)
         obs = [sys_.H, sys_.D, sys_.K, sys_.casimir,
-               *tilde_observables(sys_).values(),
+               tilde_observable(sys_),
                halfplane_observable(spherical_system_from(sys_.V, ms.d))]
         rows = brackets(obs, np.array([s.q for s in states]),
                         np.array([s.p for s in states]))
-        # (Re w, s, I), then the chart's 2d components
-        m = len(obs) - 1 + 3 + (2 * ms.d if ms.d > 1 else 0)
+        # H, D, K, I, (p~, r~), (Re w, s, I), then the chart's 2d components
+        m = 4 + 2 + 3 + (2 * ms.d if ms.d > 1 else 0)
         assert rows.shape == (5, m, m)
         for table, s in zip(rows, states):
             want = brackets(obs, s)
@@ -337,12 +337,11 @@ class TestCanonicity:
     def test_witness_value_free_d2(self):
         sys_ = models.build(models.spec("free", d=2))
         s = PhaseState([1.0, 0.0], [1.0, 1.0])
-        tobs = tilde_observables(sys_)
-        # phi_0 is component 2 of the chart, column 3 of the table
-        val = brackets((tobs["r_tilde"], chart_observable(2)), s)[0, 3]
+        table = brackets((tilde_observable(sys_), chart_observable(2)), s)
+        # r~ is row 1; phi_0 is component 2 of the chart, column 4
+        val = table[1, 4]
         assert val == pytest.approx(-0.3535533905932738, abs=1e-8)
-        assert poisson_bracket(tobs["p_tilde"], tobs["r_tilde"], s) == \
-            pytest.approx(1.0, abs=1e-10)
+        assert table[0, 1] == pytest.approx(1.0, abs=1e-10)
 
     def test_free_d2_non_canonical(self):
         rep = canonicity_report(models.spec("free", d=2), samples=60,
@@ -773,7 +772,7 @@ class TestHalfPlaneObservable:
 
     def test_canonicity_differentiates_each_observable_once(self,
                                                             monkeypatch):
-        # p~, r~ and the half-plane observable: one jet evaluation each
+        # (p~, r~) and the half-plane observable: one jet evaluation each
         calls = []
         gradient = dual.gradient
 
@@ -783,7 +782,7 @@ class TestHalfPlaneObservable:
         monkeypatch.setattr(dual, "gradient", counted)
         canonicity_report(models.spec("inverse-square", d=3, kappa=1.0),
                           samples=200)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestOmega:

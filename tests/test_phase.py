@@ -527,9 +527,14 @@ class TestVerlet:
             integrate_verlet(unguarded, PhaseState([1e-3], [0.0]),
                              1e-3, 1.0)
 
-    def test_bad_dt(self, eq1):
+    @pytest.mark.parametrize("dt,t_end", [
+        (-0.1, 1.0), (math.inf, 10.0), (math.nan, 1.0), (1e-3, math.inf),
+        (1e-3, math.nan)],
+        ids=["negative-dt", "inf-dt", "nan-dt", "inf-t_end", "nan-t_end"])
+    def test_bad_dt(self, eq1, dt, t_end):
+        # a non-finite dt or t_end is refused before any step
         with pytest.raises(ValueError):
-            integrate_verlet(eq1, PhaseState([1.0], [0.0]), -0.1, 1.0)
+            integrate_verlet(eq1, PhaseState([1.0], [0.0]), dt, t_end)
 
     def test_t_end_must_be_a_multiple_of_dt(self, eq1):
         # 0.4 does not divide 1: the run would stop at t = 0.8
