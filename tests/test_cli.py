@@ -562,3 +562,20 @@ class TestPinnedOutput:
             code = main(argv + flags)
             h.update(f"{code}\n{capsys.readouterr().out}".encode())
         assert h.hexdigest() == digest
+
+
+def test_reconstruct_calls_match_their_manifest():
+    # tests/identity_reconstruct.py checks all 240 pinned reconstruct
+    # calls; this recomputes the full-size inputs of seeds 0 and 1 at rtol
+    # 1e-8 and 1e-12, which hold every workload model: the I0 < 0 state at
+    # d = 2 and calogero n = 4 among them
+    import identity_reconstruct
+
+    pinned = json.loads(identity_reconstruct.MANIFEST.read_text())
+    table = identity_reconstruct.digests(
+        lambda key: key.startswith(("seed 0 full ", "seed 1 full "))
+        and not key.endswith(" 1e-10"))
+    assert len(table) == 20
+    assert sum("inverse_square(d=2, kappa=-0.5)" in key for key in table) == 4
+    assert sum("calogero_relative(d=3, g=1, n=4)" in key for key in table) == 4
+    assert table == {key: pinned[key] for key in table}
