@@ -88,6 +88,22 @@ def build_system(V: Observable, d: int, name: str = "",
         def i_grad(q, p):
             q = np.asarray(q, dtype=float)
             p = np.asarray(p, dtype=float)
+            if q.ndim == 1:
+                # the rows body's operations in its order, on Python
+                # floats: each ufunc call there costs a microsecond of
+                # dispatch per right-hand side of the angular flow.
+                # np.vecdot adds its dot product to +0.0, where ndarray.dot
+                # keeps a -0.0 (at d = 1), hence the + 0.0
+                qq = float(q.dot(q))
+                pp = float(p.dot(p))
+                qp = float(q.dot(p)) + 0.0
+                dVq, _ = vg(q, p)
+                v2 = 2.0 * float(vfn(q, p))
+                qs, ps = q.tolist(), p.tolist()
+                dq = [pp * a - qp * b + v2 * a + qq * g for a, b, g
+                      in zip(qs, ps, np.asarray(dVq, dtype=float).tolist())]
+                dp = [qq * b - qp * a for a, b in zip(qs, ps)]
+                return np.array(dq), np.array(dp)
             qq = np.vecdot(q, q)
             pp = np.vecdot(p, p)
             qp = np.vecdot(q, p)

@@ -475,6 +475,9 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
 
     k = np.empty((7, 2 * d))
     k[0] = f
+    # numpy scales an array by a 0-d array with the bits of a Python float
+    # factor, without converting the float on every product
+    rtol_a = np.array(rtol)
     steps = 0
     t_stop = t_end - 1e-14 * max(1.0, t_end)
     while t < t_stop:
@@ -490,23 +493,26 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
                 f"step size underflow at t={t:.12g} (likely a singularity)",
                 t_reached=t, state=PhaseState(y[:d], y[d:]))
 
+        h_a = np.array(h)
         bad = False
         for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ k[:i])
+            yi = y + h_a * (_DP_A[i] @ k[:i])
             try:
                 ki = rhs(yi, d)
             except (DomainError, NonFiniteError):
                 # a stage probed past a domain boundary; retry smaller
                 bad = True
                 break
-            if not np.all(np.isfinite(ki)):
+            # exact per entry, and cheaper than np.isfinite on a short
+            # vector (as in PhaseState)
+            if not all(map(math.isfinite, ki.tolist())):
                 bad = True
                 break
             k[i] = ki
         if bad:
             h *= 0.25
             continue
-        y_new = y + h * (_DP_B5 @ k)
+        y_new = y + h_a * (_DP_B5 @ k)
         if singular_distance is not None:
             # without a guard no move length is taken (its dot product
             # would warn on overflow)
@@ -514,19 +520,20 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
             if math.sqrt(move.dot(move)) > 0.9 * dist:
                 h *= 0.25
                 continue
-        err_vec = h * (_DP_ERR @ k)
-        scale = rtol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec / scale) ** 2))
-        if err <= 1.0 and np.all(np.isfinite(y_new)):
+        err_vec = h_a * (_DP_ERR @ k)
+        scale = rtol_a + rtol_a * np.maximum(np.abs(y), np.abs(y_new))
+        # np.mean's sum and division, without its dispatch
+        err = np.sqrt(np.add.reduce((err_vec / scale) ** 2) / (2 * d))
+        if err <= 1.0 and all(map(math.isfinite, y_new.tolist())):
             # the targets in (t, t + h], every one left on the last step
             stop = len(targets) if t + h >= t_stop else \
                 np.searchsorted(targets, t + h, side="right")
             if stop > done:
-                theta = ((targets[done:stop] - t) / h)[:, None]
+                theta = ((targets[done:stop] - t) / h_a)[:, None]
                 dy = y_new - y
-                b = h * k[0] - dy
-                c = dy - h * k[6] - b
-                e = h * (_DP_DENSE @ k)
+                b = h_a * k[0] - dy
+                c = dy - h_a * k[6] - b
+                e = h_a * (_DP_DENSE @ k)
                 ys[done:stop] = y + theta * (dy + (1.0 - theta) * (
                     b + theta * (c + (1.0 - theta) * e)))
                 done = stop
