@@ -43,6 +43,9 @@ class RadialData:
     r0sq: float
 
     def __post_init__(self):
+        # a NaN field would pass the sign test and flow on into NaN rows
+        if not all(map(math.isfinite, (self.E, self.D0, self.r0sq))):
+            raise ValueError("E, D0 and r0sq must be finite")
         if self.r0sq < 0:
             raise ValueError("r0sq must be nonnegative")
 
@@ -145,9 +148,9 @@ def _reparam(rd: RadialData, t: float) -> float:
     if den > 0.0:
         return math.log1p(2.0 * s * t / den) / (2.0 * s) if s else t / den
     tf = fall_time(rd)
-    raise CollapseOnPathError(
-        f"r^2 vanishes to rounding at t = {t:.12g} (fall time {tf:.12g})",
-        collapse_time=tf)
+    at = "" if tf is None else f" (fall time {tf:.12g})"
+    raise CollapseOnPathError(f"r^2 vanishes to rounding at t = {t:.12g}{at}",
+                              collapse_time=tf)
 
 
 def __getattr__(name):

@@ -1,6 +1,7 @@
 """Catalog potentials, the Calogero reduction, and its singular geometry."""
 
 import collections
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -516,6 +517,20 @@ class TestOneBody:
             assert dP.tobytes() == np.array([g[1] for g in per_row]).tobytes()
         for table, q, p in zip(brackets(gens, Q, P), Q, P):
             assert np.array_equal(table, brackets(gens, PhaseState(q, p)))
+
+    def test_gradient_zero_signs_take_rows(self):
+        # at d = 1, q.dot(p) of q = 0.7 and p = -0.0 is -0.0 where
+        # np.vecdot gives +0.0: the Casimir's dp = qq p - qp q is then
+        # +0.0 at the point against -0.0 on rows, unless the point path
+        # adds q.p to +0.0 as np.vecdot does
+        sys_ = _GRAD_SYSTEMS["inverse_square(d=1, kappa=1)"]
+        q, p = np.array([0.7]), np.array([-0.0])
+        for obs in (sys_.V, sys_.H, sys_.D, sys_.K, sys_.casimir):
+            dQ, dP = obs.grad_fn(q[None, :], p[None, :])
+            dq, dp = obs.grad_fn(q, p)
+            assert dQ[0].tobytes() == dq.tobytes(), obs.name
+            assert dP[0].tobytes() == dp.tobytes(), obs.name
+        assert math.copysign(1.0, sys_.casimir.grad_fn(q, p)[1][0]) == -1.0
 
     @pytest.mark.parametrize("ms", _ARRAY_SPECS, ids=lambda ms: ms.label)
     @settings(max_examples=30, deadline=None)

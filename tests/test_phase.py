@@ -17,6 +17,7 @@ from confmech import models
 from confmech.cli import trajectory_csv
 from confmech.conformal import build_system
 from confmech.errors import (
+    DomainError,
     IncompleteResultError,
     NonFiniteError,
     SingularityApproachError,
@@ -628,6 +629,35 @@ class TestAdaptive:
         except StepUnderflowError:
             return
         assert np.all(traj.qs @ q0 > 0.0)
+
+    @pytest.mark.parametrize("fault", ["DomainError", "NonFiniteError",
+                                       "non-finite"])
+    def test_a_failed_stage_is_retried_at_a_quarter_step(self, fault):
+        # H = p^2/2 from q = 0, p = 1, whose gradient fails once, at the
+        # second stage of the first step (by raising either error the
+        # retry catches, or by returning NaN): the step restarts from the
+        # same state at a quarter of its size, and the run goes on
+        seen = []
+
+        def gfn(q, p):
+            seen.append(float(q[0]))
+            if len(seen) == 3:  # the initial field, stage 1, stage 2
+                if fault == "DomainError":
+                    raise DomainError("stage past the domain")
+                if fault == "NonFiniteError":
+                    raise NonFiniteError("stage not finite")
+                return np.zeros(1), np.array([math.nan])
+            return np.zeros(1), p.copy()
+
+        H = Observable(1, lambda q, p: 0.5 * p[0] * p[0], grad_fn=gfn,
+                       name="free")
+        traj = integrate_adaptive(H, PhaseState([0.0], [1.0]), 1e-10, 1.0,
+                                  t_eval=[1.0])
+        # stage 1 of the first try sits at q = h/5, and of the retry at
+        # (h/4)/5, exactly a quarter of it
+        assert seen[1] > 0.0 and seen[1] == 4.0 * seen[3]
+        assert traj.qs[-1, 0] == pytest.approx(1.0, rel=1e-12)
+        assert traj.ps[-1, 0] == 1.0
 
     def test_monitors_recorded(self, eq1):
         # the monitors evaluated on the rows of a grid

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from confmech import models
+from confmech import models, radial
 from confmech.conformal import casimir_I
 from confmech.errors import (
     CollapseOnPathError,
@@ -101,6 +101,29 @@ class TestRadialSquared:
             for s in model_states(sys_, 5, seed=23):
                 rd = RadialData.from_state(sys_, s)
                 assert rd.I0 == casimir_I(sys_, s), ms.label
+
+    @pytest.mark.parametrize("fields,message", [
+        ((math.nan, 1.0, 1.0), "must be finite"),
+        ((1.0, math.inf, 1.0), "must be finite"),
+        ((1.0, 1.0, math.nan), "must be finite"),
+        ((1.0, 1.0, -math.inf), "must be finite"),
+        ((1.0, 1.0, -1.0), "nonnegative"),
+    ], ids=["nan-E", "inf-D0", "nan-r0sq", "-inf-r0sq", "negative-r0sq"])
+    def test_bad_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            RadialData(*fields)
+
+    def test_collapse_message_without_a_fall_time(self):
+        # data the constructor now refuses (NaN E) has no fall time; the
+        # rounding-collapse message must not format that None
+        rd = object.__new__(RadialData)
+        for name, value in zip(("E", "D0", "r0sq"), (math.nan, 1.0, 1.0)):
+            object.__setattr__(rd, name, value)
+        assert fall_time(rd) is None
+        with pytest.raises(CollapseOnPathError,
+                           match=r"rounding at t = 0\.5$") as err:
+            radial._reparam(rd, 0.5)
+        assert err.value.collapse_time is None
 
     def test_from_state_satisfies_constraint(self, catalog_systems):
         from conftest import model_states
