@@ -448,15 +448,12 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
         # project on every pair axis at once, then sum pair by pair in
         # order, so the sum rounds the same on every input
         total = 0.0
-        if isinstance(q, np.ndarray) and q.ndim == 1:
+        proj = np.vecdot(axes, q[..., None, :]).T
+        if isinstance(proj, np.ndarray) and proj.ndim == 1:
             # one point: the same operations on Python floats, without a
             # numpy scalar operation per pair
-            for s in np.vecdot(axes, q[None, :]).tolist():
-                if s == 0.0:
-                    raise DomainError("coincident particles")
-                total = total + g2 / (s * s)
-            return total
-        for s in np.vecdot(axes, q[..., None, :]).T:
+            proj = proj.tolist()
+        for s in proj:
             if _singular(s == 0.0):
                 raise DomainError("coincident particles")
             total = total + g2 / (s * s)
