@@ -96,6 +96,13 @@ class Observable:
     ``build_system`` are. Otherwise they are taken as written for one
     point and lifted here: a point passes straight through, and rows are
     evaluated one at a time and stacked.
+
+    A vectorized body may give one point its own branch, on Python floats
+    where numpy's per-call dispatch would dominate (as the Casimir
+    gradient of ``build_system`` does). That branch takes the same IEEE
+    operations in the same order as the rows body, with its dot products
+    from ``ndarray.dot`` plus ``+ 0.0``: ``np.vecdot`` adds to +0.0, where
+    ``ndarray.dot`` returns a -0.0 product as it is.
     """
 
     __slots__ = ("dim", "fn", "grad_fn", "name")
