@@ -20,9 +20,9 @@ A flat ``key = value`` config file can seed any flag (``--config run.cfg``);
 explicit flags take precedence, unknown keys are rejected. All randomness
 flows through the single ``--seed`` value echoed in every report.
 
-Trajectory CSV schema: header ``t,q1..qd,p1..pd,H,D,K,I``, floats with 17
-significant digits, LF line endings. JSON reports have a stable key order
-and embed the tool version, the seed, and the parsed config.
+Trajectory CSV schema: header ``t,q1..qd,p1..pd,H,D,K,I``, floats as
+``'%.17g'`` writes them, LF line endings. JSON reports have a stable key
+order and embed the tool version, the seed, and the parsed config.
 """
 
 from __future__ import annotations
@@ -231,21 +231,96 @@ def _initial_state(cfg: RunConfig, ms: models.ModelSpec) -> PhaseState:
     return PhaseState(vals[:ms.d], vals[ms.d:])
 
 
-# rows converted to Python floats at a time (bounds the temporary lists)
-_CSV_CHUNK = 1024
+# The CSV writer makes '%.17g' text in numpy. For E = floor(log10|x|) in
+# [-4, 16] (%g's fixed notation) the 17 digits N = round(|x| 10**(16 - E))
+# come exactly from Dekker's product hi + lo, rounded half to even as
+# CPython's dtoa does. Any other value (0, nan, inf, exponent notation, hi
+# on an end of [1e16, 1e17], N = 1e17) is formatted by '%.17g' itself.
+_CSV_CHUNK = 256  # table rows at a time (bounds the work arrays)
+_POW10 = np.array([float(10 ** k) for k in range(21)])  # exact doubles
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI  # Veltkamp's split at 2**27 + 1
+
+
+def _csv_tables():
+    """The 4-digit groups as four uint16 cells, then again with trailing
+    zeros as zero bytes; and a 40-byte layout per E = -4..16: "-", "0.000",
+    digit j in byte 6 + 2j with its "." after it, "," last. A zero byte is
+    deleted from the text; the integer-part digits are "0"s to OR into."""
+    k = np.arange(10000, dtype=np.uint16)
+    words = np.empty((2, 10000, 4), "<u2")
+    for j in range(4):
+        words[0, :, j] = k // 10 ** (3 - j) % 10 + 48
+    kept = words[0] != 48
+    for j in (2, 1, 0):
+        kept[:, j] |= kept[:, j + 1]
+    np.multiply(words[0], kept, out=words[1])
+    rows = np.zeros((21, 40), np.uint8)
+    for e in range(-4, 17):
+        if e < 0:
+            rows[e + 4, 1:2 - e] = list(b"0." + b"0" * (-1 - e))
+        else:
+            rows[e + 4, 6:7 + 2 * e:2] = 48
+            rows[e + 4, 7 + 2 * e] = 46
+    rows[:, 0], rows[:, 39] = 45, 44  # "-" (kept for x < 0) and ","
+    return words.reshape(-1, 4).view("<u8")[:, 0], rows
+
+
+_CSV_WORDS, _CSV_ROWS = _csv_tables()
+
+
+def _csv_chunk(x, out, m: int) -> str:
+    """The text of the flat values ``x`` of rows of ``m`` columns, made in
+    the ``(len(x), 40)`` byte buffer ``out``."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(a))
+    ok = (e >= -4) & (e <= 16)
+    k = np.where(ok, 16 - e, 0).astype(np.intp)
+    a = np.where(ok, a, 1.0)
+    hi = a * _POW10[k]
+    ah = 134217729.0 * a - (134217729.0 * a - a)
+    al = a - ah
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    ok &= (hi > 1e16) & (hi < 1e17)  # so hi is an integer above 2**53
+    fl = np.floor(lo)
+    frac = lo - fl
+    big = hi.astype(np.int64) + fl.astype(np.int64)
+    big += (frac > 0.5) | ((frac == 0.5) & (big & 1 == 1))
+    ok &= big < 10 ** 17
+    q = big // 10 ** 8  # N's 4-digit groups g, with a scalar per division
+    r = big - q * 10 ** 8
+    t = q // 10 ** 4
+    u, v = t // 10 ** 4, r // 10 ** 4
+    g = np.stack([u, t - u * 10 ** 4, q - t * 10 ** 4, v, r - v * 10 ** 4], 1)
+    strip = True  # the last group, and the zero groups before it
+    for j in (4, 3, 2, 1):
+        g[:, j] += 10000 * strip
+        strip = g[:, j] == 10000
+    np.take(_CSV_ROWS, 20 - k, axis=0, out=out)
+    out.view("<u2")[:, 3:] |= _CSV_WORDS[g].view("<u2")[:, 3:]
+    out[:, 7:39:2] *= out[:, 8:40:2] != 0  # no "." before a hidden digit
+    out[:, 0] *= x < 0
+    out.reshape(-1, 40 * m)[:, -1] = 10
+    for i in np.flatnonzero(~ok).tolist():
+        s = b"%.17g" % x[i]
+        out[i, :-1] = 0
+        out[i, :len(s)] = np.frombuffer(s, np.uint8)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _csv(header: list, columns: list) -> str:
     """CSV text: the header line, then one line per row of the stacked
-    columns, every value with 17 significant digits."""
+    columns, every value as '%.17g' writes it."""
     table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header)]
-    for start in range(0, len(table), _CSV_CHUNK):
-        block = table[start:start + _CSV_CHUNK]
-        lines.append("\n".join([row] * len(block))
-                     % tuple(block.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+    n, m = table.shape
+    out = np.empty((min(n, _CSV_CHUNK) * m, 40), np.uint8)
+    parts = [",".join(header) + "\n"]
+    for start in range(0, n, _CSV_CHUNK):
+        x = table[start:start + _CSV_CHUNK].ravel()
+        parts.append(_csv_chunk(x, out[:len(x)], m))
+    return "".join(parts)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

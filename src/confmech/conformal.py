@@ -191,9 +191,12 @@ def sample_states(d: int, n: int, rng: np.random.Generator,
 
     Returns the accepted draws as a :class:`StateRows` of ``n`` states,
     each chunk's rows written once into the ``(n, d)`` arrays behind it.
+    A dimension ``d < 1`` or a count ``n < 0`` is a ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     distance_rows = getattr(singular_distance, "rows", None)
 
     def admits(Q, P):

@@ -43,6 +43,7 @@ import numpy as np
 from . import dual
 from .conformal import ConformalSystem, _casimir, _seeded_rows
 from .errors import (
+    NonFiniteError,
     NonPositiveEnergyError,
     ZeroAngularEnergyError,
     ZeroWError,
@@ -107,15 +108,25 @@ class KleinPoint:
 
 
 def _radial_pair(source) -> tuple:
+    """(r, p_r, r**2) of a source, with r > 0 and r**2 finite."""
     if isinstance(source, ReducedState):
-        return source.r, source.p_r
-    if isinstance(source, PhaseState):
+        r, p_r = source.r, source.p_r
+    elif isinstance(source, PhaseState):
         if source.d != 1:
             raise ValueError("pass a ReducedState for d > 1")
         rs = to_hyperspherical(source)
-        return rs.r, rs.p_r
-    r, p_r = source
-    return float(r), float(p_r)
+        r, p_r = rs.r, rs.p_r
+    else:
+        r, p_r = map(float, source)
+    if r <= 0:
+        raise ValueError("r must be positive")
+    try:
+        r2 = r ** 2
+    except OverflowError:
+        r2 = math.inf
+    if not math.isfinite(r2):
+        raise NonFiniteError(f"r**2 is not finite at r = {r!r}")
+    return r, p_r, r2
 
 
 def to_klein(source: Union[ReducedState, PhaseState, tuple],
@@ -126,19 +137,17 @@ def to_klein(source: Union[ReducedState, PhaseState, tuple],
     pair. I = 0 is rejected: w degenerates to a real ray and every formula
     divides by sqrt(2I).
     """
-    r, p_r = _radial_pair(source)
-    if r <= 0:
-        raise ValueError("r must be positive")
+    r, p_r, r2 = _radial_pair(source)
     if I == 0.0:
         raise ZeroAngularEnergyError(
             "the half-plane coordinate is undefined at I = 0")
     a = p_r / r
     if I > 0.0:
         s = math.sqrt(2.0 * I)
-        return KleinPoint(POSITIVE_I, complex(a, s / r ** 2),
-                          complex(a, -s / r ** 2), s)
+        return KleinPoint(POSITIVE_I, complex(a, s / r2),
+                          complex(a, -s / r2), s)
     s = math.sqrt(-2.0 * I)
-    return KleinPoint(NEGATIVE_I, a + s / r ** 2, a - s / r ** 2, s)
+    return KleinPoint(NEGATIVE_I, a + s / r2, a - s / r2, s)
 
 
 def killing_forms(kp: KleinPoint) -> tuple:
@@ -177,8 +186,8 @@ def tilde_map(rs: Union[ReducedState, PhaseState, tuple], I: float) -> tuple:
     sign of D. Consistency contract (verified in the tests): the point
     w~ = -r~/p~ + i sqrt(2I)/p~^2 equals invert(to_klein(rs, I)).
     """
-    r, p_r = _radial_pair(rs)
-    h = 0.5 * p_r ** 2 + I / r ** 2
+    r, p_r, r2 = _radial_pair(rs)
+    h = 0.5 * p_r ** 2 + I / r2
     if h <= 0:
         raise NonPositiveEnergyError(
             f"tilde map needs H > 0, got H = {h:.6g}")
@@ -446,10 +455,10 @@ def assemble_omega(rs: Union[ReducedState, PhaseState, tuple],
     """
     if I <= 0:
         raise ZeroAngularEnergyError("the Kahler block needs I > 0")
-    r, p_r = _radial_pair(rs)
+    _, _, r2 = _radial_pair(rs)
     d = sphere.d
     g = math.sqrt(2.0 * I)
-    im_w = g / r ** 2
+    im_w = g / r2
     m = 2 * d
     omega = np.zeros((m, m))
     omega[0, 1] = g / (2.0 * im_w ** 2)

@@ -49,6 +49,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.name not in _CATALOG:
             raise ValueError(f"unknown model {self.name!r}")
+        for key in ("kappa", "omega", "gamma", "g"):
+            if not math.isfinite(self.params.get(key, 0.0)):
+                raise ValueError(f"{self.name} parameter {key} must be "
+                                 f"finite, got {self.params[key]!r}")
         constructor, takes = _CATALOG[self.name]
         constructor(self.d, self.params)  # checks the parameters
         if self.d < 1:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from confmech.cli import (
+    _csv,
     main,
     parse_config,
     read_trajectory_csv,
@@ -491,7 +493,7 @@ class TestRowFormatter:
              np.inf, -np.inf, -1e-5]
 
     def test_edge_values_over_several_chunks(self):
-        # 2,600 rows: two full 1,024-row chunks and a partial one
+        # 2,600 rows: ten full 256-row chunks and a partial one
         n, d = 2600, 3
         values = np.resize(np.array(self.EDGES), (n, 2 * d + 4))
         traj = _table_trajectory(values)
@@ -509,6 +511,56 @@ class TestRowFormatter:
         traj = _table_trajectory(values)
         assert _first_difference(trajectory_csv(traj),
                                  _per_value_csv(traj)) is None
+
+    @staticmethod
+    def _matches(values, width=10):
+        """``values`` laid out row by row in a table of ``width`` columns
+        (zero-padded) write as the per-value formatter writes them."""
+        values = np.asarray(values, dtype=np.float64).ravel()
+        values = np.resize(values, -(-len(values) // width) * width)
+        traj = _table_trajectory(values.reshape(-1, width))
+        return _first_difference(trajectory_csv(traj),
+                                 _per_value_csv(traj)) is None
+
+    def test_ties_at_the_17th_digit(self):
+        # 1 + j 2**-17 has 18 significant digits, the last a 5: a tie that
+        # rounds to even
+        ones = 1.0 + np.arange(1, 4001) * 2.0 ** -17
+        assert self._matches(np.concatenate([ones, -ones]))
+        assert self._matches(np.arange(1, 20001) * 2.0 ** -20)
+
+    def test_neighbours_of_the_fixed_notation_ends(self):
+        tens = 10.0 ** np.arange(-4, 18)
+        near = [np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf),
+                [9.9999999999999991e-05, 1e16 - 2, 1e17 - 16]]
+        values = np.concatenate(near)
+        assert self._matches(np.concatenate([values, -values]))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64,
+                            endpoint=False).view(np.float64)
+        assert self._matches(bits[np.isfinite(bits)])
+        # the fixed-notation range, where the numpy path does the work
+        mid = rng.uniform(-1.0, 1.0, 50_000) * 10.0 ** rng.integers(
+            -5, 18, 50_000)
+        assert self._matches(mid)
+
+    @pytest.mark.parametrize("rows", [255, 256, 257, 1025])
+    def test_chunk_edges(self, rows):
+        rng = np.random.default_rng(rows)
+        assert self._matches(rng.standard_normal(rows * 10))
+
+    def test_one_value_table(self):
+        for v in (0.1, -2.5, 1e-7, np.nan):
+            assert _csv(["x"], [np.array([v])]) == f"x\n{v:.17g}\n"
+
+    def test_special_values_raise_no_warning(self):
+        values = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.225073858507201e-308, -1e-310, 1.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self._matches(values)
 
 
 # the catalog (models.catalog()) as command-line flags

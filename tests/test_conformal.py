@@ -330,6 +330,11 @@ class TestStateRows:
         with pytest.raises(ValueError, match="n must be"):
             sample_states(2, -1, np.random.default_rng(0))
 
+    def test_zero_dimension_rejected(self):
+        # refused at the call, not left to items that raise when read
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            sample_states(0, 3, np.random.default_rng(0))
+
     def test_sequence_contract(self):
         sys_ = models.build(models.spec("calogero", n=4, g=1.0))
         states = sample_states(3, 7, np.random.default_rng(4),

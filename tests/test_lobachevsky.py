@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from confmech import dual, lobachevsky, models, phase
 from confmech.conformal import _casimir, build_system, casimir_I
 from confmech.errors import (
+    NonFiniteError,
     NonPositiveEnergyError,
     ZeroAngularEnergyError,
     ZeroWError,
@@ -91,6 +92,10 @@ class TestToKlein:
     def test_from_phase_state(self):
         kp = to_klein(PhaseState([2.0], [1.0]), 0.5)
         assert kp.w == pytest.approx(0.5 + 0.25j)
+
+    def test_overflowing_radius_is_non_finite(self):
+        with pytest.raises(NonFiniteError, match="r\\*\\*2 is not finite"):
+            to_klein((1e308, 1e308), 1.0)
 
 
 class TestKillingForms:
@@ -241,6 +246,12 @@ class TestTildeMap:
     def test_nonpositive_energy_rejected(self):
         with pytest.raises(NonPositiveEnergyError):
             tilde_map((1.0, 0.0), -0.5)  # H = -0.5 + 0 = -0.5 < 0
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_nonpositive_radius_rejected(self, r):
+        # as to_klein refuses it, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="r must be positive"):
+            tilde_map((r, 1.0), 1.0)
 
     def test_consistency_contract(self, catalog_systems):
         # w~ assembled from (p~, r~) equals invert(to_klein(.))

@@ -36,6 +36,19 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             models.spec("inverse-square", d=2)  # kappa missing
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name,key,kwargs", [
+        ("inverse-square", "kappa", dict(d=2)),
+        ("higgs", "omega", dict(d=3)),
+        ("coulomb", "gamma", dict(d=3)),
+        ("calogero", "g", dict(n=3)),
+    ])
+    def test_non_finite_parameter_named(self, name, key, kwargs, bad):
+        # refused where the spec is made, not later as a misnamed failure
+        with pytest.raises(ValueError, match=f"parameter {key} must be "
+                                             "finite"):
+            models.spec(name, **kwargs, **{key: bad})
+
     def test_name_surface(self):
         assert tuple(models._CATALOG) == (
             "free", "inverse_square", "conformal_higgs", "conformal_coulomb",
