@@ -631,3 +631,25 @@ def test_reconstruct_calls_match_their_manifest():
     assert sum("inverse_square(d=2, kappa=-0.5)" in key for key in table) == 4
     assert sum("calogero_relative(d=3, g=1, n=4)" in key for key in table) == 4
     assert table == {key: pinned[key] for key in table}
+
+
+def test_simulate_runs_match_their_manifest():
+    # tests/identity_simulate.py checks all pinned Verlet runs; this
+    # recomputes the smoke-size workload of seed 0 (its refused command
+    # among them), one attractive system's runs that stop at step 1, at
+    # both edges of a 256-step block and at the final step, and the
+    # unguarded escapes that overflow at such steps
+    import identity_simulate
+
+    pinned = json.loads(identity_simulate.MANIFEST.read_text())
+    base = "library inverse_square(d=1, kappa=-0.5) state 0 dt 0.0001"
+    table = identity_simulate.workload_runs(
+        lambda key: key.startswith("workload seed 0 smoke "))
+    with np.errstate(all="ignore"):
+        runs = identity_simulate.library_runs(
+            lambda key: key.startswith((base, "library escape ")))
+    stops = identity_simulate.stop_steps(runs)
+    assert sorted(stops) == [1, 255, 256, 257, 511, 512, 513, 915, 915]
+    table.update((key, digest) for key, (digest, _) in runs.items())
+    assert len(table) == 5 + 9 + 4
+    assert table == {key: pinned[key] for key in table}
