@@ -108,7 +108,7 @@ class KleinPoint:
 
 
 def _radial_pair(source) -> tuple:
-    """(r, p_r, r**2) of a source, with r > 0 and r**2 finite."""
+    """(r, p_r, r**2) of a source, with r > 0 and 0 < r**2 < inf."""
     if isinstance(source, ReducedState):
         r, p_r = source.r, source.p_r
     elif isinstance(source, PhaseState):
@@ -124,8 +124,8 @@ def _radial_pair(source) -> tuple:
         r2 = r ** 2
     except OverflowError:
         r2 = math.inf
-    if not math.isfinite(r2):
-        raise NonFiniteError(f"r**2 is not finite at r = {r!r}")
+    if not 0.0 < r2 < math.inf:  # every map divides by r**2
+        raise NonFiniteError(f"r**2 is not finite and nonzero at r = {r!r}")
     return r, p_r, r2
 
 

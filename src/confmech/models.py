@@ -78,12 +78,13 @@ def spec(name: str, d: int = None, **params) -> ModelSpec:
                          f"{sorted(set(_ALIASES))}") from None
     if canonical == "calogero_relative":
         n = params.pop("particles", params.get("n", 0))
+        # first, as NaN equals no n (itself included) and int(inf) raises
+        if not math.isfinite(n) or n != int(n):
+            raise ValueError("calogero_relative needs a whole number of "
+                             f"particles, got {n!r}")
         if params.get("n", n) != n:
             raise ValueError(f"calogero_relative got n={params['n']!r} and "
                              f"particles={n!r}; give one of them")
-        if n != int(n):
-            raise ValueError("calogero_relative needs a whole number of "
-                             f"particles, got {n!r}")
         params["n"] = int(n)
         params.setdefault("g", 1.0)
         if d is None:

@@ -38,6 +38,8 @@ from .errors import (
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # integrators stop this close to the potential's singular set
 _SINGULAR_GUARD = 1e-6
+# integrate_verlet checks its guard once per this many steps
+_VERLET_BLOCK = 256
 # accepted-or-rejected step budget of integrate_adaptive
 _MAX_STEPS = 1_000_000
 
@@ -330,10 +332,17 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     integrator stops with :class:`SingularityApproachError` (reporting the
     last good time and a copy of the last good state) when the
     configuration comes within 1e-6 of the system's ``singular_distance``
-    (if set); this is the finite-time-collapse diagnostic. ``t_end`` must
-    be a whole multiple of ``dt`` (see :func:`verlet_steps`). Each step is
-    written in place into its output row, which then serves as the state
-    the next step starts from.
+    (if set), or takes a step longer than 0.9 of it; this is the
+    finite-time-collapse diagnostic. ``t_end`` must be a whole multiple
+    of ``dt`` (see :func:`verlet_steps`). Each step is written in place
+    into its output row, which then serves as the state the next step
+    starts from. The guard and the finiteness test run once per block of
+    256 rows, on the rows it wrote (by point calls up to the first stop,
+    for a distance without a ``rows`` form), and raise as a test after
+    each step would. Steps run under ``np.errstate(all="ignore")``, and
+    past a stop may call the gradient 255 extra times (an error raised
+    there yields to the stop); under ``-W error`` an overflow thus ends
+    as the typed error or result it gives without ``-W error``.
     """
     n_steps = verlet_steps(dt, t_end)
     V = system.V
@@ -352,35 +361,54 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     # for bit (negation is exact); the kick closing a step opens the next
     half_dt = 0.5 * dt
     kick = half_dt * _grad_arrays(V, q, p)[0]
-    t = 0.0
-    # without a guard no step length is taken (its dot product would warn
-    # on overflow), so the full finiteness test runs on every step
-    step = math.nan
-    for k in range(1, n_steps + 1):
-        p_half = p - kick
-        q_new = np.add(q, dt * p_half, out=qs[k])
-        if sdist is not None:
-            dist = sdist(q_new)
-            # a step comparable to the singular distance cannot resolve
-            # the approach: the fixed-step scheme would hop the singularity
-            move = q_new - q
-            step = math.sqrt(move.dot(move))  # np.linalg.norm's formula
-            if dist < _SINGULAR_GUARD or step > 0.9 * dist:
-                raise SingularityApproachError(
-                    "trajectory entered the singular exclusion zone near "
-                    f"t={t:.6g}", last_good_time=t,
-                    state=PhaseState(q.copy(), p.copy()))
-        # a finite q and q_new give a finite step unless move.dot(move)
-        # overflows; only then, or without a guard, are q_new's entries
-        # tested one by one
-        if not math.isfinite(step) and not np.isfinite(q_new).all():
-            raise NonFiniteError("position became non-finite during Verlet "
-                                 f"integration near t={t:.6g}")
-        q = q_new
-        kick = half_dt * _grad_arrays(V, q, p_half)[0]
-        p = np.subtract(p_half, kick, out=ps[k])
-        t = k * dt
+    with np.errstate(all="ignore"):
+        for start in range(1, n_steps + 1, _VERLET_BLOCK):
+            end = min(start + _VERLET_BLOCK, n_steps + 1)
+            failure = None
+            try:
+                for k in range(start, end):
+                    p_half = p - kick
+                    q = np.add(q, dt * p_half, out=qs[k])
+                    kick = half_dt * _grad_arrays(V, q, p_half)[0]
+                    p = np.subtract(p_half, kick, out=ps[k])
+            except Exception as exc:
+                # checked up to row k if step k wrote it (q is then row k)
+                failure, end = exc, k + np.may_share_memory(q, qs[k])
+            _check_verlet_rows(sdist, qs, ps, start, end, dt)
+            if failure is not None:
+                raise failure
     return Trajectory(ts, qs, ps, _monitor_rows(system.monitors(), ts, qs, ps))
+
+
+def _check_verlet_rows(sdist, qs, ps, start, end, dt):
+    """Raise the Verlet flow's first stop in rows ``start .. end - 1``."""
+    Q = qs[start - 1:end]
+    bad = ~np.isfinite(Q[1:]).all(-1)
+    near = np.zeros_like(bad)
+    if sdist is not None:
+        # a step comparable to the singular distance cannot resolve the
+        # approach: the fixed-step scheme would hop the singularity. Each
+        # step length is its row's math.sqrt(m.dot(m)) bit for bit
+        M = Q[1:] - Q[:-1]
+        step = np.sqrt(np.vecdot(M, M))
+        rows = getattr(sdist, "rows", None)
+        dist = rows(Q[1:]) if rows else np.full(len(M), np.inf)
+        for i in range(0 if rows else len(M)):
+            dist[i] = sdist(Q[1 + i])
+            if bad[i] or dist[i] < _SINGULAR_GUARD \
+                    or step[i] > 0.9 * dist[i]:
+                break
+        near = (dist < _SINGULAR_GUARD) | (step > 0.9 * dist)
+    if (bad | near).any():
+        k = start + int(np.argmax(bad | near))
+        t = (k - 1) * dt
+        if near[k - start]:
+            raise SingularityApproachError(
+                "trajectory entered the singular exclusion zone near "
+                f"t={t:.6g}", last_good_time=t,
+                state=PhaseState(qs[k - 1].copy(), ps[k - 1].copy()))
+        raise NonFiniteError("position became non-finite during Verlet "
+                             f"integration near t={t:.6g}")
 
 
 # Dormand-Prince 5(4) embedded pair.

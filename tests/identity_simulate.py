@@ -11,10 +11,11 @@ Two groups of runs, each hashed to one SHA-256 per run:
   three potentials with no guard at all, started 1000 times closer to the
   origin, and unguarded escapes fast enough that the position overflows
   at a chosen step. A run that stops hashes its error type, message,
-  ``last_good_time`` and state bits; a run that finishes hashes its CSV. Each guarded system's first run that stops at
-  step 514 or later is run again from later rows of itself, so that it
-  stops at step 1, 255, 256, 257, 511, 512 and 513, and once more cut at
-  its stop, so that it stops at its final step.
+  ``last_good_time`` and state bits; a run that finishes hashes its CSV.
+  Each guarded system's first run that stops at step 514 or later is run
+  again from later rows of itself, so that it stops at steps 1, 255, 256,
+  257, 511, 512 and 513, and once more cut at its stop, so that it stops
+  at its final step.
 
 ``identity_simulate.json`` beside this file holds every digest.
 
@@ -42,7 +43,8 @@ from identity_reconstruct import ROOT, _load_workloads, combined
 MANIFEST = Path(__file__).with_name("identity_simulate.json")
 SEEDS = range(8)
 SIZES = ("full", "smoke")
-# every catalog system with a singular set
+# the guard's systems: attractive and repulsive inverse-square in d = 1..3
+# and every other model with a singular set
 GUARD_MODELS = ([("inverse-square", dict(d=d, kappa=k))
                  for d in (1, 2, 3) for k in (-0.5, 0.5)]
                 + [("higgs", dict(d=3, omega=1.0)),
@@ -66,6 +68,8 @@ def infalling_states(sys_, n, seed):
     """Seeded states 5e-2 or more off the singular set (when there is
     one), moving toward the origin at speed 0.5 to 3 with a small sideways
     kick."""
+    from confmech.phase import PhaseState
+
     rng = np.random.default_rng(seed)
     states = []
     while len(states) < n:
@@ -75,7 +79,7 @@ def infalling_states(sys_, n, seed):
             continue
         speed = rng.uniform(0.5, 3.0)
         p = -speed * q / np.sqrt(q @ q) + 0.2 * rng.normal(size=sys_.d)
-        states.append((q, p))
+        states.append(PhaseState(q, p))
     return states
 
 
@@ -115,8 +119,9 @@ def library_runs(select=lambda key: True):
                     else build_system(models.potential(ms), ms.d))
             tag = ("library " if guarded else "library unguarded ") + ms.label
             long_run = None
-            for i, (q, p) in enumerate(infalling_states(sys_, STATES, 29)):
-                s0 = PhaseState(q if guarded else 1e-3 * q, p)
+            for i, s0 in enumerate(infalling_states(sys_, STATES, 29)):
+                if not guarded:
+                    s0 = PhaseState(1e-3 * s0.q, s0.p)
                 for dt in DTS:
                     n_steps = round(1.0 / dt)
                     key = f"{tag} state {i} dt {dt!r} steps {n_steps}"

@@ -97,6 +97,18 @@ class TestToKlein:
         with pytest.raises(NonFiniteError, match="r\\*\\*2 is not finite"):
             to_klein((1e308, 1e308), 1.0)
 
+    @pytest.mark.parametrize("p_r", [1e300, 1.0, 0.0])
+    def test_underflowing_radius_is_non_finite(self, p_r):
+        # r = 1e-300 squares to 0.0, and every form divides by r**2: a
+        # typed error, not a ZeroDivisionError, from each map
+        for call in (lambda: killing_forms(to_klein((1e-300, p_r), 1.0)),
+                     lambda: tilde_map((1e-300, p_r), 1.0),
+                     lambda: to_klein((1e-300, p_r), -1.0)):
+            with pytest.raises(NonFiniteError,
+                               match=r"r\*\*2 is not finite and nonzero "
+                                     r"at r = 1e-300"):
+                call()
+
 
 class TestKillingForms:
     def test_values(self):

@@ -98,6 +98,17 @@ class TestModelSpec:
         ms = models.spec("calogero", particles=4, g=1.0)
         assert ms.d == 3 and ms.params["n"] == 4
 
+    @pytest.mark.parametrize("size", ["particles", "n"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_calogero_size_must_be_finite(self, size, bad):
+        # NaN once fell through to a KeyError and infinity to int(inf)'s
+        # OverflowError; both are a ValueError naming the particles
+        with pytest.raises(ValueError) as err:
+            models.spec("calogero", g=1.0, **{size: bad})
+        assert str(err.value) == ("calogero_relative needs a whole number "
+                                  f"of particles, got {bad!r}")
+
     def test_calogero_sizes_must_agree(self):
         with pytest.raises(ValueError) as err:
             models.spec("calogero", n=3, particles=5)

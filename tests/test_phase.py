@@ -1,5 +1,7 @@
 """Bracket engine, gradients, and reference integrators."""
 
+import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -24,21 +26,26 @@ from confmech.errors import (
     StepUnderflowError,
 )
 from confmech.phase import (
+    _SINGULAR_GUARD,
     Observable,
     PhaseState,
     Trajectory,
+    _grad_arrays,
     _grad_rows,
+    _monitor_rows,
     brackets,
     grad,
     grad_finite_difference,
     integrate_adaptive,
     integrate_verlet,
     poisson_bracket,
+    verlet_steps,
 )
 from confmech.radial import RadialData, radial_squared
 from confmech.reduction import SphericalSystem
 
 from conftest import model_states
+from identity_simulate import GUARD_MODELS, infalling_states
 
 
 def position_observable(i: int, d: int) -> Observable:
@@ -55,31 +62,6 @@ def momentum_observable(i: int, d: int) -> Observable:
         dp[_i] = 1.0
         return np.zeros(_d), dp
     return Observable(d, lambda q, p: p[i], grad_fn=gfn, name=f"p{i}")
-
-
-# the guard's systems: attractive and repulsive inverse-square in d = 1..3
-# and every other model with a singular set
-GUARD_MODELS = ([("inverse-square", dict(d=d, kappa=k))
-                 for d in (1, 2, 3) for k in (-0.5, 0.5)]
-                + [("higgs", dict(d=3, omega=1.0)),
-                   ("coulomb", dict(d=3, gamma=1.0)),
-                   ("calogero", dict(n=3, g=1.0)),
-                   ("calogero", dict(n=4, g=1.0))])
-
-
-def infalling_states(sys_, n, seed):
-    """Seeded states 5e-2 or more off the singular set, moving toward the
-    origin at speed 0.5 to 3 with a small sideways kick."""
-    rng = np.random.default_rng(seed)
-    states = []
-    while len(states) < n:
-        q = rng.normal(size=sys_.d)
-        if sys_.singular_distance(q) < 0.05:
-            continue
-        speed = rng.uniform(0.5, 3.0)
-        p = -speed * q / np.sqrt(q @ q) + 0.2 * rng.normal(size=sys_.d)
-        states.append(PhaseState(q, p))
-    return states
 
 
 @pytest.fixture(scope="module")
@@ -544,6 +526,238 @@ class TestVerlet:
         # 3 * 0.1 = 0.30000000000000004 is a multiple up to rounding
         traj = integrate_verlet(eq1, PhaseState([1.0], [0.0]), 0.1, 0.3)
         assert len(traj) == 4 and traj.times[-1] == pytest.approx(0.3)
+
+
+def _stepwise_verlet(system, s0, dt, t_end):
+    """The Verlet flow with its guard and finiteness test after every
+    step, as integrate_verlet ran before it checked them per block: the
+    reference the blocked loop is held to, bit for bit."""
+    n_steps = verlet_steps(dt, t_end)
+    V = system.V
+    sdist = system.singular_distance
+    if sdist is not None and sdist(s0.q) < _SINGULAR_GUARD:
+        raise SingularityApproachError(
+            "initial state is inside the singular exclusion zone",
+            last_good_time=0.0, state=s0)
+    ts = dt * np.arange(n_steps + 1)
+    qs = np.empty((n_steps + 1, s0.d))
+    ps = np.empty((n_steps + 1, s0.d))
+    qs[0], ps[0] = s0.q, s0.p
+    q, p = qs[0], ps[0]
+    half_dt = 0.5 * dt
+    kick = half_dt * _grad_arrays(V, q, p)[0]
+    t = 0.0
+    step = math.nan
+    for k in range(1, n_steps + 1):
+        p_half = p - kick
+        q_new = np.add(q, dt * p_half, out=qs[k])
+        if sdist is not None:
+            dist = sdist(q_new)
+            move = q_new - q
+            step = math.sqrt(move.dot(move))
+            if dist < _SINGULAR_GUARD or step > 0.9 * dist:
+                raise SingularityApproachError(
+                    "trajectory entered the singular exclusion zone near "
+                    f"t={t:.6g}", last_good_time=t,
+                    state=PhaseState(q.copy(), p.copy()))
+        if not math.isfinite(step) and not np.isfinite(q_new).all():
+            raise NonFiniteError("position became non-finite during Verlet "
+                                 f"integration near t={t:.6g}")
+        q = q_new
+        kick = half_dt * _grad_arrays(V, q, p_half)[0]
+        p = np.subtract(p_half, kick, out=ps[k])
+        t = k * dt
+    return Trajectory(ts, qs, ps, _monitor_rows(system.monitors(), ts, qs, ps))
+
+
+def _verlet_outcome(integrate, system, s0, dt, t_end):
+    """A run's result as bytes: the error's type, message, last good time
+    and state, or the times, rows and monitors of its trajectory."""
+    try:
+        traj = integrate(system, s0, dt, t_end)
+    except (DomainError, NonFiniteError, SingularityApproachError) as err:
+        state = err.state if hasattr(err, "state") else None
+        return (type(err).__name__, str(err),
+                repr(getattr(err, "last_good_time", None)),
+                None if state is None else (state.q.tobytes(),
+                                            state.p.tobytes()))
+    return (traj.times.tobytes(), traj.qs.tobytes(), traj.ps.tobytes(),
+            [(key, val.tobytes()) for key, val in traj.monitors.items()])
+
+
+@functools.lru_cache(maxsize=None)
+def _guard_system(index):
+    name, kwargs = GUARD_MODELS[index]
+    return models.build(models.spec(name, **kwargs))
+
+
+def _point_distance(sys_):
+    """``sys_`` with its singular distance stripped of the ``rows`` form,
+    and the list its point calls append to."""
+    calls = []
+
+    def point(q):
+        calls.append(None)
+        return sys_.singular_distance(q)
+    return dataclasses.replace(sys_, singular_distance=point), calls
+
+
+class TestBlockedVerlet:
+    """integrate_verlet checks its guard once per block of 256 rows; every
+    result must be bit for bit that of the loop checking after each step."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("rows", [True, False],
+                             ids=["rows-form", "point-calls"])
+    def test_matches_the_stepwise_loop(self, rows, data):
+        # catalog states 0.3 to 2 from the origin, falling in at up to
+        # speed 4 with a sideways kick, at step sizes from resolved to
+        # coarse over up to four blocks: finished runs and stops alike
+        sys_ = _guard_system(data.draw(st.integers(0, len(GUARD_MODELS) - 1)))
+        unit = hnp.arrays(float, sys_.d, elements=st.floats(-1.0, 1.0))
+        u = data.draw(unit)
+        assume(u @ u > 0.01)
+        q = data.draw(st.floats(0.3, 2.0)) * u / math.sqrt(u @ u)
+        assume(sys_.singular_distance(q) >= 1e-3)
+        speed = data.draw(st.floats(0.0, 4.0))
+        s0 = PhaseState(q, -speed * u / math.sqrt(u @ u)
+                        + 0.25 * data.draw(unit))
+        dt = data.draw(st.sampled_from((1e-3, 4e-3, 0.01, 0.03, 0.1)))
+        n_steps = data.draw(st.integers(1, 1000))
+        if rows:
+            blocked = stepwise = sys_
+        else:
+            blocked, blocked_calls = _point_distance(sys_)
+            stepwise, stepwise_calls = _point_distance(sys_)
+        assert _verlet_outcome(integrate_verlet, blocked, s0, dt,
+                               n_steps * dt) == \
+            _verlet_outcome(_stepwise_verlet, stepwise, s0, dt, n_steps * dt)
+        if not rows:
+            # the point calls stop at the first stopping row
+            assert len(blocked_calls) == len(stepwise_calls)
+
+    @pytest.mark.parametrize("rows", [True, False],
+                             ids=["rows-form", "point-calls"])
+    def test_guard_outcomes_match_the_stepwise_loop(self, rows):
+        # the pinned guard runs, each also with its distance's rows form
+        # removed: same outcome and, without it, the same point calls
+        stops = 0
+        for index in range(len(GUARD_MODELS)):
+            sys_ = _guard_system(index)
+            for s0, dt in itertools.product(
+                    infalling_states(sys_, 3, seed=7), (1e-3, 0.05)):
+                blocked, blocked_calls = _point_distance(sys_)
+                stepwise, stepwise_calls = _point_distance(sys_)
+                if rows:
+                    blocked = stepwise = sys_
+                got = _verlet_outcome(integrate_verlet, blocked, s0, dt, 1.0)
+                assert got == _verlet_outcome(_stepwise_verlet, stepwise,
+                                              s0, dt, 1.0)
+                assert len(blocked_calls) == len(stepwise_calls)
+                stops += got[0] == "SingularityApproachError"
+        assert stops == 27
+
+    @staticmethod
+    def _raising_gradient(sys_, at):
+        """``sys_`` with a potential gradient that raises DomainError on
+        its call number ``at`` (the initial kick is call 0, step k's
+        gradient call k)."""
+        calls = []
+        dV = sys_.V.grad_fn
+
+        def grad_fn(q, p):
+            calls.append(None)
+            if len(calls) - 1 == at:
+                raise DomainError(f"gradient refused call {at}")
+            return dV(q, p)
+        V = Observable(sys_.d, sys_.V.fn, grad_fn=grad_fn, vectorized=True)
+        return dataclasses.replace(sys_, V=V)
+
+    @pytest.mark.parametrize("at", [0, 1, 131, 133, 134, 137, 255, 300])
+    def test_gradient_error_after_a_stop_yields_to_it(self, at):
+        # this run's guard stops at step 134: a gradient error at a later
+        # step of the same block (computed past the stop) gives the stop,
+        # and one at step 133 or before propagates, as it does when the
+        # guard is checked after each step
+        sys_ = models.build(models.spec("inverse-square", d=1, kappa=-0.5))
+        s0 = PhaseState([1.0], [-1.5])
+        got = _verlet_outcome(integrate_verlet,
+                              self._raising_gradient(sys_, at), s0, 3e-3,
+                              0.9)
+        assert got == _verlet_outcome(_stepwise_verlet,
+                                      self._raising_gradient(sys_, at), s0,
+                                      3e-3, 0.9)
+        assert got[0] == ("DomainError" if at < 134
+                          else "SingularityApproachError")
+        if at < 134:
+            assert got[1] == f"gradient refused call {at}"
+        else:
+            assert got[2] == repr(133 * 3e-3)
+
+    def test_malformed_first_kick_raises_before_any_row(self):
+        # a first gradient of the wrong shape fails step 1 before it
+        # writes its row, which is then not checked
+        sys_ = models.build(models.spec("inverse-square", d=1, kappa=0.5))
+        V = Observable(1, sys_.V.fn, grad_fn=lambda q, p: (
+            np.ones(2), np.zeros(2)), vectorized=True)
+        bad = dataclasses.replace(sys_, V=V)
+        for integrate in (integrate_verlet, _stepwise_verlet):
+            with pytest.raises(ValueError, match="broadcast"):
+                integrate(bad, PhaseState([1.0], [0.0]), 1e-3, 1.0)
+
+    def test_steps_past_a_stop_raise_no_warning(self):
+        # a guarded escape stops at step 1, its step longer than 0.9 of
+        # its distance; the block's later steps overflow (the gradient's
+        # |q|**4 first), which raises under warnings-as-errors in a loop
+        # without np.errstate, but not here
+        sys_ = models.build(models.spec("inverse-square", d=2, kappa=0.5))
+        s0 = PhaseState([1.0, 0.0], [1e151, 0.0])
+        unguarded = dataclasses.replace(sys_, singular_distance=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                _stepwise_verlet(unguarded, s0, 0.1, 5.0)
+            got = _verlet_outcome(integrate_verlet, sys_, s0, 0.1, 5.0)
+            assert got == _verlet_outcome(_stepwise_verlet, sys_, s0, 0.1,
+                                          5.0)
+        assert got[:3] == ("SingularityApproachError",
+                           "trajectory entered the singular exclusion zone "
+                           "near t=0", "0.0")
+        # nor is a warning shown when warnings are not errors
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert _verlet_outcome(integrate_verlet, sys_, s0, 0.1,
+                                   5.0) == got
+        assert shown == []
+
+    def test_guard_comes_before_finiteness(self):
+        # a higgs step whose x overflows to inf keeps x_3 = 1: the row is
+        # not finite, and its infinite step is longer than 0.9 of its
+        # distance, so the guard stops the run, as it does step by step
+        sys_ = models.build(models.spec("higgs", d=3, omega=1.0))
+        s0 = PhaseState([1.0, 0.4, 1.0], [1e308, 0.0, 0.0])
+        with np.errstate(all="ignore"):
+            want = _verlet_outcome(_stepwise_verlet, sys_, s0, 10.0, 100.0)
+        assert want[:3] == ("SingularityApproachError",
+                            "trajectory entered the singular exclusion zone "
+                            "near t=0", "0.0")
+        assert _verlet_outcome(integrate_verlet, sys_, s0, 10.0,
+                               100.0) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 6), data=st.data())
+    def test_vecdot_step_lengths_match_the_point_formula(self, d, data):
+        # the guard's step lengths on rows equal math.sqrt(m.dot(m)) of
+        # each row bit for bit, overflow to inf included: every guard
+        # decision rests on it
+        M = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 20)), d),
+                                 elements=st.floats(allow_nan=False,
+                                                    allow_infinity=False)))
+        with np.errstate(over="ignore"):
+            rows = np.sqrt(np.vecdot(M, M))
+            point = [math.sqrt(m.dot(m)) for m in M]
+        assert rows.tobytes() == np.array(point).tobytes()
 
 
 class TestAdaptive:
