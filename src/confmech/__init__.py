@@ -29,7 +29,6 @@ from .errors import (
     NotHomogeneousError,
     SingularityApproachError,
     StepUnderflowError,
-    UnsupportedModelError,
     UsageError,
     ZeroAngularEnergyError,
     ZeroWError,
@@ -49,12 +48,10 @@ from .models import (
     ModelSpec,
     calogero_relative,
     catalog,
-    jacobi_matrix,
     potential,
     reference_state,
     singular_directions,
     spec,
-    spherical_counterpart,
 )
 from .phase import (
     Observable,
@@ -77,7 +74,6 @@ from .reduction import (
     SphericalSystem,
     angular_potential,
     from_hyperspherical,
-    sphere_metric_inverse,
     spherical_energy,
     spherical_system_from,
     to_hyperspherical,

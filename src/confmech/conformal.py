@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfmechError, IncompleteResultError
-from .phase import Observable, PhaseState, _grad_rows, brackets
+from .phase import Observable, PhaseState, brackets, grad
 
 
 @dataclass(frozen=True)
@@ -275,13 +275,13 @@ def check_homogeneity(V: Observable, d: int, samples: int = 100,
     its gradient are then evaluated once over all the rows.
     """
     def finite(Q, P):
-        _grad_rows(V, Q, np.zeros_like(Q))  # raises on a non-finite row
+        grad(V, Q, np.zeros_like(Q))  # raises on a non-finite row
         return np.ones(len(Q), dtype=bool)
 
     Q, _ = _seeded_rows(d, samples, tol, seed, singular_distance, finite)
     P = np.zeros_like(Q)
     v = V.fn(Q, P)
-    dq, _ = _grad_rows(V, Q, P)
+    dq, _ = grad(V, Q, P)
     worst = float(np.max(np.abs(np.vecdot(Q, dq) + 2.0 * v)
                          / np.maximum(1.0, np.abs(v))))
     return HomogeneityReport(max_residual=worst, samples=samples, tol=tol,
@@ -304,9 +304,6 @@ class AlgebraReport:
     @property
     def relations(self):
         return list(self.residuals)
-
-    def failing(self):
-        return [k for k, v in self.residuals.items() if v >= self.tol]
 
     def to_dict(self) -> dict:
         doc = {"relations": self.relations, **asdict(self)}

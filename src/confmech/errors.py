@@ -63,10 +63,6 @@ class DomainError(ConfmechError):
     """A model potential was evaluated exactly on its singular set."""
 
 
-class UnsupportedModelError(ConfmechError):
-    """The requested closed form does not exist for this model."""
-
-
 class ZeroAngularEnergyError(ConfmechError):
     """The half-plane coordinate degenerates at I = 0; both branches are
     undefined there."""

@@ -34,6 +34,7 @@ acquire nonzero brackets with the angular ones through I(u).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from typing import Union
@@ -91,6 +92,8 @@ class KleinPoint:
     def __post_init__(self):
         if self.branch not in (POSITIVE_I, NEGATIVE_I):
             raise ValueError(f"unknown branch {self.branch!r}")
+        if not all(map(cmath.isfinite, (self.w, self.wbar, self.sqrt2I))):
+            raise NonFiniteError(f"half-plane point {self!r} is not finite")
         if self.sqrt2I <= 0:
             raise ValueError("sqrt2I must be positive")
         if self.branch == POSITIVE_I and self.w.imag <= 0:
@@ -157,7 +160,8 @@ def killing_forms(kp: KleinPoint) -> tuple:
         K = sigma / (w - wbar),
 
     real on both branches, and equal to the direct p_r^2/2 + I/r^2, p_r r,
-    r^2/2 of the source state.
+    r^2/2 of the source state; a form that overflows raises
+    :class:`NonFiniteError`.
     """
     diff = kp.w - kp.wbar
     if diff == 0:
@@ -165,18 +169,25 @@ def killing_forms(kp: KleinPoint) -> tuple:
     h = kp.sigma * kp.w * kp.wbar / diff
     dd = kp.sigma * (kp.w + kp.wbar) / diff
     k = kp.sigma / diff
-    return tuple(float(z.real) for z in (h, dd, k))
+    forms = tuple(float(z.real) for z in (h, dd, k))
+    if not all(map(math.isfinite, forms)):
+        raise NonFiniteError(f"Killing forms {forms!r} at w = {kp.w!r}")
+    return forms
 
 
 def invert(kp: KleinPoint) -> KleinPoint:
     """The decoupling transformation w -> -1/w (and wbar -> -1/wbar).
 
     Preserves the upper half-plane and sqrt(2|I|); exchanges the H and K
-    forms and flips D.
+    forms and flips D. An image that overflows, or that underflows onto
+    the real axis, raises :class:`NonFiniteError`.
     """
     if kp.w == 0 or kp.wbar == 0:
         raise ZeroWError("inversion is undefined at w = 0")
-    return KleinPoint(kp.branch, -1.0 / kp.w, -1.0 / kp.wbar, kp.sqrt2I)
+    w = -1.0 / kp.w
+    if kp.branch == POSITIVE_I and w.imag == 0:
+        raise NonFiniteError(f"-1/w underflows to the real axis: {kp.w!r}")
+    return KleinPoint(kp.branch, w, -1.0 / kp.wbar, kp.sqrt2I)
 
 
 def tilde_map(rs: Union[ReducedState, PhaseState, tuple], I: float) -> tuple:
@@ -184,14 +195,20 @@ def tilde_map(rs: Union[ReducedState, PhaseState, tuple], I: float) -> tuple:
 
     Deterministic branch choice: p~ is the positive root and r~ carries the
     sign of D. Consistency contract (verified in the tests): the point
-    w~ = -r~/p~ + i sqrt(2I)/p~^2 equals invert(to_klein(rs, I)).
+    w~ = -r~/p~ + i sqrt(2I)/p~^2 equals invert(to_klein(rs, I)). A
+    sqrt(2H) that overflows raises :class:`NonFiniteError`.
     """
     r, p_r, r2 = _radial_pair(rs)
-    h = 0.5 * p_r ** 2 + I / r2
+    try:
+        h = 0.5 * p_r ** 2 + I / r2
+    except OverflowError:  # p_r ** 2
+        h = math.inf
     if h <= 0:
         raise NonPositiveEnergyError(
             f"tilde map needs H > 0, got H = {h:.6g}")
     p_tilde = math.sqrt(2.0 * h)
+    if not p_tilde < math.inf:
+        raise NonFiniteError(f"sqrt(2H) is not finite at r = {r!r}")
     return p_tilde, (p_r * r) / p_tilde
 
 
@@ -274,14 +291,6 @@ class BracketTable:
     ww_numeric: complex
     ww_formula: complex
     mixed: list
-
-    @property
-    def ww_residual(self) -> float:
-        return abs(self.ww_numeric - self.ww_formula)
-
-    def max_mixed_residual(self) -> float:
-        return max((abs(row.numeric - row.consistent) for row in self.mixed),
-                   default=0.0)
 
 
 def expected_brackets(kp: KleinPoint, sphere: SphericalSystem,
@@ -451,7 +460,8 @@ def assemble_omega(rs: Union[ReducedState, PhaseState, tuple],
     through d sqrt(2I) = (dI/du^a) du^a / sqrt(2I); the angular block is
     the canonical dphi ^ dpi (gauge A0 = pi dphi). Oriented so that the
     matrix is the exact inverse of :func:`bracket_matrix`:
-    assemble_omega @ bracket_matrix = +Id.
+    assemble_omega @ bracket_matrix = +Id. A Kahler coefficient that
+    overflows or underflows to 0 raises :class:`NonFiniteError`.
     """
     if I <= 0:
         raise ZeroAngularEnergyError("the Kahler block needs I > 0")
@@ -461,7 +471,12 @@ def assemble_omega(rs: Union[ReducedState, PhaseState, tuple],
     im_w = g / r2
     m = 2 * d
     omega = np.zeros((m, m))
-    omega[0, 1] = g / (2.0 * im_w ** 2)
+    try:
+        omega[0, 1] = g / (2.0 * im_w ** 2)
+    except OverflowError:  # im_w ** 2: the coefficient underflows, as 0
+        pass
+    if not 0.0 < omega[0, 1] < math.inf:
+        raise NonFiniteError(f"the Kahler coefficient is {omega[0, 1]:g}")
     if d > 1:
         if not isinstance(rs, ReducedState):
             raise ValueError("pass a ReducedState in d > 1")

@@ -28,13 +28,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import dual
 from .conformal import ConformalSystem, build_system
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError
 from .phase import Observable, PhaseState
 
 
@@ -192,34 +192,6 @@ def reduce_calogero_state(x: np.ndarray, p: np.ndarray) -> PhaseState:
     return PhaseState(R @ x, R @ p)
 
 
-@dataclass(frozen=True)
-class SphericalPotentialForm:
-    """Closed-form angular potential U(angles) of a catalog model; ``U``
-    takes the first polar angle theta."""
-
-    U: Callable
-
-    def evaluate(self, phi) -> float:
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        return self.U(phi[0] if phi.size else 0.0)
-
-
-def spherical_counterpart(model: ModelSpec) -> SphericalPotentialForm:
-    """Closed-form U for the models that have one.
-
-    The sphere oscillator correspondence holds up to an additive constant;
-    the constant comes out as omega^2 here. The reduced Calogero potential
-    has no closed form in this package (numeric U only), so it raises
-    :class:`UnsupportedModelError`.
-    """
-    form = _entry(model).sphere
-    if form is None:
-        raise UnsupportedModelError(
-            "the reduced Calogero angular potential has no closed form "
-            "here; evaluate it numerically via the reduction module")
-    return form
-
-
 def catalog() -> list:
     """The standard model list exercised by the verification suites."""
     return [
@@ -266,7 +238,6 @@ class _Entry:
     dV: Callable
     singular_distance: Callable
     reference: Callable
-    sphere: Optional[SphericalPotentialForm]
 
 
 def _entry(model: ModelSpec) -> _Entry:
@@ -309,8 +280,7 @@ def _free(d: int, params: dict) -> _Entry:
         "free", lambda q, p: np.zeros(q.shape[:-1])[()],
         lambda q, p: (np.zeros(q.shape), np.zeros(q.shape)),
         _distance(lambda q: np.inf, lambda Q: np.full(Q.shape[:-1], np.inf)),
-        lambda: PhaseState(np.linspace(1.0, 0.4, d), np.linspace(0.3, 1.0, d)),
-        SphericalPotentialForm(lambda t: 0.0))
+        lambda: PhaseState(np.linspace(1.0, 0.4, d), np.linspace(0.3, 1.0, d)))
 
 
 def _inverse_square(d: int, params: dict) -> _Entry:
@@ -343,8 +313,7 @@ def _inverse_square(d: int, params: dict) -> _Entry:
     return _Entry("inverse_square", V, dV,
                   _distance(lambda q: math.sqrt(q.dot(q)),
                             lambda Q: np.sqrt(np.vecdot(Q, Q))),
-                  reference,
-                  SphericalPotentialForm(lambda t: kappa))
+                  reference)
 
 
 def _conformal_higgs(d: int, params: dict) -> _Entry:
@@ -381,9 +350,7 @@ def _conformal_higgs(d: int, params: dict) -> _Entry:
         return PhaseState(q, p)
 
     return _Entry("conformal_higgs", V, dV, _distance(sdist, sdist_rows),
-                  reference,
-                  SphericalPotentialForm(
-                      lambda t: 0.5 * w2 * np.tan(t) ** 2 + w2))
+                  reference)
 
 
 def _conformal_coulomb(d: int, params: dict) -> _Entry:
@@ -416,7 +383,11 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
 
     def sdist(q):
         r2 = float(q @ q)
-        return math.sqrt(max(r2 - float(q[d - 1]) ** 2, 0.0))
+        try:
+            xd2 = float(q[d - 1]) ** 2
+        except OverflowError:  # the rows form's np.float_power gives inf
+            xd2 = math.inf
+        return math.sqrt(max(r2 - xd2, 0.0))
 
     def sdist_rows(Q):
         return np.sqrt(np.maximum(
@@ -432,8 +403,7 @@ def _conformal_coulomb(d: int, params: dict) -> _Entry:
         return PhaseState(q, p)
 
     return _Entry("conformal_coulomb", V, dV, _distance(sdist, sdist_rows),
-                  reference,
-                  SphericalPotentialForm(lambda t: gamma / np.tan(t)))
+                  reference)
 
 
 def _calogero_relative(d: int, params: dict) -> _Entry:
@@ -488,8 +458,7 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
         px -= px.mean()
         return reduce_calogero_state(x, px)
 
-    return _Entry("calogero", V, dV, _distance(sdist, sdist_rows), reference,
-                  None)
+    return _Entry("calogero", V, dV, _distance(sdist, sdist_rows), reference)
 
 
 # name -> (constructor, the parameter names it takes)

@@ -128,16 +128,6 @@ class Observable:
                                  "finite here", state=state)
         return v
 
-    def __mul__(self, other):
-        """Pointwise product (feeds the Leibniz checks)."""
-        if not isinstance(other, Observable):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("observable dimensions differ")
-        sfn, ofn = self.fn, other.fn
-        return Observable(self.dim, lambda q, p: sfn(q, p) * ofn(q, p),
-                          name=f"({self.name}*)", vectorized=True)
-
 
 def _lift(fn, stack):
     """``fn`` of one point over ``(..., d)`` arrays of floats or jets: a
@@ -194,17 +184,11 @@ def _grad_arrays(obs: Observable, q: np.ndarray, p: np.ndarray):
     return dq, dp
 
 
-def grad(obs: Observable, state: PhaseState):
-    """Exact derivatives ``(dq, dp)``: the analytic ``grad_fn`` if set,
-    else the dual engine (an ``fn`` that cannot take duals raises); the
-    one-point case of :func:`_grad_rows`."""
-    return _grad_rows(obs, state.q, state.p)
-
-
-def _grad_rows(obs: Observable, Q: np.ndarray, P: np.ndarray):
-    """``(dQ, dP)`` at a point or at every row of ``(N, d)`` arrays:
-    ``fn`` and the analytic ``grad_fn`` each called once on ``(Q, P)``,
-    or else one jet evaluation of ``fn``. The first row whose value or
+def grad(obs: Observable, Q: np.ndarray, P: np.ndarray):
+    """Exact derivatives ``(dQ, dP)`` at a point or at every row of
+    ``(N, d)`` arrays: ``fn`` and the analytic ``grad_fn`` each called
+    once on ``(Q, P)``, or else one jet evaluation of ``fn`` (an ``fn``
+    that cannot take duals raises). The first row whose value or
     gradient is not finite (in any component, for a vector observable)
     raises :class:`NonFiniteError` with that row's state, naming the
     value if it is the value that is not finite there."""
@@ -229,7 +213,7 @@ def _grad_rows(obs: Observable, Q: np.ndarray, P: np.ndarray):
 
 def brackets(observables, state, P: np.ndarray = None) -> np.ndarray:
     """Table ``B[j, k] = {A_j, A_k}`` of every ordered pair at a state,
-    each observable differentiated once (by :func:`_grad_rows`). A vector
+    each observable differentiated once (by :func:`grad`). A vector
     observable, told apart by its ``(m, d)`` gradients, takes m
     consecutive rows and columns, one per component, in its own order.
     Each entry off the zero diagonal is computed from its own ordered
@@ -243,7 +227,7 @@ def brackets(observables, state, P: np.ndarray = None) -> np.ndarray:
     to +0.0, where ``np.dot`` of two vectors returns it as it is."""
     Q, P = (state.q, state.p) if P is None else (state, P)
     lead = Q.shape[:-1]
-    grads = [_grad_rows(A, Q, P) for A in observables]
+    grads = [grad(A, Q, P) for A in observables]
     # the gradients of every entry along axis -2: one for a scalar's
     # (..., d) pair, m for a vector's (..., m, d) pair
     dQ, dP = (np.concatenate([np.reshape(g[i], lead + (-1, g[i].shape[-1]))
@@ -297,9 +281,6 @@ class Trajectory:
     def __len__(self):
         return self.times.shape[0]
 
-    def state(self, i: int) -> PhaseState:
-        return PhaseState(self.qs[i], self.ps[i])
-
 
 def _monitor_rows(monitors, ts, qs, ps):
     """Each monitor's ``fn`` on the rows of every recorded state at once;
@@ -332,7 +313,8 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     integrator stops with :class:`SingularityApproachError` (reporting the
     last good time and a copy of the last good state) when the
     configuration comes within 1e-6 of the system's ``singular_distance``
-    (if set), or takes a step longer than 0.9 of it; this is the
+    (if set; a NaN distance counts as within), or takes a step longer
+    than 0.9 of it; this is the
     finite-time-collapse diagnostic. ``t_end`` must be a whole multiple
     of ``dt`` (see :func:`verlet_steps`). Each step is written in place
     into its output row, which then serves as the state the next step
@@ -347,7 +329,7 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     n_steps = verlet_steps(dt, t_end)
     V = system.V
     sdist = system.singular_distance
-    if sdist is not None and sdist(s0.q) < _SINGULAR_GUARD:
+    if sdist is not None and not sdist(s0.q) >= _SINGULAR_GUARD:
         raise SingularityApproachError(
             "initial state is inside the singular exclusion zone",
             last_good_time=0.0, state=s0)
@@ -388,17 +370,19 @@ def _check_verlet_rows(sdist, qs, ps, start, end, dt):
     if sdist is not None:
         # a step comparable to the singular distance cannot resolve the
         # approach: the fixed-step scheme would hop the singularity. Each
-        # step length is its row's math.sqrt(m.dot(m)) bit for bit
+        # step length is its row's math.sqrt(m.dot(m)) bit for bit. A NaN
+        # distance at a finite row (one too large to square) stops too
         M = Q[1:] - Q[:-1]
         step = np.sqrt(np.vecdot(M, M))
         rows = getattr(sdist, "rows", None)
         dist = rows(Q[1:]) if rows else np.full(len(M), np.inf)
         for i in range(0 if rows else len(M)):
             dist[i] = sdist(Q[1 + i])
-            if bad[i] or dist[i] < _SINGULAR_GUARD \
+            if bad[i] or not dist[i] >= _SINGULAR_GUARD \
                     or step[i] > 0.9 * dist[i]:
                 break
-        near = (dist < _SINGULAR_GUARD) | (step > 0.9 * dist)
+        near = ((dist < _SINGULAR_GUARD) | (step > 0.9 * dist)
+                | (np.isnan(dist) & ~bad))
     if (bad | near).any():
         k = start + int(np.argmax(bad | near))
         t = (k - 1) * dt
@@ -464,8 +448,9 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
     t = 1 with rtol 1e-10. Near a singularity the step size collapses and
     :class:`StepUnderflowError` reports how far the integration got (as it
     does after 1,000,000 steps); an optional ``singular_distance(q)`` guard
-    reports the same diagnostic earlier and more cheaply, at 1e-6, and
-    refuses an initial state inside it (``t_reached = 0``). With the guard
+    reports the same diagnostic earlier and more cheaply, at 1e-6 (a NaN
+    value counting as inside), and refuses an initial state inside it
+    (``t_reached = 0``). With the guard
     set, a step whose position move exceeds 0.9 of the guard's value at
     the step's start is retried at a quarter of its size, so no step
     jumps across the singular set.
@@ -484,7 +469,7 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
     dist = math.inf
     if singular_distance is not None:
         dist = singular_distance(s0.q)
-        if dist < _SINGULAR_GUARD:
+        if not dist >= _SINGULAR_GUARD:
             raise StepUnderflowError(
                 "initial state is inside the singular exclusion zone",
                 t_reached=0.0, state=s0)
@@ -577,7 +562,7 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
             k[0] = k[6]  # first-same-as-last
             if singular_distance is not None:
                 dist = singular_distance(y[:d])
-                if dist < _SINGULAR_GUARD:
+                if not dist >= _SINGULAR_GUARD:
                     raise StepUnderflowError(
                         "trajectory entered the singular exclusion zone at "
                         f"t={t:.12g}", t_reached=t,

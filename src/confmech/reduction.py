@@ -204,17 +204,6 @@ def sphere_metric_diag(phi, d: int):
     return dual.stack(diag)
 
 
-def sphere_metric_inverse(phi, d: int) -> np.ndarray:
-    """Inverse round metric of the unit (d-1)-sphere in the nested chart."""
-    if d < 2:
-        raise ValueError("the sphere metric needs d >= 2")
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    for a in range(d - 2):
-        if not (_POLE_MARGIN < phi[a] < np.pi - _POLE_MARGIN):
-            raise ChartSingularError(f"polar angle {a} is outside the chart")
-    return np.diag(sphere_metric_diag(phi, d))
-
-
 @dataclass(frozen=True)
 class SphericalSystem:
     """Angular Hamiltonian I = pi.g.pi/2 + U on the unit-sphere cotangent
@@ -229,13 +218,6 @@ class SphericalSystem:
         for a in range(self.d - 1):
             kin = kin + 0.5 * g[a] * pi[a] * pi[a]
         return kin + self.U(phi)
-
-    def hamiltonian_observable(self) -> Observable:
-        """I as an observable on the chart phase space (q=angles, p=momenta)."""
-        if self.d < 2:
-            raise ValueError("no angular dynamics in d = 1")
-        return Observable(self.d - 1, lambda q, p: self.energy(q, p),
-                          name="I(sphere)")
 
 
 def spherical_system_from(V: Observable, d: int) -> SphericalSystem:

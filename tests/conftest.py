@@ -51,6 +51,25 @@ def chart_observable(d):
         name="chart", vectorized=True)
 
 
+def sphere_hamiltonian(sphere):
+    """The angular energy I of a ``SphericalSystem`` as an observable on
+    the chart phase space (q = angles, p = momenta)."""
+    return Observable(sphere.d - 1, lambda q, p: sphere.energy(q, p),
+                      name="I(sphere)")
+
+
+def ww_residual(table):
+    """|{w, wbar} numeric - formula| of a ``BracketTable``."""
+    return abs(table.ww_numeric - table.ww_formula)
+
+
+def max_mixed_residual(table):
+    """The largest |{u, w} numeric - (w - wbar) V / (4 I)| of a
+    ``BracketTable``'s mixed rows (0 with none)."""
+    return max((abs(row.numeric - row.consistent) for row in table.mixed),
+               default=0.0)
+
+
 def model_states(sys_, n, seed, predicate=None):
     """Seeded states at least 5e-2 off the singular set for one system."""
     rng = np.random.default_rng(seed)

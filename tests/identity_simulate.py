@@ -142,7 +142,8 @@ def library_runs(select=lambda key: True):
                 row = stop - left
                 key = f"{base} from row {row} steps {left + 10}"
                 if select(key):
-                    start = integrate_verlet(sys_, s0, dt, row * dt).state(-1)
+                    run = integrate_verlet(sys_, s0, dt, row * dt)
+                    start = PhaseState(run.qs[-1], run.ps[-1])
                     out[key] = outcome(sys_, start, dt, left + 10)
     # q_k = 1 + k * 0.01 * P passes the largest float at step k
     free = build_system(models.potential(

@@ -45,7 +45,12 @@ from confmech.reduction import (
     to_hyperspherical,
 )
 
-from conftest import chart_interior, chart_observable, model_states
+from conftest import (
+    chart_interior,
+    chart_observable,
+    max_mixed_residual,
+    model_states,
+)
 
 
 def _positive_I_states(sys_, n, seed, i_floor=5e-2):
@@ -109,6 +114,36 @@ class TestToKlein:
                                      r"at r = 1e-300"):
                 call()
 
+    @pytest.mark.parametrize("I", [1.0, -1.0])
+    def test_overflowing_point_is_non_finite(self, I):
+        # r = 1e-160: r**2 = 1e-320 is nonzero, but sqrt(2|I|) / r**2
+        # overflows, so w is not finite on either branch
+        with pytest.raises(NonFiniteError, match="not finite"):
+            to_klein((1e-160, 1.0), I)
+
+
+class TestKleinPoint:
+    def test_unknown_branch(self):
+        with pytest.raises(ValueError, match="unknown branch"):
+            KleinPoint("zero_I", 1j, -1j, 1.0)
+
+    def test_nonpositive_sqrt2I(self):
+        with pytest.raises(ValueError, match="sqrt2I must be positive"):
+            KleinPoint(POSITIVE_I, 1j, -1j, 0.0)
+
+    def test_positive_branch_off_the_upper_half_plane(self):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            KleinPoint(POSITIVE_I, -1j, 1j, 1.0)
+
+    @pytest.mark.parametrize("w,wbar,s", [
+        (complex(1.0, math.inf), complex(1.0, -math.inf), 1.0),
+        (math.nan, 0.5, 1.0),
+        (1j, -1j, math.inf)])
+    def test_non_finite_entries(self, w, wbar, s):
+        branch = POSITIVE_I if isinstance(w, complex) else NEGATIVE_I
+        with pytest.raises(NonFiniteError, match="not finite"):
+            KleinPoint(branch, w, wbar, s)
+
 
 class TestKillingForms:
     def test_values(self):
@@ -145,6 +180,22 @@ class TestKillingForms:
             assert abs(dd - sys_.D(s)) < 1e-12
             assert abs(k - sys_.K(s)) < 1e-12
 
+    def test_equal_w_and_wbar(self):
+        # two equal reals on the negative branch: every form divides by
+        # w - wbar
+        with pytest.raises(ZeroWError, match="w = wbar"):
+            killing_forms(KleinPoint(NEGATIVE_I, 0.5, 0.5, 1.0))
+
+    @pytest.mark.parametrize("I", [1.0, -1.0])
+    @pytest.mark.parametrize("r", [1e-100, 1e-154])
+    def test_overflowing_forms_are_non_finite(self, r, I):
+        # w is finite, but sigma w wbar / (w - wbar) overflows (to inf at
+        # r = 1e-100, to NaN at r = 1e-154), where H = p_r^2/2 + I/r^2 is
+        # a float
+        kp = to_klein((r, 1.0), I)
+        with pytest.raises(NonFiniteError, match="Killing forms"):
+            killing_forms(kp)
+
 
 class TestInvert:
     def test_fixed_point(self):
@@ -160,6 +211,17 @@ class TestInvert:
         kp = to_klein((1.0, 1.0), -0.5)  # wbar = 0 on the negative branch
         with pytest.raises(ZeroWError):
             invert(kp)
+
+    def test_image_on_the_real_axis_is_non_finite(self):
+        # w = 1e200 + 1e-200 i: Im(-1/w) = Im w / |w|^2 underflows to 0
+        kp = to_klein((1e100, 1e300), 0.5)
+        assert kp.w == complex(1e200, 1e-200)
+        with pytest.raises(NonFiniteError, match="underflows"):
+            invert(kp)
+
+    def test_overflowing_image_is_non_finite(self):
+        with pytest.raises(NonFiniteError, match="not finite"):
+            invert(KleinPoint(NEGATIVE_I, 1e-320, -1.0, 1.0))
 
     def test_transport_signs(self, catalog_systems):
         # H -> K, K -> +H, D -> -D pointwise
@@ -265,6 +327,14 @@ class TestTildeMap:
         with pytest.raises(ValueError, match="r must be positive"):
             tilde_map((r, 1.0), 1.0)
 
+    @pytest.mark.parametrize("r,p_r", [(1e-160, 1.0), (1e-154, 1.0),
+                                       (1.0, 1e200)])
+    def test_overflowing_energy_is_non_finite(self, r, p_r):
+        # H = p_r^2/2 + I/r^2 is inf at r = 1e-160 (it gave (inf, 0.0)),
+        # 2H is at r = 1e-154, and p_r**2 raised OverflowError at 1e200
+        with pytest.raises(NonFiniteError, match=r"sqrt\(2H\)"):
+            tilde_map((r, p_r), 1.0)
+
     def test_consistency_contract(self, catalog_systems):
         # w~ assembled from (p~, r~) equals invert(to_klein(.))
         for ms, sys_ in catalog_systems:
@@ -346,7 +416,7 @@ class TestBracketFormulas:
                 rs = to_hyperspherical(s)
                 kp = to_klein(rs, casimir_I(sys_, s))
                 table = expected_brackets(kp, sphere, rs)
-                assert table.max_mixed_residual() < 1e-8
+                assert max_mixed_residual(table) < 1e-8
 
 
 class TestCanonicity:
@@ -816,6 +886,17 @@ class TestOmega:
                                          kappa=0.5)), 1), 0.5)
         assert omega.shape == (2, 2)
         assert omega[0, 1] == pytest.approx(0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("r,I", [(1e-160, 1.0), (1e-100, 1.0),
+                                     (1.0, 1e308)])
+    def test_vanishing_coefficient_is_non_finite(self, r, I):
+        # sqrt(2I) / (2 Im^2 w) = r^4 / (2 sqrt(2I)) underflows: Im w is
+        # inf at r = 1e-160 (the matrix was all zeros), Im w ** 2 raised
+        # OverflowError at 1e-100, and sqrt(2I) is inf at I = 1e308
+        sphere = spherical_system_from(models.potential(
+            models.spec("inverse-square", d=1, kappa=0.5)), 1)
+        with pytest.raises(NonFiniteError, match="Kahler coefficient"):
+            assemble_omega((r, 1.0), sphere, I)
 
     def test_nondegenerate(self, catalog_systems):
         for ms, sys_ in catalog_systems:

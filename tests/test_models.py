@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from confmech import dual, models
 from confmech.conformal import build_system, check_homogeneity, sample_states
-from confmech.errors import DomainError, UnsupportedModelError
+from confmech.errors import DomainError
 from confmech.phase import Observable, PhaseState, brackets, integrate_verlet
 from confmech.reduction import (
     ReducedState,
@@ -226,44 +226,43 @@ class TestSingularDirections:
 
 
 class TestSphericalCounterparts:
+    # the closed-form angular potentials U(theta) of the sphere models, of
+    # the first polar angle: the constant kappa, the sphere oscillator
+    # omega^2 tan^2(theta)/2 shifted by omega^2, and gamma cot(theta)
     def test_inverse_square_constant(self):
-        form = models.spherical_counterpart(
-            models.spec("inverse-square", d=3, kappa=2.5))
-        assert form.evaluate([0.7, 0.1]) == pytest.approx(2.5)
+        V = models.potential(models.spec("inverse-square", d=3, kappa=2.5))
+        rs = ReducedState(r=1.3, p_r=0.0, phi=[0.7, 0.1], pi=[0.0, 0.0])
+        assert angular_potential(V, rs) == pytest.approx(2.5)
 
     def test_higgs_value(self):
-        form = models.spherical_counterpart(
-            models.spec("higgs", d=3, omega=1.0))
-        assert form.evaluate([np.pi / 3, 0.0]) == pytest.approx(2.5,
-                                                                abs=1e-12)
+        V = models.potential(models.spec("higgs", d=3, omega=1.0))
+        rs = ReducedState(r=1.3, p_r=0.0, phi=[np.pi / 3, 0.0],
+                          pi=[0.0, 0.0])
+        assert angular_potential(V, rs) == pytest.approx(2.5, abs=1e-12)
 
     def test_coulomb_equator(self):
-        form = models.spherical_counterpart(
-            models.spec("coulomb", d=3, gamma=2.0))
-        assert form.evaluate([np.pi / 2, 0.0]) == pytest.approx(0.0,
-                                                                abs=1e-12)
+        V = models.potential(models.spec("coulomb", d=3, gamma=2.0))
+        rs = ReducedState(r=1.3, p_r=0.0, phi=[np.pi / 2, 0.0],
+                          pi=[0.0, 0.0])
+        assert angular_potential(V, rs) == pytest.approx(0.0, abs=1e-12)
 
-    def test_calogero_unsupported(self):
-        with pytest.raises(UnsupportedModelError):
-            models.spherical_counterpart(models.spec("calogero", n=3, g=1.0))
-
-    @pytest.mark.parametrize("name,params", [
-        ("inverse-square", {"kappa": 1.7}),
-        ("higgs", {"omega": 1.3}),
-        ("coulomb", {"gamma": 0.8}),
-    ])
-    def test_matches_angular_potential(self, name, params):
+    @pytest.mark.parametrize("name,params,form", [
+        ("inverse-square", {"kappa": 1.7}, lambda t: 1.7),
+        ("higgs", {"omega": 1.3},
+         lambda t: 0.5 * 1.3 ** 2 * np.tan(t) ** 2 + 1.3 ** 2),
+        ("coulomb", {"gamma": 0.8}, lambda t: 0.8 / np.tan(t)),
+    ], ids=["inverse-square-params0", "higgs-params1", "coulomb-params2"])
+    def test_matches_angular_potential(self, name, params, form):
         ms = models.spec(name, d=3, **params)
         V = models.potential(ms)
-        form = models.spherical_counterpart(ms)
         rng = np.random.default_rng(17)
         for _ in range(100):
             phi = np.array([rng.uniform(0.15, np.pi - 0.15),
                             rng.uniform(-np.pi, np.pi)])
             rs = ReducedState(r=rng.uniform(0.5, 2.0), p_r=0.0, phi=phi,
                               pi=[0.0, 0.0])
-            assert abs(angular_potential(V, rs) - form.evaluate(phi)) \
-                < 1e-10 * max(1.0, abs(form.evaluate(phi)))
+            assert abs(angular_potential(V, rs) - form(phi[0])) \
+                < 1e-10 * max(1.0, abs(form(phi[0])))
 
 
 class TestCalogeroAngularGeometry:
@@ -393,6 +392,14 @@ def _singular_rows(ms):
 _ARRAY_SPECS = models.catalog() + [models.spec("calogero", n=5, g=1.0)]
 
 
+_DISTANCE_SPECS = [
+    models.spec("free", d=3),
+    *(models.spec("inverse-square", d=d, kappa=1.0) for d in (1, 2, 3, 4)),
+    *(models.spec("higgs", d=d, omega=1.0) for d in (1, 2, 3)),
+    *(models.spec("coulomb", d=d, gamma=1.0) for d in (2, 3, 4)),
+    *(models.spec("calogero", n=n, g=1.0) for n in (2, 3, 4, 5, 6))]
+
+
 class TestArrayForms:
     """The array forms behind the trajectory monitors and the Calogero
     force reproduce the scalar code bit for bit."""
@@ -443,13 +450,7 @@ class TestArrayForms:
         with pytest.raises(DomainError):
             V.fn(Q, Q)
 
-    @pytest.mark.parametrize("ms", [
-        models.spec("free", d=3),
-        *(models.spec("inverse-square", d=d, kappa=1.0) for d in (1, 2, 3, 4)),
-        *(models.spec("higgs", d=d, omega=1.0) for d in (1, 2, 3)),
-        *(models.spec("coulomb", d=d, gamma=1.0) for d in (2, 3, 4)),
-        *(models.spec("calogero", n=n, g=1.0) for n in (2, 3, 4, 5, 6))],
-        ids=lambda ms: ms.label)
+    @pytest.mark.parametrize("ms", _DISTANCE_SPECS, ids=lambda ms: ms.label)
     def test_singular_distance_rows_match_points(self, ms):
         # 20,000 seeded rows, contiguous and as the sampler's strided q
         # slice of its (k, 2, d) draws, and rows exactly on the singular
@@ -463,6 +464,24 @@ class TestArrayForms:
         if ms.name != "free":
             assert len(on_set) and _same_bits(sdist.rows(on_set),
                                               np.zeros(len(on_set)))
+
+    @pytest.mark.parametrize("ms", _DISTANCE_SPECS, ids=lambda ms: ms.label)
+    def test_singular_distance_rows_match_points_when_squares_overflow(
+            self, ms):
+        # rows of tiny, moderate and huge entries, the squares of the huge
+        # ones overflowing (coulomb's point form once raised OverflowError
+        # from x_d**2 above 1.34e154, where its rows form gives NaN): each
+        # point call is its one-row rows call, bit for bit, NaN included
+        sdist = models.singular_distance_fn(ms)
+        rng = np.random.default_rng(ms.d + 50)
+        sizes = [0.0, 1e-300, 0.3, 1.0, 1e154, 1.4e154, 1e157, 1e300, 1e308]
+        Q = (rng.choice(sizes, size=(400, ms.d))
+             * rng.choice([-1.0, 1.0], size=(400, ms.d)))
+        Q[0] = 1.0
+        Q[0, -1] = 1e157  # only x_d squares past the largest float
+        with np.errstate(all="ignore"):
+            for q in Q:
+                assert _same_bits(sdist(q), sdist.rows(q[None])[0]), q
 
     def test_monitors_without_array_form(self):
         # a potential not declared vectorized: its fn and grad_fn are

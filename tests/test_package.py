@@ -68,23 +68,36 @@ def _unused_imports(tree) -> list:
 
 def test_src_holds_only_what_the_package_reaches():
     # a public name in src/confmech must be exported, or be reached from
-    # src/, demos/ or perfbench/, so a test-only helper lives in tests/;
-    # and no module but __init__ imports a name it does not use
+    # src/, demos/ or perfbench/, so a test-only helper lives in tests/; an
+    # exported name must be reached from there outside its own module and
+    # __init__, or be the return annotation of an exported function; and
+    # no module but __init__ imports a name it does not use
     root = Path(__file__).resolve().parents[1]
     trees = {f: ast.parse(f.read_text(), filename=str(f))
              for d in ("src", "demos", "perfbench")
              for f in sorted((root / d).rglob("*.py"))}
+    refs = {f: _references(t) for f, t in trees.items()}
     modules = sorted((root / "src" / "confmech").glob("*.py"))
     assert len(modules) > 5
+    init = root / "src" / "confmech" / "__init__.py"
+    returned = set().union(*(
+        _references(stmt.returns) for path in modules
+        for name, stmt in _public_definitions(trees[path])
+        if name in confmech.__all__ and isinstance(stmt, ast.FunctionDef)
+        and stmt.returns is not None))
     stray = []
     for path in modules:
         tree = trees[path]
-        elsewhere = set().union(*(_references(t) for f, t in trees.items()
-                                  if f != path))
+        elsewhere = set().union(*(r for f, r in refs.items() if f != path))
+        callers = set().union(*(r for f, r in refs.items()
+                                if f not in (path, init)))
         for name, stmt in _public_definitions(tree):
             own = set().union(*(_references(s) for s in tree.body
                                 if s is not stmt))
-            if name not in confmech.__all__ and name not in elsewhere | own:
+            if name in confmech.__all__:
+                if name not in callers | returned:
+                    stray.append(f"{path.stem}.{name} (exported)")
+            elif name not in elsewhere | own:
                 stray.append(f"{path.stem}.{name}")
         if path.name != "__init__.py":
             stray += [f"{path.stem}: unused import {name}"

@@ -19,6 +19,7 @@ from confmech import models
 from confmech.cli import trajectory_csv
 from confmech.conformal import build_system
 from confmech.errors import (
+    ConfmechError,
     DomainError,
     IncompleteResultError,
     NonFiniteError,
@@ -31,7 +32,6 @@ from confmech.phase import (
     PhaseState,
     Trajectory,
     _grad_arrays,
-    _grad_rows,
     _monitor_rows,
     brackets,
     grad,
@@ -44,7 +44,7 @@ from confmech.phase import (
 from confmech.radial import RadialData, radial_squared
 from confmech.reduction import SphericalSystem
 
-from conftest import model_states
+from conftest import model_states, sphere_hamiltonian
 from identity_simulate import GUARD_MODELS, infalling_states
 
 
@@ -54,6 +54,12 @@ def position_observable(i: int, d: int) -> Observable:
         dq[_i] = 1.0
         return dq, np.zeros(_d)
     return Observable(d, lambda q, p: q[i], grad_fn=gfn, name=f"x{i}")
+
+
+def product(A: Observable, B: Observable) -> Observable:
+    """The pointwise product A B, for the Leibniz rule."""
+    return Observable(A.dim, lambda q, p: A.fn(q, p) * B.fn(q, p),
+                      name=f"({A.name}*)", vectorized=True)
 
 
 def momentum_observable(i: int, d: int) -> Observable:
@@ -142,7 +148,7 @@ class TestPhaseState:
             Trajectory([0.0, 1.0], np.zeros((3, 1)), np.zeros((3, 1)))
         tr = Trajectory([0.0, 1.0], np.zeros((2, 1)), np.zeros((2, 1)),
                         {"H": [1.0, 1.0]})
-        assert len(tr) == 2 and tr.state(1).d == 1
+        assert len(tr) == 2 and tr.qs[1].shape == tr.ps[1].shape == (1,)
 
     def test_trajectory_leaves_the_callers_monitors(self):
         m = {"H": [1.0, 1.0], "I": (0.5, 0.5)}
@@ -157,29 +163,29 @@ class TestPhaseState:
 
 class TestGrad:
     def test_eq1_hamiltonian(self, eq1):
-        dq, dp = grad(eq1.H, PhaseState([2.0], [1.0]))
+        dq, dp = grad(eq1.H, np.array([2.0]), np.array([1.0]))
         npt.assert_allclose(dq, [-0.125], atol=1e-14)
         npt.assert_allclose(dp, [1.0], atol=1e-14)
 
     def test_boost_gradient(self, eq1):
         free = models.build(models.spec("free", d=2))
-        dq, dp = grad(free.K, PhaseState([3.0, 4.0], [0.7, -0.2]))
+        dq, dp = grad(free.K, np.array([3.0, 4.0]), np.array([0.7, -0.2]))
         npt.assert_allclose(dq, [3.0, 4.0], atol=1e-14)
         npt.assert_allclose(dp, [0.0, 0.0], atol=1e-14)
 
     def test_dilatation_gradient(self):
         free = models.build(models.spec("free", d=2))
-        dq, dp = grad(free.D, PhaseState([1.0, 0.0], [0.0, 1.0]))
+        dq, dp = grad(free.D, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         npt.assert_allclose(dq, [0.0, 1.0], atol=1e-14)
         npt.assert_allclose(dp, [1.0, 0.0], atol=1e-14)
 
     def test_nonfinite_raises(self, eq1):
         from confmech.errors import DomainError
         with pytest.raises(DomainError):
-            grad(eq1.H, PhaseState([0.0], [1.0]))  # exactly singular
+            grad(eq1.H, np.array([0.0]), np.array([1.0]))  # exactly singular
         blows_up = Observable(1, lambda q, p: 1e400)  # overflows to inf
         with pytest.raises(NonFiniteError):
-            grad(blows_up, PhaseState([1.0], [1.0]))
+            grad(blows_up, np.array([1.0]), np.array([1.0]))
 
     def test_rows_raise_at_the_first_bad_row(self):
         # row 3 overflows H (kappa / r^2 with r^2 = 1e-320): the rows table
@@ -189,10 +195,9 @@ class TestGrad:
                       [2.0, 1.0]])
         P = np.array([[0.2, 0.1], [1.0, 0.0], [-0.4, 0.3], [0.5, 0.5],
                       [0.0, -1.0]])
-        state = PhaseState(Q[3], P[3])
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError) as want:
-                grad(sys_.H, state)
+                grad(sys_.H, Q[3], P[3])
             with pytest.raises(NonFiniteError) as got:
                 brackets((sys_.H, sys_.D, sys_.K), Q, P)
         assert str(got.value) == str(want.value)
@@ -209,10 +214,9 @@ class TestGrad:
         Q = np.array([[1.0, 0.5], [0.3, -1.2], [-0.7, 0.9], [1.5, 0.0],
                       [2.0, 1.0]])
         P = np.ones_like(Q)
-        state = PhaseState(Q[3], P[3])
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError) as want:
-                grad(vec, state)
+                grad(vec, Q[3], P[3])
             with pytest.raises(NonFiniteError) as got:
                 brackets((vec,), Q, P)
         assert str(got.value) == str(want.value)
@@ -286,7 +290,7 @@ class TestGrad:
         obs = Observable(1, opaque)
         s = PhaseState([1.3], [0.4])
         with pytest.raises(TypeError):
-            grad(obs, s)
+            grad(obs, s.q, s.p)
         f = math.sqrt(2.0 * 1.3 ** 2 + 0.4 ** 2)
         dq_fd, dp_fd = grad_finite_difference(obs, s)
         npt.assert_allclose(dq_fd, [2.0 * 1.3 / f], rtol=1e-8)
@@ -298,8 +302,8 @@ class TestGrad:
             for obs in (sys_.V, sys_.H, sys_.D, sys_.K, sys_.casimir):
                 stripped = Observable(sys_.d, obs.fn, name=obs.name)
                 for s in model_states(sys_, 100, seed=7):
-                    dq_a, dp_a = grad(obs, s)
-                    dq_d, dp_d = grad(stripped, s)
+                    dq_a, dp_a = grad(obs, s.q, s.p)
+                    dq_d, dp_d = grad(stripped, s.q, s.p)
                     dq_f, dp_f = grad_finite_difference(stripped, s)
                     scale = max(1.0, np.max(np.abs(dq_d)),
                                 np.max(np.abs(dp_d)))
@@ -340,7 +344,7 @@ class TestPoissonBracket:
 
     def test_antisymmetry(self, eq1):
         inv2 = models.build(models.spec("inverse-square", d=2, kappa=1.0))
-        obs = [inv2.H, inv2.D, inv2.K, inv2.casimir, inv2.H * inv2.K]
+        obs = [inv2.H, inv2.D, inv2.K, inv2.casimir, product(inv2.H, inv2.K)]
         for s in model_states(inv2, 15, seed=3):
             for A in obs:
                 for B in obs:
@@ -352,7 +356,7 @@ class TestPoissonBracket:
         inv2 = models.build(models.spec("inverse-square", d=2, kappa=1.0))
         A, B, C = inv2.H, inv2.D, inv2.K
         for s in model_states(inv2, 15, seed=4):
-            lhs = poisson_bracket(A, B * C, s)
+            lhs = poisson_bracket(A, product(B, C), s)
             rhs = (poisson_bracket(A, B, s) * C(s)
                    + B(s) * poisson_bracket(A, C, s))
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
@@ -377,7 +381,7 @@ class TestPoissonBracket:
         for args in [(Q, P), *((s,) for s in states)]:
             Qs, Ps = (args[0].q, args[0].p) if len(args) == 1 else args
             dot = np.vecdot if Qs.ndim == 2 else np.dot
-            grads = [_grad_rows(A, Qs, Ps) for A in obs]
+            grads = [grad(A, Qs, Ps) for A in obs]
             want = np.zeros(Qs.shape[:-1] + (len(obs), len(obs)))
             for (j, (dqj, dpj)), (k, (dqk, dpk)) in itertools.product(
                     enumerate(grads), repeat=2):
@@ -491,8 +495,8 @@ class TestVerlet:
                 except SingularityApproachError as err:
                     stops += 1
                     t = err.last_good_time
-                    last = (integrate_verlet(sys_, s0, dt, t).state(-1) if t
-                            else s0)
+                    run = integrate_verlet(sys_, s0, dt, t) if t else None
+                    last = PhaseState(run.qs[-1], run.ps[-1]) if t else s0
                     assert err.state.q.tobytes() == last.q.tobytes(), name
                     assert err.state.p.tobytes() == last.p.tobytes(), name
                     assert err.state.q.base is None, name
@@ -530,12 +534,13 @@ class TestVerlet:
 
 def _stepwise_verlet(system, s0, dt, t_end):
     """The Verlet flow with its guard and finiteness test after every
-    step, as integrate_verlet ran before it checked them per block: the
-    reference the blocked loop is held to, bit for bit."""
+    step, as integrate_verlet ran before it checked them per block (a NaN
+    distance at a finite position a stop): the reference the blocked loop
+    is held to, bit for bit."""
     n_steps = verlet_steps(dt, t_end)
     V = system.V
     sdist = system.singular_distance
-    if sdist is not None and sdist(s0.q) < _SINGULAR_GUARD:
+    if sdist is not None and not sdist(s0.q) >= _SINGULAR_GUARD:
         raise SingularityApproachError(
             "initial state is inside the singular exclusion zone",
             last_good_time=0.0, state=s0)
@@ -555,7 +560,8 @@ def _stepwise_verlet(system, s0, dt, t_end):
             dist = sdist(q_new)
             move = q_new - q
             step = math.sqrt(move.dot(move))
-            if dist < _SINGULAR_GUARD or step > 0.9 * dist:
+            if dist < _SINGULAR_GUARD or step > 0.9 * dist or (
+                    math.isnan(dist) and np.isfinite(q_new).all()):
                 raise SingularityApproachError(
                     "trajectory entered the singular exclusion zone near "
                     f"t={t:.6g}", last_good_time=t,
@@ -745,6 +751,24 @@ class TestBlockedVerlet:
         assert _verlet_outcome(integrate_verlet, sys_, s0, 10.0,
                                100.0) == want
 
+    @pytest.mark.parametrize("rows", [True, False],
+                             ids=["rows-form", "point-calls"])
+    def test_nan_distance_stops(self, rows):
+        # step 1 moves x_3 to 1e155, which squares past the largest float:
+        # the coulomb distance is NaN at that finite row, and the guard
+        # stops there rather than running on to a non-finite position
+        sys_ = models.build(models.spec("coulomb", d=3, gamma=1.0))
+        if not rows:
+            sys_, _ = _point_distance(sys_)
+        s0 = PhaseState([1.0, 0.0, 0.3], [0.0, 0.0, 1e157])
+        with np.errstate(all="ignore"):
+            got = _verlet_outcome(integrate_verlet, sys_, s0, 0.01, 1.0)
+            assert got == _verlet_outcome(_stepwise_verlet, sys_, s0, 0.01,
+                                          1.0)
+        assert got[:3] == ("SingularityApproachError",
+                           "trajectory entered the singular exclusion zone "
+                           "near t=0", "0.0")
+
     @settings(max_examples=200, deadline=None)
     @given(d=st.integers(1, 6), data=st.data())
     def test_vecdot_step_lengths_match_the_point_formula(self, d, data):
@@ -770,7 +794,7 @@ class TestAdaptive:
 
     def test_free_rotation_on_circle(self):
         sphere = SphericalSystem(d=2, U=lambda phi: 0.0)
-        I = sphere.hamiltonian_observable()
+        I = sphere_hamiltonian(sphere)
         traj = integrate_adaptive(I, PhaseState([0.0], [1.0]), 1e-10, 1.0,
                                   t_eval=[1.0])
         assert traj.qs[-1, 0] == pytest.approx(1.0, abs=1e-10)
@@ -808,6 +832,30 @@ class TestAdaptive:
                                singular_distance=weak.singular_distance)
         assert err.value.t_reached == 0.0
         assert err.value.state is s0
+
+    def test_step_underflow_without_a_guard(self):
+        # attractive inverse-square from q = 1, p = -1 falls into the
+        # origin at t = 1/3; with no guard the step size collapses there
+        attractive = models.build(models.spec("inverse-square", d=1,
+                                              kappa=-2.0))
+        with pytest.raises(StepUnderflowError,
+                           match="step size underflow") as err:
+            integrate_adaptive(attractive.H, PhaseState([1.0], [-1.0]),
+                               1e-10, 5.0, t_eval=[5.0])
+        assert err.value.t_reached == pytest.approx(1.0 / 3.0, abs=1e-5)
+        assert err.value.state.q[0] < 1e-3
+
+    def test_guard_stops_at_a_distance_past_overflow(self):
+        # x_d = 1e157 squares past the largest float, so the coulomb
+        # distance is NaN there: the guard counts it as inside the zone
+        coulomb = models.build(models.spec("coulomb", d=3, gamma=1.0))
+        s0 = PhaseState([1.0, 0.0, 1e157], [0.0, 1.0, 0.0])
+        with np.errstate(all="ignore"), \
+                pytest.raises(StepUnderflowError,
+                              match="initial state is inside") as err:
+            integrate_adaptive(coulomb.H, s0, 1e-10, 1.0, t_eval=[1.0],
+                               singular_distance=coulomb.singular_distance)
+        assert err.value.t_reached == 0.0
 
     def test_no_step_jumps_the_singular_set(self):
         # the exact path turns back at r = 1.4e-10, inside the 1e-6 guard;

@@ -17,13 +17,18 @@ from confmech.reduction import (
     angular_potential,
     from_hyperspherical,
     hyperspherical_rows,
-    sphere_metric_inverse,
+    sphere_metric_diag,
     spherical_energy,
     spherical_system_from,
     to_hyperspherical,
 )
 
-from conftest import chart_interior, chart_observable, model_states
+from conftest import (
+    chart_interior,
+    chart_observable,
+    model_states,
+    sphere_hamiltonian,
+)
 
 
 class TestChart:
@@ -44,6 +49,22 @@ class TestChart:
     def test_pole_raises(self):
         with pytest.raises(ChartSingularError):
             to_hyperspherical(PhaseState([0.0, 0.0, 2.0], [0.0, 0.0, 0.0]))
+
+    def test_origin_raises(self):
+        Q = np.array([[1.0, 0.5], [0.0, 0.0]])
+        with pytest.raises(ChartSingularError, match="origin"):
+            hyperspherical_rows(Q, np.ones_like(Q))
+        with pytest.raises(ChartSingularError, match="origin"):
+            to_hyperspherical(PhaseState([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_reduced_state_needs_positive_r(self, r):
+        with pytest.raises(ValueError, match="r must be positive"):
+            ReducedState(r=r, p_r=0.0, phi=[0.5, 0.0], pi=[0.0, 0.0])
+
+    def test_reduced_state_needs_one_momentum_per_angle(self):
+        with pytest.raises(ValueError, match="equal length"):
+            ReducedState(r=1.0, p_r=0.0, phi=[0.5, 0.0], pi=[0.0])
 
     def test_one_dimensional_halfline(self):
         rs = to_hyperspherical(PhaseState([1.5], [-0.5]))
@@ -186,19 +207,16 @@ class TestChartObservables:
 
 class TestMetric:
     def test_equator(self):
-        g = sphere_metric_inverse([np.pi / 2, 0.3], 3)
+        g = np.diag(sphere_metric_diag(np.array([np.pi / 2, 0.3]), 3))
         npt.assert_allclose(g, np.diag([1.0, 1.0]), atol=1e-15)
 
     def test_quarter(self):
-        g = sphere_metric_inverse([np.pi / 4, 1.0], 3)
+        g = np.diag(sphere_metric_diag(np.array([np.pi / 4, 1.0]), 3))
         npt.assert_allclose(g, np.diag([1.0, 2.0]), atol=1e-12)
 
     def test_circle(self):
-        npt.assert_allclose(sphere_metric_inverse([0.7], 2), [[1.0]])
-
-    def test_pole_raises(self):
-        with pytest.raises(ChartSingularError):
-            sphere_metric_inverse([0.0, 0.3], 3)
+        npt.assert_allclose(np.diag(sphere_metric_diag(np.array([0.7]), 2)),
+                            [[1.0]])
 
     def test_matches_tangent_frame(self):
         # g_ab = T^T T for the chart's tangent vectors; inverse matches
@@ -210,7 +228,7 @@ class TestMetric:
                                       rng.uniform(-np.pi, np.pi, 1)])
                 T = unit_tangents(phi, d)
                 g = T.T @ T
-                ginv = sphere_metric_inverse(phi, d)
+                ginv = np.diag(sphere_metric_diag(phi, d))
                 npt.assert_allclose(ginv @ g, np.eye(d - 1), atol=1e-12)
 
 
@@ -336,7 +354,7 @@ class TestChartCanonicity:
             canonical[a, b], canonical[b, a] = 1.0, -1.0
         for table, s in zip(rows, states):
             assert np.all(table == brackets((obs,), s)), s
-            dq, dp = (np.abs(g) for g in grad(obs, s))
+            dq, dp = (np.abs(g) for g in grad(obs, s.q, s.p))
             scale = dp @ dq.T + dq @ dp.T
             assert np.all(np.abs(table - canonical)
                           <= 1e-12 * np.maximum(1.0, scale)), s
@@ -354,7 +372,7 @@ class TestSphereFlow:
         # coulomb angular system on S^2, driven for T = 10
         sphere = spherical_system_from(
             models.potential(models.spec("coulomb", d=3, gamma=1.0)), 3)
-        I_obs = sphere.hamiltonian_observable()
+        I_obs = sphere_hamiltonian(sphere)
         s0 = PhaseState([np.pi / 2, 0.0], [0.2, 1.0])
         traj = integrate_adaptive(I_obs, s0, 1e-11, 10.0,
                                   t_eval=np.linspace(0.0, 10.0, 201))
