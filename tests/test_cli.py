@@ -633,6 +633,25 @@ def test_reconstruct_calls_match_their_manifest():
     assert table == {key: pinned[key] for key in table}
 
 
+def test_verify_reports_match_their_manifest():
+    # tests/identity_verify.py checks all pinned verification reports;
+    # this recomputes the workload's full size at seed 1 and smoke size at
+    # seed 0 (its refused command among them), every library report at
+    # seed 0 and the bracket lines of seed 0's states
+    import identity_verify
+
+    pinned = json.loads(identity_verify.MANIFEST.read_text())
+    table = identity_verify.workload_runs(
+        lambda key: key.startswith(("workload seed 0 smoke ",
+                                    "workload seed 1 full ")))
+    table.update(identity_verify.library_reports(
+        lambda key: key.endswith(" seed 0")))
+    table.update(identity_verify.bracket_runs(
+        lambda key: " seed 0 state " in key))
+    assert len(table) == 8 + 7 + 17 * 2 * 3 + 17 * 3
+    assert table == {key: pinned[key] for key in table}
+
+
 def test_simulate_runs_match_their_manifest():
     # tests/identity_simulate.py checks all pinned Verlet runs; this
     # recomputes the smoke-size workload of seed 0 (its refused command
