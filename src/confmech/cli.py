@@ -410,7 +410,7 @@ def run(cfg: RunConfig) -> int:
         return 0 if report.passed else 1
 
     if cfg.command == "verify-decoupling":
-        report = canonicity_report(ms, samples=cfg.samples, tol=cfg.tol,
+        report = canonicity_report(sys_, samples=cfg.samples, tol=cfg.tol,
                                    seed=cfg.seed)
         emit(_json_doc(cfg, report.to_dict()), "json", cfg.output)
         expected = "canonical" if ms.d == 1 else "non-canonical"

@@ -14,7 +14,7 @@ and the combination ``I = (4HK - D^2)/2`` is then a constant of motion
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -258,9 +258,8 @@ class HomogeneityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["pass"] = doc.pop("passed")
-        return doc
+        return {"max_residual": self.max_residual, "samples": self.samples,
+                "tol": self.tol, "seed": self.seed, "pass": self.passed}
 
 
 def check_homogeneity(V: Observable, d: int, samples: int = 100,
@@ -306,9 +305,12 @@ class AlgebraReport:
         return list(self.residuals)
 
     def to_dict(self) -> dict:
-        doc = {"relations": self.relations, **asdict(self)}
-        doc["pass"] = doc.pop("passed")
-        return doc
+        """``relations``, the fields in order (``residuals`` a fresh dict,
+        as :func:`dataclasses.asdict` copies it) with ``passed`` written
+        as ``pass``."""
+        return {"relations": self.relations,
+                "residuals": dict(self.residuals), "samples": self.samples,
+                "tol": self.tol, "seed": self.seed, "pass": self.passed}
 
 
 def verify_algebra(sys: ConformalSystem, samples: int = 200,

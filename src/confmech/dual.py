@@ -6,11 +6,20 @@ of each value entry (Griewank & Walther, *Evaluating Derivatives*, ch. 3).
 The scalar case is ``shape == ()``, where ``val`` is a float. Evaluating an
 observable once on jets seeded by :func:`seed` yields its full gradient,
 at one point or at every row of ``(N, d)`` arrays at once
-(:func:`gradient`). Arithmetic, indexing, ``.T``, ``np.vecdot``, ``np.dot``
-of vectors, ``np.sum``, numpy's elementwise functions and the ``d*``
-helpers below all take jets, so a body written once over ``(..., d)``
-arrays differentiates with no extra work; :func:`stack` and :func:`col`
-build and broadcast arrays of jets.
+(:func:`gradient`). Arithmetic, indexing (index arrays included),
+``.T``, ``np.vecdot``, ``np.dot`` of vectors, ``np.sum``, numpy's
+elementwise functions and the ``d*`` helpers below all take jets, so a
+body written once over ``(..., d)`` arrays differentiates with no extra
+work; :func:`stack`, :func:`concat` and :func:`col` build and broadcast
+arrays of jets.
+
+Whole-array rule: a jet operation costs about the same numpy dispatch
+whether it acts on one entry or on every row and component at once, so
+code on jets works on whole arrays. A chain of products over many entries
+is one product per factor position over all of them (gathered by index
+arrays), a sum over the last axis is :func:`sum_last`, one column of
+values and derivatives at a time, and a jet per component, or per partial
+sum, is what the rule avoids.
 
 Every value rounds as the float code of one point does, entry by entry:
 products and sums follow the same order, dot products add their products
@@ -18,8 +27,9 @@ left to right, transcendental functions come from :mod:`math` one entry at
 a time (numpy's own arccos or arctan2 loops can differ in the last bit),
 and square roots, correctly rounded everywhere, from ``np.sqrt``.
 Each map costs one Python call per entry, so :func:`sincos` gives the
-sine and cosine jets of an angle from one map of each, and the chart maps
-of :mod:`confmech.reduction` take every factor of an angle from it once.
+sine and cosine jets of angles from one map of each, and the chart maps
+of :mod:`confmech.reduction` take every factor of every angle from one
+such call.
 A jet's value therefore matches the float call bit for bit except where
 the float call goes through a BLAS dot product, which may fuse
 multiply-adds.
@@ -72,7 +82,7 @@ class Dual:
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
-        return Dual(self.val[key], self.eps[key + (slice(None),)])
+        return _jet(self.val[key], self.eps[key + (slice(None),)])
 
     def __iter__(self):
         for i in range(self.shape[0]):
@@ -91,38 +101,41 @@ class Dual:
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.eps + other.eps)
+            return _jet(self.val + other.val, self.eps + other.eps)
         return Dual(self.val + other, self.eps)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.eps - other.eps)
+            return _jet(self.val - other.val, self.eps - other.eps)
         return Dual(self.val - other, self.eps)
 
     def __rsub__(self, other):
         return Dual(other - self.val, -self.eps)
 
     def __mul__(self, other):
+        if other is self:  # a square: its two product-rule terms agree
+            term = col(self.val) * self.eps
+            return _jet(self.val * self.val, term + term)
         if isinstance(other, Dual):
-            return Dual(self.val * other.val, col(self.val) * other.eps
+            return _jet(self.val * other.val, col(self.val) * other.eps
                         + col(other.val) * self.eps)
-        return Dual(self.val * other, self.eps * col(other))
+        return _jet(self.val * other, self.eps * col(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
             inv = 1.0 / other.val
-            return Dual(self.val / other.val,
+            return _jet(self.val / other.val,
                         (self.eps - col(self.val * inv) * other.eps)
                         * col(inv))
-        return Dual(self.val / other, self.eps / col(other))
+        return _jet(self.val / other, self.eps / col(other))
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.val
-        return Dual(other / self.val, col(-other * inv * inv) * self.eps)
+        return _jet(other / self.val, col(-other * inv * inv) * self.eps)
 
     def __pow__(self, n):
         if isinstance(n, Dual):
@@ -132,7 +145,7 @@ class Dual:
                     col(n * np.float_power(self.val, n - 1)) * self.eps)
 
     def __neg__(self):
-        return Dual(-self.val, -self.eps)
+        return _jet(-self.val, -self.eps)
 
     def __pos__(self):
         return self
@@ -156,6 +169,16 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.eps!r})"
+
+
+def _jet(val, eps) -> Dual:
+    """A jet from numpy arithmetic on jets, whose value (an array or a
+    numpy scalar) and derivatives agree in shape already: no conversion,
+    check or broadcast."""
+    x = object.__new__(Dual)
+    x.val = val
+    x.eps = eps
+    return x
 
 
 def _map(fn, *args):
@@ -248,13 +271,26 @@ def arctan2(y, x):
 
 
 def vecdot(a, b):
-    """``np.vecdot`` over the last axis for floats and jets; the products
-    are added left to right, as a Python loop over the entries would."""
-    prod = a * b if isinstance(a, Dual) else b.__rmul__(a)
-    out = prod[..., 0]
-    for i in range(1, prod.shape[-1]):
-        out = out + prod[..., i]
-    return out
+    """``np.vecdot`` over the last axis for floats and jets: the products'
+    :func:`sum_last`."""
+    return sum_last(a * b if isinstance(a, Dual) else b.__rmul__(a))
+
+
+def sum_last(x):
+    """The sum over the last axis of a float array or a jet, added left to
+    right as a Python loop over the entries would, one column of values
+    (and of derivatives) at a time."""
+    if not isinstance(x, Dual):
+        out = x[..., 0]
+        for i in range(1, x.shape[-1]):
+            out = out + x[..., i]
+        return out
+    val, eps = x.val, x.eps
+    v, e = val[..., 0], eps[..., 0, :]
+    for i in range(1, val.shape[-1]):
+        v = v + val[..., i]
+        e = e + eps[..., i, :]
+    return _jet(v, e)
 
 
 def stack(items, axis: int = -1):
@@ -264,6 +300,10 @@ def stack(items, axis: int = -1):
     if not items:
         return np.zeros(0)
     jets = [x for x in items if isinstance(x, Dual)]
+    if len(jets) == len(items) and all(
+            np.shape(x.val) == np.shape(items[0].val) for x in items):
+        return _jet(np.stack([x.val for x in items], axis=axis),
+                    np.stack([x.eps for x in items], axis=axis - 1))
     vals = np.broadcast_arrays(*(value(x) for x in items))
     if not jets:
         return np.stack(vals, axis=axis)
@@ -271,6 +311,20 @@ def stack(items, axis: int = -1):
     eps = [np.broadcast_to(x.eps if isinstance(x, Dual) else 0.0, shape)
            for x in items]
     return Dual(np.stack(vals, axis=axis), np.stack(eps, axis=axis - 1))
+
+
+def concat(items):
+    """``np.concatenate`` along the last axis of float arrays and jets
+    alike, each of the same leading shape; a float array beside a jet is a
+    constant jet."""
+    jets = [x for x in items if isinstance(x, Dual)]
+    if not jets:
+        return np.concatenate(items, axis=-1)
+    n = jets[0].eps.shape[-1]
+    return _jet(np.concatenate([value(x) for x in items], axis=-1),
+                np.concatenate([x.eps if isinstance(x, Dual) else
+                                np.zeros(np.shape(x) + (n,))
+                                for x in items], axis=-2))
 
 
 def _dot(a, b):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -50,13 +50,14 @@ from .errors import (
     ZeroWError,
 )
 from .models import ModelSpec, build
-from .phase import Observable, PhaseState, brackets
+from .phase import Observable, PhaseState, bracket_block, brackets, grad
 from .reduction import (
     ReducedState,
     SphericalSystem,
+    _chart,
     _chart_components,
+    _within_chart,
     from_hyperspherical,
-    hyperspherical_rows,
     spherical_system_from,
     to_hyperspherical,
 )
@@ -223,19 +224,23 @@ def halfplane_observable(sphere: SphericalSystem) -> Observable:
     sigma^ = i for I > 0 and 1 for I < 0 (the sign of I picks the branch);
     for d > 1 the chart components (r, p_r, phi..., pi...) of one
     :func:`~confmech.reduction.hyperspherical_rows` call follow, which
-    also gives I its angles (d = 1 has no chart, so x < 0 is in its domain)."""
+    also gives I its angles (d = 1 has no chart, so x < 0 is in its
+    domain), and q.q, and for U's ``on_unit`` (as
+    :func:`~confmech.reduction.spherical_system_from` gives it) the unit
+    vectors of the chart's own sine/cosine table."""
     d = sphere.d
+    on_unit = getattr(sphere.U, "on_unit", None)
 
     def fn(q, p):
         if d == 1:
-            chart, phi = [], np.zeros(0)
+            chart, qq, u_term = [], np.vecdot(q, q), sphere.U(np.zeros(0))
         else:
-            rows = hyperspherical_rows(q, p)
-            chart, phi = _chart_components(*rows), rows[2]
-        qq = np.vecdot(q, q)
+            r, p_r, phi, pi, qq, u = _chart(q, p)
+            chart = _chart_components(r, p_r, phi, pi)
+            u_term = sphere.U(phi) if on_unit is None else on_unit(u)
         pp = np.vecdot(p, p)
         qp = np.vecdot(q, p)
-        i = 0.5 * (qq * pp - qp * qp) + sphere.U(phi)
+        i = 0.5 * (qq * pp - qp * qp) + u_term
         return dual.stack([qp / qq,
                            dual.sqrt(abs(2.0 * i)) / qq, i, *chart])
 
@@ -350,7 +355,13 @@ class CanonicityReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "sign_notes": list(SIGN_NOTES)}
+        """The fields in order, then ``sign_notes``; each bracket entry is
+        a fresh dict, as :func:`dataclasses.asdict` copies it."""
+        return {"dimension": self.dimension,
+                "brackets": {name: dict(entry)
+                             for name, entry in self.brackets.items()},
+                "samples": self.samples, "tol": self.tol, "seed": self.seed,
+                "verdict": self.verdict, "sign_notes": list(SIGN_NOTES)}
 
 
 def _ww_residual_rows(b, r, i_val):
@@ -396,31 +407,41 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
 
     def admissible(Q, P):
         # H > 1e-2, I > 1e-2, and x > 1e-2 (d = 1) or the chart's 1e-3
-        # pole margin (d > 1); sample_states rejects a row that raises
+        # pole margin (d > 1), read from the angles alone: each row is
+        # the one a chart call on it alone admits
         h, i_val = h_and_i(Q, P)
         ok = np.isfinite(h) & (h > 1e-2) & (i_val > 1e-2)
         if d == 1:
             return ok & (Q[:, 0] > 1e-2)
-        hyperspherical_rows(Q, P, delta=1e-3)
-        return ok
+        return ok & _within_chart(Q, delta=1e-3)
 
     Q, P = _seeded_rows(d, samples, tol, seed, sys.singular_distance,
                         admissible)
 
-    # every state's bracket table over (p~, r~) and the half-plane
-    # observable (Re w, s, I, r, p_r, phi_0, ..., pi_0, ...)
-    B = brackets([tilde_observable(sys),
-                  halfplane_observable(spherical_system_from(sys.V, d))],
-                 Q, P)
+    # one gradient of (p~, r~) and one of the half-plane observable
+    # (Re w, s, I, r, p_r, phi_0, ..., pi_0, ...) over every state, and of
+    # their bracket table only the entries the report reads
+    pt, hp = (grad(A, Q, P) for A in (
+        tilde_observable(sys),
+        halfplane_observable(spherical_system_from(sys.V, d))))
+
+    def rows(g, start, stop=None):
+        return tuple(x[:, start:stop] for x in g)
+
+    pair = bracket_block(rows(pt, 0, 1), rows(pt, 1))[:, 0, 0]
+    # {p~ or r~, phi_a or pi_a}: the chart's angles and momenta follow
+    # r and p_r (components 3 and 4) of the half-plane observable
+    chart = bracket_block(pt, rows(hp, 5))
+    ww = bracket_block(rows(hp, 0, 1), rows(hp, 1, 2))[:, 0, 0]
     # (table name, tilde row, chart column) of each mixed bracket
-    mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), 7 + k * (d - 1) + a)
+    mixed = [(f"{{{t}~,{u}_{a}}}", "pr".index(t), k * (d - 1) + a)
              for a in range(d - 1) for t in "rp"
              for k, u in enumerate(("phi", "pi"))]
-    columns = {"{p~,r~}-1": np.abs(B[:, 0, 1] - 1.0),
-               **{name: np.abs(B[:, j, k]) for name, j, k in mixed},
+    columns = {"{p~,r~}-1": np.abs(pair - 1.0),
+               **{name: np.abs(chart[:, j, k]) for name, j, k in mixed},
                # r as hyperspherical_rows takes it
                "{w,wbar}-formula": _ww_residual_rows(
-                   B[:, 2, 3], np.sqrt(np.vecdot(Q, Q)), h_and_i(Q, P)[1])}
+                   ww, np.sqrt(np.vecdot(Q, Q)), h_and_i(Q, P)[1])}
     table = {name: {"max_residual": float(v.max()),
                     "exceed_count": int(np.sum(v > tol))}
              for name, v in columns.items()}

@@ -422,17 +422,20 @@ def _calogero_relative(d: int, params: dict) -> _Entry:
     def V(q, p):
         # project on every pair axis at once, then sum pair by pair in
         # order, so the sum rounds the same on every input
-        total = 0.0
-        proj = np.vecdot(axes, q[..., None, :]).T
+        proj = np.vecdot(axes, q[..., None, :])
         if isinstance(proj, np.ndarray) and proj.ndim == 1:
             # one point: the same operations on Python floats, without a
             # numpy scalar operation per pair
-            proj = proj.tolist()
-        for s in proj:
-            if _singular(s == 0.0):
-                raise DomainError("coincident particles")
-            total = total + g2 / (s * s)
-        return total
+            total = 0.0
+            for s in proj.tolist():
+                if s == 0.0:
+                    raise DomainError("coincident particles")
+                total = total + g2 / (s * s)
+            return total
+        if _singular(proj == 0.0):
+            raise DomainError("coincident particles")
+        # rows or jets: every pair's term in one operation of each kind
+        return dual.sum_last(g2 / (proj * proj))
 
     def dV(q, p):
         # sum over pairs of -2 g^2 a / (a.q)^3, pair by pair in order

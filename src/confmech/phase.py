@@ -233,15 +233,32 @@ def brackets(observables, state, P: np.ndarray = None) -> np.ndarray:
     dQ, dP = (np.concatenate([np.reshape(g[i], lead + (-1, g[i].shape[-1]))
                               for g in grads], axis=-2) for i in (0, 1))
     m = dQ.shape[-2]
-    # X[j, k] = dP_j . dQ_k, each product once: {A_j, A_k} = X[j, k] -
-    # X[k, j], since a dot product is the same bits with its factors swapped
-    if lead:
-        X = np.vecdot(dP[..., :, None, :], dQ[..., None, :, :])
-    else:
-        X = np.array([[np.dot(a, b) for b in dQ] for a in dP])
-    B = X - np.swapaxes(X, -1, -2)
+    g = (dQ, dP)
+    B = bracket_block(g, g)
     B[..., range(m), range(m)] = 0.0
     return B
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``X[..., j, k] = a_j . b_k`` over ``(..., m, d)`` and ``(..., n, d)``
+    gradients: ``np.vecdot`` on rows, ``np.dot`` at a point."""
+    if a.ndim > 2:
+        return np.vecdot(a[..., :, None, :], b[..., None, :, :])
+    return np.array([[np.dot(x, y) for y in b] for x in a])
+
+
+def bracket_block(ga, gb) -> np.ndarray:
+    """The block ``{A_j, B_k}`` between the components of two observables,
+    from their :func:`grad` pairs ``(dQ, dP)`` of shape ``(..., m, d)`` and
+    ``(..., n, d)`` (rows or a point): ``dP_A . dQ_B - dP_B . dQ_A``, with
+    the dot products of :func:`brackets` and its bits entry by entry, so a
+    caller that reads a few entries of a table differentiates and
+    multiplies no more than those. A pair passed twice (``gb is ga``)
+    computes its dot products once: a dot product is the same bits with
+    its factors swapped."""
+    x = _dots(ga[1], gb[0])
+    y = x if gb is ga else _dots(gb[1], ga[0])
+    return x - np.swapaxes(y, -1, -2)
 
 
 def poisson_bracket(A: Observable, B: Observable, state: PhaseState) -> float:

@@ -21,6 +21,7 @@ raise :class:`ChartSingularError` (flip the sign, reduce, flip back).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,46 +79,92 @@ def _factor_lists(d: int):
     return comps
 
 
-def _sincos_table(phi, d: int) -> dict:
-    """``{(a, "s"): sin phi_a, (a, "c"): cos phi_a}`` over the d-1 angles,
-    one :func:`~confmech.dual.sincos` per angle."""
-    table = {}
-    for a in range(d - 1):
-        table[a, "s"], table[a, "c"] = dual.sincos(phi[..., a])
-    return table
+@functools.cache
+def _frame_plan(d: int, tangents: bool):
+    """Index plan of the chart's products over the ``(..., 3, d-1)`` table
+    ``[sin, cos, -sin]`` of the angles: the chain of each Cartesian
+    component of the unit vector and, with ``tangents``, of each nonzero
+    entry of the tangent vectors (one factor replaced by its derivative),
+    grouped by length. Returns ``(groups, u_index, t_index)``: per group a
+    ``(table rows, angles)`` pair of ``(chains, length)`` index arrays, and
+    the positions of u's and T's entries among the groups' products laid
+    end to end, a zero after them standing for T's zero entries."""
+    kinds = {"s": 0, "c": 1}
+    derivative = {"s": 1, "c": 2}  # d sin = cos, d cos = -sin
+    comps = _factor_lists(d)
+    chains = [[(kinds[kind], idx) for idx, kind in factors]
+              for factors in comps]
+    t_chain = [[None] * (d - 1) for _ in range(d)]
+    if tangents:
+        for i, factors in enumerate(comps):
+            for which, (didx, _) in enumerate(factors):
+                assert t_chain[i][didx] is None  # one factor per angle
+                t_chain[i][didx] = len(chains)
+                chains.append([
+                    (derivative[kind] if pos == which else kinds[kind], idx)
+                    for pos, (idx, kind) in enumerate(factors)])
+    lengths = sorted({len(chain) for chain in chains})
+    order = [j for n in lengths for j in range(len(chains))
+             if len(chains[j]) == n]
+    at = {j: k for k, j in enumerate(order)}
+    at[None] = len(chains)
+    groups = [tuple(np.array([[f[part] for f in chains[j]]
+                              for j in order if len(chains[j]) == n])
+                    for part in (0, 1)) for n in lengths]
+    return (groups, np.array([at[i] for i in range(d)]),
+            np.array([[at[j] for j in row] for row in t_chain]))
+
+
+def _frame(phi, d: int, tangents: bool = True):
+    """``(u, T)``: the unit vectors of ``(..., d-1)`` angles (floats or
+    jets) and, with ``tangents``, their ``(..., d, d-1)`` tangent vectors
+    du/dt_a, from one :func:`~confmech.dual.sincos` of every angle. Each
+    entry is its left-to-right product of sines and cosines, taken a whole
+    group of equally long chains at a time; T's entries are added to 0.0
+    (a -0.0 product reads +0.0). d = 1 has no angles: u = (1,)."""
+    if d == 1:
+        return np.ones(1), np.zeros((1, 0))
+    s, c = dual.sincos(phi)
+    table = dual.stack([s, c, -s], axis=-2)
+    groups, u_index, t_index = _frame_plan(d, tangents)
+    products = []
+    for rows, angles in groups:
+        v = table[..., rows[:, 0], angles[:, 0]]
+        for pos in range(1, rows.shape[1]):
+            v = v * table[..., rows[:, pos], angles[:, pos]]
+        products.append(v)
+    if not tangents:
+        return dual.concat(products)[..., u_index], None
+    products.append(np.zeros(np.shape(dual.value(phi))[:-1] + (1,)))
+    products = dual.concat(products)
+    return products[..., u_index], products[..., t_index] + 0.0
 
 
 def unit_from_angles(phi, d: int):
     """Unit vectors on the (d-1)-sphere from ``(..., d-1)`` angles; floats
     or jets."""
-    table = _sincos_table(phi, d)
-    out = []
-    for factors in _factor_lists(d):
-        v = 1.0
-        for factor in factors:
-            v = v * table[factor]
-        out.append(v)
-    return dual.stack(out)
+    return _frame(phi, d, tangents=False)[0]
 
 
 def unit_tangents(phi, d: int):
     """``(..., d, d-1)`` tangent vectors du/dt_a (floats or jets)."""
-    table = _sincos_table(phi, d)
-    out = []
-    for factors in _factor_lists(d):
-        row = [0.0] * (d - 1)
-        for which, (didx, dkind) in enumerate(factors):
-            v = 1.0
-            for pos, (idx, kind) in enumerate(factors):
-                if pos == which:
-                    f = (table[idx, "c"] if kind == "s"
-                         else -table[idx, "s"])
-                else:
-                    f = table[idx, kind]
-                v = v * f
-            row[didx] = row[didx] + v
-        out.append(dual.stack(row))
-    return dual.stack(out, axis=-2)
+    return _frame(phi, d)[1]
+
+
+def _polar_cosines(n, d: int):
+    """The cosine of each polar angle of ``(..., d)`` unit vectors (floats
+    or jets), in the chart's order: the remaining components live on a
+    sphere of radius prod(sin), so each is renormalized and its arccos
+    argument stays in [-1, 1]."""
+    for k in range(d - 2):
+        c = n[..., d - 1 - k]
+        rest = n[..., :d - 1 - k]
+        yield c / dual.sqrt(dual.sum_last(rest * rest) + c * c)
+
+
+def _near_pole(t, delta: float):
+    """Where a polar angle's value is within ``delta`` of a pole."""
+    return (t < delta) | (t > np.pi - delta)
 
 
 def angles_from_unit(n, d: int, delta: float = _POLE_MARGIN):
@@ -133,23 +180,38 @@ def angles_from_unit(n, d: int, delta: float = _POLE_MARGIN):
                 "the 1D chart covers the half-line x > 0 only")
         return np.zeros(np.shape(nv)[:-1] + (0,))
     phi = []
-    for k in range(d - 2):
-        c = n[..., d - 1 - k]
-        # remaining components live on a sphere of radius prod(sin);
-        # renormalize so the arccos argument stays in range
-        rem = 0.0
-        for j in range(d - 1 - k):
-            rem = rem + n[..., j] * n[..., j]
-        c = c / dual.sqrt(rem + c * c)
-        # the guard reads the angle's value, its argument clamped to [-1, 1]
-        tv = dual.arccos(np.clip(dual.value(c), -1.0, 1.0))
-        if np.any((tv < delta) | (tv > np.pi - delta)):
+    for k, c in enumerate(_polar_cosines(n, d)):
+        # the guard reads the angle's value, its argument clamped to
+        # [-1, 1] on floats; a jet's argument is in range (a rounded
+        # sqrt(x * x) is |x|), so its one arccos gives the same value
+        if isinstance(c, dual.Dual):
+            t = dual.arccos(c)
+            tv = t.val
+        else:
+            t = tv = dual.arccos(np.clip(c, -1.0, 1.0))
+        if np.any(_near_pole(tv, delta)):
             raise ChartSingularError(
                 f"polar angle {k} is within {delta:g} of a pole; "
                 "permute/rotate axes and reduce again")
-        phi.append(dual.arccos(c) if isinstance(c, dual.Dual) else tv)
+        phi.append(t)
     phi.append(dual.arctan2(n[..., 1], n[..., 0]))
     return dual.stack(phi)
+
+
+def _within_chart(Q: np.ndarray, delta: float) -> np.ndarray:
+    """Per row of float ``(..., d)`` positions, d > 1: whether the chart
+    takes it at pole margin ``delta``, i.e. :func:`hyperspherical_rows` on
+    that row alone would not raise. Only the polar angles' values are
+    computed, with the bits of the chart's own guard."""
+    r = np.sqrt(np.vecdot(Q, Q))
+    ok = ~(r <= 0)
+    # the chart stops at a row's first failure; here a row at the origin,
+    # or on a pole, goes on to NaN angles, which refuse nothing more
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = Q / r[..., None]
+        for c in _polar_cosines(n, Q.shape[-1]):
+            ok &= ~_near_pole(dual.arccos(np.clip(c, -1.0, 1.0)), delta)
+    return ok
 
 
 def hyperspherical_rows(Q, P, delta: float = _POLE_MARGIN):
@@ -157,19 +219,27 @@ def hyperspherical_rows(Q, P, delta: float = _POLE_MARGIN):
     phi, pi)``, ``phi`` and ``pi`` of shape ``(..., d-1)``; each float row
     is bit for bit :func:`to_hyperspherical`'s. Raises
     :class:`ChartSingularError` if any row is outside the chart."""
+    return _chart(Q, P, delta)[:4]
+
+
+def _chart(Q, P, delta: float = _POLE_MARGIN):
+    """:func:`hyperspherical_rows`' ``(r, p_r, phi, pi)``, then ``Q . Q``
+    (r is its root) and the unit vectors of ``phi``, which the tangents of
+    ``pi`` take from the same sine/cosine table (None at d = 1)."""
     d = Q.shape[-1]
-    r = np.sqrt(np.vecdot(Q, Q))  # np.linalg.norm's formula, row by row
+    qq = np.vecdot(Q, Q)
+    r = np.sqrt(qq)  # np.linalg.norm's formula, row by row
     if np.any(r <= 0):
         raise ChartSingularError("the chart is undefined at the origin")
     n = Q / r[..., None]
     phi = angles_from_unit(n, d, delta=delta)
     p_r = np.vecdot(P, n)
     if d == 1:
-        return r, p_r, phi, np.zeros_like(phi)
-    T = unit_tangents(phi, d)
+        return r, p_r, phi, np.zeros_like(phi), qq, None
+    u, T = _frame(phi, d)
     pi = r[..., None] * dual.stack([np.vecdot(P, T[..., :, a])
                                     for a in range(d - 1)])
-    return r, p_r, phi, pi
+    return r, p_r, phi, pi, qq, u
 
 
 def to_hyperspherical(s: PhaseState,
@@ -223,11 +293,15 @@ class SphericalSystem:
 def spherical_system_from(V: Observable, d: int) -> SphericalSystem:
     """Angular system of a degree minus-two potential: U = V on the unit
     sphere (the radial factor drops out by homogeneity). U takes the
-    ``(..., d-1)`` angles of one point or of rows, floats or jets."""
-    def U(phi):
-        u = unit_from_angles(phi, d)
+    ``(..., d-1)`` angles of one point or of rows, floats or jets; its
+    ``on_unit`` takes their unit vectors instead."""
+    def on_unit(u):
         return V.fn(u, np.zeros(np.shape(dual.value(u))))
 
+    def U(phi):
+        return on_unit(unit_from_angles(phi, d))
+
+    U.on_unit = on_unit
     return SphericalSystem(d=d, U=U)
 
 

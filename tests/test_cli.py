@@ -633,6 +633,25 @@ def test_reconstruct_calls_match_their_manifest():
     assert table == {key: pinned[key] for key in table}
 
 
+@pytest.mark.parametrize("flags", _CATALOG_FLAGS, ids=lambda f: " ".join(f))
+def test_decoupling_builds_its_system_once(flags, monkeypatch, capsys):
+    # run builds the system and hands it to canonicity_report, which
+    # builds one only when given a ModelSpec
+    from confmech import lobachevsky, models
+
+    calls = []
+    build = models.build
+
+    def counted(ms):
+        calls.append(ms)
+        return build(ms)
+
+    for module in (models, lobachevsky):
+        monkeypatch.setattr(module, "build", counted)
+    assert main(["verify-decoupling", *flags, "--samples", "5"]) == 0
+    assert len(calls) == 1
+
+
 def test_verify_reports_match_their_manifest():
     # tests/identity_verify.py checks all pinned verification reports;
     # this recomputes the workload's full size at seed 1 and smoke size at

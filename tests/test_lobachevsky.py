@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmech import dual, lobachevsky, models, phase
+from confmech import conformal, dual, lobachevsky, models, phase, reduction
 from confmech.conformal import _casimir, build_system, casimir_I
 from confmech.errors import (
+    ChartSingularError,
     NonFiniteError,
     NonPositiveEnergyError,
     ZeroAngularEnergyError,
@@ -843,6 +844,26 @@ class TestHalfPlaneObservable:
             for g, w in zip(grads, want_grads):
                 assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_chart_and_U_share_one_sine_cosine_table(self, d, monkeypatch):
+        # the chart's tangents and U's unit vectors come from one sincos of
+        # every angle, so a jet evaluation maps each angle's sine once
+        calls = []
+        sincos = dual.sincos
+
+        def counted(x):
+            calls.append(np.shape(dual.value(x)))
+            return sincos(x)
+
+        sys_ = _CALOGERO[d]
+        states = model_states(sys_, 4, 5, predicate=chart_interior)
+        Q = np.array([s.q for s in states])
+        P = np.array([s.p for s in states])
+        hp = halfplane_observable(spherical_system_from(sys_.V, d)).fn
+        monkeypatch.setattr(dual, "sincos", counted)
+        dual.gradient(hp, Q, P)
+        assert calls == [(4, d - 1)]
+
     def test_one_dimensional_negative_x(self):
         sphere = spherical_system_from(models.potential(
             models.spec("inverse-square", d=1, kappa=0.5)), 1)
@@ -915,6 +936,110 @@ class TestOmega:
                 B = bracket_matrix(sphere, s)
                 npt.assert_allclose(omega @ B, np.eye(2 * sys_.d),
                                     atol=1e-8)
+
+
+class TestRaises:
+    """The raise sites no other test reaches."""
+
+    def test_radial_pair_needs_a_reduced_state_above_d1(self):
+        s = PhaseState([1.0, 0.5], [0.2, -0.3])
+        for fn in (lambda: to_klein(s, 0.5), lambda: tilde_map(s, 0.5)):
+            with pytest.raises(ValueError, match="pass a ReducedState"):
+                fn()
+
+    @pytest.mark.parametrize("I", [0.0, -0.5])
+    def test_omega_needs_positive_I(self, I):
+        sphere = spherical_system_from(models.potential(
+            models.spec("inverse-square", d=2, kappa=0.5)), 2)
+        rs = to_hyperspherical(PhaseState([1.0, 0.5], [0.2, -0.3]))
+        with pytest.raises(ZeroAngularEnergyError, match="needs I > 0"):
+            assemble_omega(rs, sphere, I)
+
+    @pytest.mark.parametrize("source", [(1.2, 0.3), PhaseState([1.2], [0.3])],
+                             ids=["pair", "phase-state"])
+    def test_omega_needs_a_reduced_state_above_d1(self, source):
+        sphere = spherical_system_from(models.potential(
+            models.spec("inverse-square", d=2, kappa=0.5)), 2)
+        with pytest.raises(ValueError, match="pass a ReducedState in d > 1"):
+            assemble_omega(source, sphere, 0.5)
+
+
+def _pole_rows(d, rng):
+    """Positions whose first or last polar angle sits on either side of
+    the 1e-3 pole margin, or on a pole, beside the origin and random rows;
+    with random momenta."""
+    from confmech.reduction import unit_from_angles
+
+    rows = []
+    for t in (0.0, 5e-4, 1e-3 * (1 - 1e-12), 1e-3, 1e-3 * (1 + 1e-12),
+              2e-3, 0.7):
+        for a in {0, d - 3}:
+            for t_a in (t, np.pi - t):
+                phi = np.full(d - 1, 1.1)
+                phi[a] = t_a
+                rows.append(1.3 * unit_from_angles(phi, d))
+    rows.append(np.zeros(d))
+    Q = np.concatenate([np.array(rows), rng.uniform(-2.0, 2.0, (20, d))])
+    return Q, rng.uniform(-2.0, 2.0, Q.shape)
+
+
+def _chart_takes(Q, P):
+    """Per row: whether the chart at margin 1e-3 takes it alone."""
+    out = []
+    for i in range(len(Q)):
+        try:
+            hyperspherical_rows(Q[i:i + 1], P[i:i + 1], delta=1e-3)
+        except ChartSingularError:
+            out.append(False)
+        else:
+            out.append(True)
+    return out
+
+
+class TestPoleMarginMask:
+    """The sampler's pole screen reads the angles of a whole chunk at once
+    and admits exactly the rows the chart admits one by one."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_same_rows_as_the_chart_row_by_row(self, d):
+        Q, P = _pole_rows(d, np.random.default_rng(d))
+        want = _chart_takes(Q, P)
+        assert True in want and False in want
+        assert lobachevsky._within_chart(Q, 1e-3).tolist() == want
+
+    def test_report_screen_is_one_mask_call(self, monkeypatch):
+        # the report's predicate on a chunk with near-pole rows admits
+        # what the row-by-row fallback of a raising chart call admitted,
+        # in one mask call and with no chart call
+        seen, masks, charts = [], [], []
+        sample = conformal.sample_states
+
+        def capture(*args, predicate=None, **kwargs):
+            seen.append(predicate)
+            return sample(*args, predicate=predicate, **kwargs)
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        sys_ = models.build(models.spec("inverse-square", d=3, kappa=0.5))
+        monkeypatch.setattr(conformal, "sample_states", capture)
+        canonicity_report(sys_, samples=3)
+        monkeypatch.setattr(lobachevsky, "_within_chart",
+                            counted(masks, lobachevsky._within_chart))
+        monkeypatch.setattr(reduction, "angles_from_unit",
+                            counted(charts, reduction.angles_from_unit))
+        Q, P = _pole_rows(3, np.random.default_rng(11))
+        Q, P = Q[np.any(Q != 0.0, axis=1)], P[np.any(Q != 0.0, axis=1)]
+        got = seen[0](Q, P)
+        assert (len(masks), len(charts)) == (1, 0)
+        h = sys_.H.fn(Q, P)
+        i_val = _casimir(h, sys_.K.fn(Q, P), sys_.D.fn(Q, P))
+        want = ((h > 1e-2) & (i_val > 1e-2)) & np.array(_chart_takes(Q, P))
+        assert got.tolist() == want.tolist()
+        assert np.any(want) and not np.all(_chart_takes(Q, P))
 
 
 def metric_coefficient(w: complex, g: float) -> float:

@@ -173,9 +173,10 @@ class TestChartObservables:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_one_jet_evaluation_maps_each_angle_once(self, d, monkeypatch):
-        # every sine and cosine factor of an angle comes from one sincos per
-        # table, which maps math.sin and math.cos once each: the chart takes
-        # one table (its tangents), the angular potential U another
+        # every sine and cosine factor of every angle comes from one sincos
+        # per table over all the angles at once, which maps math.sin and
+        # math.cos once each: the chart takes one table (its tangents), the
+        # angular potential U another
         sincos, map_ = dual.sincos, dual._map
         calls, maps = [], []
 
@@ -200,9 +201,9 @@ class TestChartObservables:
             calls.clear()
             maps.clear()
             dual.gradient(fn, Q, P)
-            assert len(calls) == tables * (d - 1)
-            assert all(x.shape == (5,) for x in calls)
-            assert len(maps) == 2 * tables * (d - 1)
+            assert len(calls) == tables
+            assert all(x.shape == (5, d - 1) for x in calls)
+            assert len(maps) == 2 * tables
 
 
 class TestMetric:
