@@ -7,11 +7,11 @@ The scalar case is ``shape == ()``, where ``val`` is a float. Evaluating an
 observable once on jets seeded by :func:`seed` yields its full gradient,
 at one point or at every row of ``(N, d)`` arrays at once
 (:func:`gradient`). Arithmetic, indexing (index arrays included),
-``.T``, ``np.vecdot``, ``np.dot`` of vectors, ``np.sum``, numpy's
-elementwise functions and the ``d*`` helpers below all take jets, so a
-body written once over ``(..., d)`` arrays differentiates with no extra
-work; :func:`stack`, :func:`concat` and :func:`col` build and broadcast
-arrays of jets.
+``.T``, ``np.swapaxes``, ``np.vecdot``, ``np.dot`` of vectors,
+``np.sum``, numpy's elementwise functions and the ``d*`` helpers below
+all take jets, so a body written once over ``(..., d)`` arrays
+differentiates with no extra work; :func:`stack`, :func:`concat` and
+:func:`col` build and broadcast arrays of jets.
 
 Whole-array rule: a jet operation costs about the same numpy dispatch
 whether it acts on one entry or on every row and component at once, so
@@ -337,6 +337,13 @@ def _sum(a):
     return Dual(np.sum(a.val), a.eps.reshape(-1, a.eps.shape[-1]).sum(0))
 
 
+def _swapaxes(a, axis1, axis2):
+    # a negative value axis counts past the derivative axis
+    eps_axes = [ax - 1 if ax < 0 else ax for ax in (axis1, axis2)]
+    return _jet(np.swapaxes(a.val, axis1, axis2),
+                np.swapaxes(a.eps, *eps_axes))
+
+
 def _binary(name):
     def fn(a, b):
         if isinstance(a, Dual):
@@ -357,7 +364,7 @@ _UFUNCS = {
     **{u: _on_values(u) for u in (np.less, np.less_equal, np.greater,
                                   np.greater_equal, np.equal, np.not_equal)},
 }
-_FUNCTIONS = {np.dot: _dot, np.sum: _sum}
+_FUNCTIONS = {np.dot: _dot, np.sum: _sum, np.swapaxes: _swapaxes}
 
 
 def seed(values, n_dirs, offset):

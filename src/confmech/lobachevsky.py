@@ -225,7 +225,7 @@ def halfplane_observable(sphere: SphericalSystem) -> Observable:
     for d > 1 the chart components (r, p_r, phi..., pi...) of one
     :func:`~confmech.reduction.hyperspherical_rows` call follow, which
     also gives I its angles (d = 1 has no chart, so x < 0 is in its
-    domain), and q.q, and for U's ``on_unit`` (as
+    domain), and for U's ``on_unit`` (as
     :func:`~confmech.reduction.spherical_system_from` gives it) the unit
     vectors of the chart's own sine/cosine table."""
     d = sphere.d
@@ -233,11 +233,12 @@ def halfplane_observable(sphere: SphericalSystem) -> Observable:
 
     def fn(q, p):
         if d == 1:
-            chart, qq, u_term = [], np.vecdot(q, q), sphere.U(np.zeros(0))
+            chart, u_term = [], sphere.U(np.zeros(0))
         else:
-            r, p_r, phi, pi, qq, u = _chart(q, p)
+            r, p_r, phi, pi, u = _chart(q, p)
             chart = _chart_components(r, p_r, phi, pi)
             u_term = sphere.U(phi) if on_unit is None else on_unit(u)
+        qq = np.vecdot(q, q)
         pp = np.vecdot(p, p)
         qp = np.vecdot(q, p)
         i = 0.5 * (qq * pp - qp * qp) + u_term
@@ -442,9 +443,12 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
                # r as hyperspherical_rows takes it
                "{w,wbar}-formula": _ww_residual_rows(
                    ww, np.sqrt(np.vecdot(Q, Q)), h_and_i(Q, P)[1])}
-    table = {name: {"max_residual": float(v.max()),
-                    "exceed_count": int(np.sum(v > tol))}
-             for name, v in columns.items()}
+    # every column's largest residual and exceed count in one pass each
+    residuals = np.stack(list(columns.values()), axis=-1)
+    table = {name: {"max_residual": worst, "exceed_count": exceed}
+             for name, worst, exceed in zip(
+                 columns, residuals.max(axis=0).tolist(),
+                 (residuals > tol).sum(axis=0).tolist())}
 
     canonical = all(entry["max_residual"] < tol
                     for name, entry in table.items()

@@ -80,70 +80,59 @@ def _factor_lists(d: int):
 
 
 @functools.cache
-def _frame_plan(d: int, tangents: bool):
-    """Index plan of the chart's products over the ``(..., 3, d-1)`` table
-    ``[sin, cos, -sin]`` of the angles: the chain of each Cartesian
-    component of the unit vector and, with ``tangents``, of each nonzero
-    entry of the tangent vectors (one factor replaced by its derivative),
-    grouped by length. Returns ``(groups, u_index, t_index)``: per group a
-    ``(table rows, angles)`` pair of ``(chains, length)`` index arrays, and
-    the positions of u's and T's entries among the groups' products laid
-    end to end, a zero after them standing for T's zero entries."""
-    kinds = {"s": 0, "c": 1}
-    derivative = {"s": 1, "c": 2}  # d sin = cos, d cos = -sin
+def _frame_plan(d: int):
+    """Index plan of the chart's products over the table ``[sin phi, cos
+    phi, -sin phi]`` of the d-1 angles (``3(d-1)`` columns): the chain of
+    factors of each Cartesian component of the unit vector, then of each
+    nonzero entry of the tangent vectors (one factor replaced by its
+    derivative), as ``(groups, u_at, t_at)``. ``groups`` holds the chains
+    of each length as a ``(chains, length)`` index array, shortest first;
+    ``u_at`` and ``t_at`` place u's and T's entries among the groups'
+    products laid end to end, with a zero after them for T's zeros."""
+    code = {"s": 0, "c": d - 1}
+    slope = {"s": d - 1, "c": 2 * (d - 1)}  # sin' = cos, cos' = -sin
     comps = _factor_lists(d)
-    chains = [[(kinds[kind], idx) for idx, kind in factors]
-              for factors in comps]
-    t_chain = [[None] * (d - 1) for _ in range(d)]
-    if tangents:
-        for i, factors in enumerate(comps):
-            for which, (didx, _) in enumerate(factors):
-                assert t_chain[i][didx] is None  # one factor per angle
-                t_chain[i][didx] = len(chains)
-                chains.append([
-                    (derivative[kind] if pos == which else kinds[kind], idx)
-                    for pos, (idx, kind) in enumerate(factors)])
-    lengths = sorted({len(chain) for chain in chains})
-    order = [j for n in lengths for j in range(len(chains))
-             if len(chains[j]) == n]
-    at = {j: k for k, j in enumerate(order)}
-    at[None] = len(chains)
-    groups = [tuple(np.array([[f[part] for f in chains[j]]
-                              for j in order if len(chains[j]) == n])
-                    for part in (0, 1)) for n in lengths]
-    return (groups, np.array([at[i] for i in range(d)]),
-            np.array([[at[j] for j in row] for row in t_chain]))
+    chains = [[code[kind] + a for a, kind in factors] for factors in comps]
+    t_chain = np.full((d, d - 1), -1)
+    for i, factors in enumerate(comps):
+        for which, (a, _) in enumerate(factors):
+            t_chain[i, a] = len(chains)
+            chains.append([(slope if pos == which else code)[kind] + b
+                           for pos, (b, kind) in enumerate(factors)])
+    order = sorted(range(len(chains)), key=lambda j: len(chains[j]))
+    groups = [np.array([chains[j] for j in order if len(chains[j]) == n])
+              for n in sorted({len(chain) for chain in chains})]
+    at = np.append(np.argsort(order), len(chains))  # -1: the zero
+    return groups, at[:d], at[t_chain]
 
 
-def _frame(phi, d: int, tangents: bool = True):
+def _frame(phi, d: int):
     """``(u, T)``: the unit vectors of ``(..., d-1)`` angles (floats or
-    jets) and, with ``tangents``, their ``(..., d, d-1)`` tangent vectors
-    du/dt_a, from one :func:`~confmech.dual.sincos` of every angle. Each
-    entry is its left-to-right product of sines and cosines, taken a whole
-    group of equally long chains at a time; T's entries are added to 0.0
+    jets) and their ``(..., d, d-1)`` tangent vectors du/dt_a, from one
+    :func:`~confmech.dual.sincos` of every angle. Each entry is its
+    left-to-right product of sines and cosines, taken one factor position
+    at a time over every chain of a length; T's entries are added to 0.0
     (a -0.0 product reads +0.0). d = 1 has no angles: u = (1,)."""
     if d == 1:
         return np.ones(1), np.zeros((1, 0))
     s, c = dual.sincos(phi)
-    table = dual.stack([s, c, -s], axis=-2)
-    groups, u_index, t_index = _frame_plan(d, tangents)
+    table = dual.concat([s, c, -s])
+    groups, u_at, t_at = _frame_plan(d)
     products = []
-    for rows, angles in groups:
-        v = table[..., rows[:, 0], angles[:, 0]]
-        for pos in range(1, rows.shape[1]):
-            v = v * table[..., rows[:, pos], angles[:, pos]]
+    for chains in groups:
+        v = table[..., chains[:, 0]]
+        for pos in range(1, chains.shape[1]):
+            v = v * table[..., chains[:, pos]]
         products.append(v)
-    if not tangents:
-        return dual.concat(products)[..., u_index], None
     products.append(np.zeros(np.shape(dual.value(phi))[:-1] + (1,)))
     products = dual.concat(products)
-    return products[..., u_index], products[..., t_index] + 0.0
+    return products[..., u_at], products[..., t_at] + 0.0
 
 
 def unit_from_angles(phi, d: int):
     """Unit vectors on the (d-1)-sphere from ``(..., d-1)`` angles; floats
     or jets."""
-    return _frame(phi, d, tangents=False)[0]
+    return _frame(phi, d)[0]
 
 
 def unit_tangents(phi, d: int):
@@ -223,23 +212,22 @@ def hyperspherical_rows(Q, P, delta: float = _POLE_MARGIN):
 
 
 def _chart(Q, P, delta: float = _POLE_MARGIN):
-    """:func:`hyperspherical_rows`' ``(r, p_r, phi, pi)``, then ``Q . Q``
-    (r is its root) and the unit vectors of ``phi``, which the tangents of
-    ``pi`` take from the same sine/cosine table (None at d = 1)."""
+    """:func:`hyperspherical_rows`' ``(r, p_r, phi, pi)``, then the unit
+    vectors of ``phi``, which the tangents of ``pi`` take from the same
+    sine/cosine table (None at d = 1)."""
     d = Q.shape[-1]
-    qq = np.vecdot(Q, Q)
-    r = np.sqrt(qq)  # np.linalg.norm's formula, row by row
+    r = np.sqrt(np.vecdot(Q, Q))  # np.linalg.norm's formula, row by row
     if np.any(r <= 0):
         raise ChartSingularError("the chart is undefined at the origin")
     n = Q / r[..., None]
     phi = angles_from_unit(n, d, delta=delta)
     p_r = np.vecdot(P, n)
     if d == 1:
-        return r, p_r, phi, np.zeros_like(phi), qq, None
+        return r, p_r, phi, np.zeros_like(phi), None
     u, T = _frame(phi, d)
-    pi = r[..., None] * dual.stack([np.vecdot(P, T[..., :, a])
-                                    for a in range(d - 1)])
-    return r, p_r, phi, pi, qq, u
+    # pi_a = r P . T[..., :, a], every a in one dot product over the rows
+    pi = r[..., None] * np.vecdot(P[..., None, :], np.swapaxes(T, -1, -2))
+    return r, p_r, phi, pi, u
 
 
 def to_hyperspherical(s: PhaseState,
