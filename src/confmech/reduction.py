@@ -66,11 +66,9 @@ class ReducedState:
 
 
 def _factor_lists(d: int):
-    """Sine/cosine factor lists of each Cartesian component of the chart."""
+    """Sine/cosine factor lists of each Cartesian component of the chart,
+    d > 1."""
     comps = [None] * d
-    if d == 1:
-        comps[0] = []
-        return comps
     for k in range(d - 2):
         comps[d - 1 - k] = [(j, "s") for j in range(k)] + [(k, "c")]
     sines = [(j, "s") for j in range(d - 2)]
@@ -103,7 +101,10 @@ def _frame_plan(d: int):
     groups = [np.array([chains[j] for j in order if len(chains[j]) == n])
               for n in sorted({len(chain) for chain in chains})]
     at = np.append(np.argsort(order), len(chains))  # -1: the zero
-    return groups, at[:d], at[t_chain]
+    plan = groups + [at[:d], at[t_chain]]
+    for index in plan:  # every caller shares them
+        index.flags.writeable = False
+    return plan[:-2], plan[-2], plan[-1]
 
 
 def _frame(phi, d: int):

@@ -169,6 +169,24 @@ class TestGradientDriver:
             assert np.array_equal(got.eps, want.eps)
 
 
+    @pytest.mark.parametrize("lead", [(), (6,), (2, 3)])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_vecdot_matches_the_component_loop(self, lead, d):
+        # column by column, the jets of a Python loop adding one product
+        # jet per component; rows, points and floats mixed in
+        rng = np.random.default_rng(len(lead) + d)
+        a = dual.seed(rng.uniform(-2, 2, lead + (d,)), 2 * d, 0)
+        b = dual.seed(rng.uniform(-2, 2, lead + (d,)), 2 * d, d)
+        w = rng.uniform(-2, 2, lead + (d,))
+        w.flat[0] = -0.0
+        for x, y in ((a, b), (a, a), (a, w), (w, a)):
+            prod = x * y if isinstance(x, Dual) else y * x
+            want = prod[..., 0]
+            for i in range(1, d):
+                want = want + prod[..., i]
+            assert _bits(dual.vecdot(x, y)) == _bits(want)
+
+
 def _map_broadcast(fn, *args):
     """The entry-by-entry map over broadcast arguments as a list, the
     reference for ``_map``."""

@@ -433,6 +433,23 @@ class TestArrayForms:
             assert _same_bits(dq, ref)
             assert _same_bits(dp, np.zeros(n - 1))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_calogero_jets_match_pair_loop(self, n):
+        # every pair's term in one jet operation of each kind, then summed
+        # pair by pair: the jets of a loop taking one pair at a time
+        sys_ = models.build(models.spec("calogero", n=n, g=1.3))
+        axes = models.pair_axes(n)
+        Q, P = _state_rows(sys_, 40, seed=47)
+        for q, p in ((Q, P), (Q[0], P[0])):
+            qd = dual.seed(q, 2 * (n - 1), 0)
+            pd = dual.seed(p, 2 * (n - 1), n - 1)
+            want = 0.0
+            for s in np.vecdot(axes, qd[..., None, :]).T:
+                want = want + 1.3 ** 2 / (s * s)
+            got = sys_.V.fn(qd, pd)
+            assert _same_bits(got.val, want.val)
+            assert _same_bits(got.eps, want.eps)
+
     @pytest.mark.parametrize("ms,singular", [
         (models.spec("inverse-square", d=2, kappa=1.0), [0.0, 0.0]),
         (models.spec("higgs", d=3, omega=1.0), [1.0, 0.5, 0.0]),

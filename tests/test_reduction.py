@@ -206,6 +206,68 @@ class TestChartObservables:
             assert len(maps) == 2 * tables
 
 
+def _loop_frame(phi, d):
+    """The unit vectors and tangents as the chart wrote them entry by
+    entry, one jet product chain per entry (1.0 times each factor in
+    turn, a tangent added to 0.0): the oracle of the products taken a
+    whole group at a time."""
+    from confmech.reduction import _factor_lists
+
+    table = {}
+    for a in range(d - 1):
+        table[a, "s"], table[a, "c"] = dual.sincos(phi[..., a])
+    u, T = [], []
+    for factors in _factor_lists(d):
+        v = 1.0
+        for factor in factors:
+            v = v * table[factor]
+        u.append(v)
+        row = [0.0] * (d - 1)
+        for which, (didx, _) in enumerate(factors):
+            v = 1.0
+            for pos, (idx, kind) in enumerate(factors):
+                if pos != which:
+                    v = v * table[idx, kind]
+                else:
+                    v = v * (table[idx, "c"] if kind == "s"
+                             else -table[idx, "s"])
+            row[didx] = row[didx] + v
+        T.append(dual.stack(row))
+    return dual.stack(u), dual.stack(T, axis=-2)
+
+
+def _jet_bits(x):
+    """Shape and bytes of a float array or of a jet's value and
+    derivatives (tells -0.0 from 0.0)."""
+    if isinstance(x, dual.Dual):
+        return _jet_bits(x.val), _jet_bits(x.eps)
+    return np.shape(x), np.asarray(x, dtype=float).tobytes()
+
+
+class TestFrame:
+    """The chart's unit vectors and tangents, products over whole groups
+    of entries, against the per-entry chains bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 3)])
+    @pytest.mark.parametrize("jet", [False, True], ids=["floats", "jets"])
+    def test_matches_the_entry_loops(self, d, lead, jet):
+        from confmech.reduction import unit_from_angles, unit_tangents
+
+        rng = np.random.default_rng(d)
+        phi = rng.uniform(-np.pi, np.pi, lead + (d - 1,))
+        # poles, equators and signed zeros, where a product may be -0.0
+        phi.flat[::3] = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi,
+                         -np.pi][:len(phi.flat[::3])]
+        if jet:
+            eps = rng.normal(size=phi.shape + (4,))
+            eps[..., 1], eps[..., 2] = 0.0, -0.0
+            phi = dual.Dual(phi, eps)
+        u, T = _loop_frame(phi, d)
+        assert _jet_bits(unit_from_angles(phi, d)) == _jet_bits(u)
+        assert _jet_bits(unit_tangents(phi, d)) == _jet_bits(T)
+
+
 class TestMetric:
     def test_equator(self):
         g = np.diag(sphere_metric_diag(np.array([np.pi / 2, 0.3]), 3))
