@@ -408,8 +408,8 @@ def canonicity_report(model: Union[ModelSpec, ConformalSystem],
 
     def admissible(Q, P):
         # H > 1e-2, I > 1e-2, and x > 1e-2 (d = 1) or the chart's 1e-3
-        # pole margin (d > 1), read from the angles alone: each row is
-        # the one a chart call on it alone admits
+        # pole margin (d > 1), read from the angles alone and admitting
+        # each row exactly as a chart call on that row alone would
         h, i_val = h_and_i(Q, P)
         ok = np.isfinite(h) & (h > 1e-2) & (i_val > 1e-2)
         if d == 1:
