@@ -136,11 +136,6 @@ def unit_from_angles(phi, d: int):
     return _frame(phi, d)[0]
 
 
-def unit_tangents(phi, d: int):
-    """``(..., d, d-1)`` tangent vectors du/dt_a (floats or jets)."""
-    return _frame(phi, d)[1]
-
-
 def _polar_cosines(n, d: int):
     """The cosine of each polar angle of ``(..., d)`` unit vectors (floats
     or jets), in the chart's order: the remaining components live on a
@@ -241,12 +236,12 @@ def to_hyperspherical(s: PhaseState,
 def from_hyperspherical(rs: ReducedState) -> PhaseState:
     """Exact inverse of :func:`to_hyperspherical`."""
     d = rs.d
-    u = unit_from_angles(rs.phi, d)
+    u, T = _frame(rs.phi, d)
     q = rs.r * u
     if d == 1:
         return PhaseState(q, np.array([rs.p_r]))
     # invert the pullback (p_r, pi) = J^T p, J = dx/d(r, t) = [u, r du/dt]
-    J = np.column_stack([u, rs.r * unit_tangents(rs.phi, d)])
+    J = np.column_stack([u, rs.r * T])
     p = np.linalg.solve(J.T, np.concatenate([[rs.p_r], rs.pi]))
     return PhaseState(q, p)
 
