@@ -226,12 +226,12 @@ class _Entry:
     any row, is on the singular set. ``dV(q, p) -> (dV/dq, 0)`` is one body
     over float ``(..., d)`` arrays, a point or rows, with the same bits per
     row; the potential observable is named ``V[tag]``.
-    ``singular_distance(q)`` is a float at one point, in the scalar form
-    the Verlet guard calls once per step; it is made by :func:`_distance`,
-    which declares it rows-capable: its ``rows(Q)`` gives one value per row
-    of float ``(N, d)`` rows, each bit for bit that row's point value (0.0
-    on the singular set), and :func:`~confmech.conformal.sample_states`
-    screens a chunk of draws in one such call."""
+    ``singular_distance(q)`` is a float at one point, the scalar form of
+    both integrators' start checks and the adaptive flow's steps. Made by
+    :func:`_distance`, it is rows-capable: ``rows(Q)`` gives one value per
+    float ``(N, d)`` row, bit for bit that row's point value (0.0 on the
+    singular set), which the Verlet guard reads once per 256-row block and
+    :func:`~confmech.conformal.sample_states` once per chunk of draws."""
 
     tag: str
     V: Callable

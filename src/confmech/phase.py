@@ -321,6 +321,15 @@ def verlet_steps(dt: float, t_end: float) -> int:
     return n_steps
 
 
+def _stops(dist, step=0.0, finite=True):
+    """The singular guard's rule, on floats or elementwise on rows: stop
+    within 1e-6 of the singular set, on a step longer than 0.9 of the
+    distance (it could hop the singularity), or at a NaN distance where
+    ``finite`` is true."""
+    return ((dist < _SINGULAR_GUARD) | (step > 0.9 * dist)
+            | ((dist != dist) & finite))
+
+
 def integrate_verlet(system, s0: PhaseState, dt: float,
                      t_end: float) -> Trajectory:
     """Velocity-Verlet flow of a separable system ``H = p^2/2 + V(q)``.
@@ -346,7 +355,7 @@ def integrate_verlet(system, s0: PhaseState, dt: float,
     n_steps = verlet_steps(dt, t_end)
     V = system.V
     sdist = system.singular_distance
-    if sdist is not None and not sdist(s0.q) >= _SINGULAR_GUARD:
+    if sdist is not None and _stops(sdist(s0.q)):
         raise SingularityApproachError(
             "initial state is inside the singular exclusion zone",
             last_good_time=0.0, state=s0)
@@ -395,11 +404,9 @@ def _check_verlet_rows(sdist, qs, ps, start, end, dt):
         dist = rows(Q[1:]) if rows else np.full(len(M), np.inf)
         for i in range(0 if rows else len(M)):
             dist[i] = sdist(Q[1 + i])
-            if bad[i] or not dist[i] >= _SINGULAR_GUARD \
-                    or step[i] > 0.9 * dist[i]:
+            if bad[i] or _stops(dist[i], step[i]):
                 break
-        near = ((dist < _SINGULAR_GUARD) | (step > 0.9 * dist)
-                | (np.isnan(dist) & ~bad))
+        near = _stops(dist, step, ~bad)
     if (bad | near).any():
         k = start + int(np.argmax(bad | near))
         t = (k - 1) * dt
@@ -486,7 +493,7 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
     dist = math.inf
     if singular_distance is not None:
         dist = singular_distance(s0.q)
-        if not dist >= _SINGULAR_GUARD:
+        if _stops(dist):
             raise StepUnderflowError(
                 "initial state is inside the singular exclusion zone",
                 t_reached=0.0, state=s0)
@@ -554,7 +561,7 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
             # without a guard no move length is taken (its dot product
             # would warn on overflow)
             move = y_new[:d] - y[:d]
-            if math.sqrt(move.dot(move)) > 0.9 * dist:
+            if _stops(dist, math.sqrt(move.dot(move))):
                 h *= 0.25
                 continue
         err_vec = h_a * (_DP_ERR @ k)
@@ -579,7 +586,7 @@ def integrate_adaptive(H: Observable, s0: PhaseState, rtol: float,
             k[0] = k[6]  # first-same-as-last
             if singular_distance is not None:
                 dist = singular_distance(y[:d])
-                if not dist >= _SINGULAR_GUARD:
+                if _stops(dist):
                     raise StepUnderflowError(
                         "trajectory entered the singular exclusion zone at "
                         f"t={t:.12g}", t_reached=t,

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confmech import conformal, dual, lobachevsky, models, phase, reduction
@@ -269,11 +269,17 @@ class TestBranchProperties:
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(_BRANCH_CASES),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(case=(models.spec("inverse-square", d=3, kappa=-0.5), -1.0),
+             seed=226566)
     def test_transport_signs(self, case, seed):
-        # H -> K, K -> +H, D -> -D at test_transport_signs' tolerance
+        # H -> K, K -> +H, D -> -D at test_transport_signs' tolerance. The
+        # sampler's stream does not depend on the count asked for, so the
+        # first of 8 states is the one state a call for 1 would draw; 8
+        # states give a budget of 800 attempts, where 100 ran out at about
+        # 6% acceptance (attractive d = 3 at I < 0, seed 226566)
         ms, sign = case
         sys_ = _BRANCH_SYSTEMS[ms.label]
-        (s,) = _branch_states(sys_, 1, seed, sign)
+        s = _branch_states(sys_, 8, seed, sign)[0]
         kp = to_klein(to_hyperspherical(s), casimir_I(sys_, s))
         assert kp.branch == (POSITIVE_I if sign > 0 else NEGATIVE_I)
         h, dd, k = killing_forms(kp)

@@ -45,7 +45,7 @@ from confmech.radial import RadialData, radial_squared
 from confmech.reduction import SphericalSystem
 
 from conftest import model_states, sphere_hamiltonian
-from identity_simulate import GUARD_MODELS, infalling_states
+from identity_corpus import GUARD_MODELS, infalling_states
 
 
 def position_observable(i: int, d: int) -> Observable:
@@ -146,6 +146,9 @@ class TestPhaseState:
             Trajectory([0.0, 0.0], np.zeros((2, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             Trajectory([0.0, 1.0], np.zeros((3, 1)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="monitor 'H' length mismatch"):
+            Trajectory([0.0, 1.0], np.zeros((2, 1)), np.zeros((2, 1)),
+                       {"H": [1.0]})
         tr = Trajectory([0.0, 1.0], np.zeros((2, 1)), np.zeros((2, 1)),
                         {"H": [1.0, 1.0]})
         assert len(tr) == 2 and tr.qs[1].shape == tr.ps[1].shape == (1,)
@@ -186,6 +189,27 @@ class TestGrad:
         blows_up = Observable(1, lambda q, p: 1e400)  # overflows to inf
         with pytest.raises(NonFiniteError):
             grad(blows_up, np.array([1.0]), np.array([1.0]))
+
+    def test_call_raises_where_the_value_is_not_finite(self):
+        s = PhaseState([1.0], [0.0])
+        blows_up = Observable(1, lambda q, p: math.inf, name="f")
+        with pytest.raises(NonFiniteError,
+                           match="observable f is not finite") as err:
+            blows_up(s)
+        assert err.value.state is s
+
+    def test_gradient_not_finite_at_a_finite_value(self):
+        # the value is finite at every row, the analytic gradient is not at
+        # row 1: grad names the gradient and reports that row's state
+        obs = Observable(1, lambda q, p: q[..., 0],
+                         grad_fn=lambda q, p: (1.0 / np.abs(q), 0.0 * p),
+                         name="g", vectorized=True)
+        Q, P = np.array([[1.0], [0.0], [2.0]]), np.zeros((3, 1))
+        with np.errstate(divide="ignore"), \
+                pytest.raises(NonFiniteError,
+                              match="gradient of g is not finite") as err:
+            grad(obs, Q, P)
+        assert err.value.state.q.tolist() == [0.0]
 
     def test_rows_raise_at_the_first_bad_row(self):
         # row 3 overflows H (kappa / r^2 with r^2 = 1e-320): the rows table
@@ -920,6 +944,49 @@ class TestAdaptive:
         assert seen[1] > 0.0 and seen[1] == 4.0 * seen[3]
         assert traj.qs[-1, 0] == pytest.approx(1.0, rel=1e-12)
         assert traj.ps[-1, 0] == 1.0
+
+    def test_non_finite_initial_field_raises(self):
+        H = Observable(1, lambda q, p: 0.5 * p[0] * p[0],
+                       grad_fn=lambda q, p: (np.array([math.inf]), p.copy()),
+                       name="H")
+        s0 = PhaseState([1.0], [0.0])
+        with pytest.raises(NonFiniteError,
+                           match="vector field not finite") as err:
+            integrate_adaptive(H, s0, 1e-10, 1.0, t_eval=[1.0])
+        assert err.value.state is s0
+
+    def test_step_budget(self, monkeypatch):
+        # a budget of 10 steps runs out on the oscillator's way to t = 10,
+        # and the error reports the last accepted state on its exact path
+        monkeypatch.setattr("confmech.phase._MAX_STEPS", 10)
+        H = Observable(1, lambda q, p: 0.5 * (p[0] * p[0] + q[0] * q[0]))
+        with pytest.raises(StepUnderflowError,
+                           match="step budget exhausted") as err:
+            integrate_adaptive(H, PhaseState([1.0], [0.0]), 1e-10, 10.0,
+                               t_eval=[10.0])
+        t = err.value.t_reached
+        assert 0.0 < t < 10.0
+        assert err.value.state.q[0] == pytest.approx(math.cos(t), abs=1e-9)
+        assert err.value.state.p[0] == pytest.approx(-math.sin(t), abs=1e-9)
+
+    def test_zero_error_grows_the_step_fivefold(self, monkeypatch):
+        # the free model at rest: every step is exact (error 0), so from
+        # the initial 1e-3 each step is 5 times the last, with no division
+        # by the zero error; t = 1 takes 6 steps, the last one cut short
+        free = models.build(models.spec("free", d=1))
+        s0 = PhaseState([1.0], [0.0])
+        monkeypatch.setattr("confmech.phase._MAX_STEPS", 6)
+        with np.errstate(all="raise"):
+            traj = integrate_adaptive(free.H, s0, 1e-10, 1.0,
+                                      t_eval=[0.5, 1.0])
+        assert traj.qs.tolist() == [[1.0], [1.0]]
+        assert traj.ps.tolist() == [[0.0], [0.0]]
+        monkeypatch.setattr("confmech.phase._MAX_STEPS", 5)
+        with pytest.raises(StepUnderflowError,
+                           match="step budget exhausted") as err:
+            integrate_adaptive(free.H, s0, 1e-10, 1.0, t_eval=[1.0])
+        assert err.value.t_reached == pytest.approx(
+            0.001 + 0.005 + 0.025 + 0.125 + 0.625, rel=1e-15)
 
     def test_monitors_recorded(self, eq1):
         # the monitors evaluated on the rows of a grid
