@@ -617,16 +617,17 @@ class TestPinnedOutput:
 
 
 def test_reconstruct_calls_match_their_manifest():
-    # tests/identity_reconstruct.py checks all 240 pinned reconstruct
-    # calls; this recomputes the full-size inputs of seeds 0 and 1 at rtol
-    # 1e-8 and 1e-12, which hold every workload model: the I0 < 0 state at
+    # tests/identity_corpus.py checks all 240 pinned reconstruct calls;
+    # this recomputes the full-size inputs of seeds 0 and 1 at rtol 1e-8
+    # and 1e-12, which hold every workload model: the I0 < 0 state at
     # d = 2 and calogero n = 4 among them
-    import identity_reconstruct
+    import identity_corpus as corpus
 
-    pinned = json.loads(identity_reconstruct.MANIFEST.read_text())
-    table = identity_reconstruct.digests(
+    pinned = json.loads(corpus.MANIFEST.read_text())["reconstruct"]
+    table = corpus.workload_runs(
+        "reconstruct", range(8),
         lambda key: key.startswith(("seed 0 full ", "seed 1 full "))
-        and not key.endswith(" 1e-10"))
+        and not key.endswith(" 1e-10"), rtols=corpus.RTOLS)
     assert len(table) == 20
     assert sum("inverse_square(d=2, kappa=-0.5)" in key for key in table) == 4
     assert sum("calogero_relative(d=3, g=1, n=4)" in key for key in table) == 4
@@ -653,40 +654,40 @@ def test_decoupling_builds_its_system_once(flags, monkeypatch, capsys):
 
 
 def test_verify_reports_match_their_manifest():
-    # tests/identity_verify.py checks all pinned verification reports;
+    # tests/identity_corpus.py checks all pinned verification reports;
     # this recomputes the workload's full size at seed 1 and smoke size at
     # seed 0 (its refused command among them), every library report at
     # seed 0 and the bracket lines of seed 0's states
-    import identity_verify
+    import identity_corpus as corpus
 
-    pinned = json.loads(identity_verify.MANIFEST.read_text())
-    table = identity_verify.workload_runs(
+    pinned = json.loads(corpus.MANIFEST.read_text())["verify"]
+    table = corpus.workload_runs(
+        "verification", range(6),
         lambda key: key.startswith(("workload seed 0 smoke ",
                                     "workload seed 1 full ")))
-    table.update(identity_verify.library_reports(
-        lambda key: key.endswith(" seed 0")))
-    table.update(identity_verify.bracket_runs(
-        lambda key: " seed 0 state " in key))
+    table.update(corpus.library_reports(lambda key: key.endswith(" seed 0")))
+    table.update(corpus.bracket_runs(lambda key: " seed 0 state " in key))
     assert len(table) == 8 + 7 + 17 * 2 * 3 + 17 * 3
     assert table == {key: pinned[key] for key in table}
 
 
 def test_simulate_runs_match_their_manifest():
-    # tests/identity_simulate.py checks all pinned Verlet runs; this
+    # tests/identity_corpus.py checks all pinned Verlet runs; this
     # recomputes the smoke-size workload of seed 0 (its refused command
     # among them), one attractive system's runs that stop at step 1, at
     # both edges of a 256-step block and at the final step, and the
     # unguarded escapes that overflow at such steps
-    import identity_simulate
+    import identity_corpus as corpus
 
-    pinned = json.loads(identity_simulate.MANIFEST.read_text())
+    pinned = json.loads(corpus.MANIFEST.read_text())["simulate"]
     base = "library inverse_square(d=1, kappa=-0.5) state 0 dt 0.0001"
-    table = identity_simulate.workload_runs(
+    table = corpus.workload_runs(
+        "trajectory", range(8),
         lambda key: key.startswith("workload seed 0 smoke "))
     with np.errstate(all="ignore"):
-        runs = identity_simulate.library_runs(
+        runs = corpus.library_runs(
             lambda key: key.startswith((base, "library escape ")))
-    stops = identity_simulate.stop_steps(runs)
+    stops = corpus.stop_steps(runs)
     assert sorted(stops) == [1, 255, 256, 257, 511, 512, 513, 915, 915]
     table.update((key, digest) for key, (digest, _) in runs.items())
     assert len(table) == 5 + 9 + 4
